@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -110,6 +111,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _require_finite(flag: str, *values: float) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
+
+
 def _comma_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
@@ -201,6 +208,7 @@ def cmd_pip(args) -> int:
     times = args.times
     if not times:
         raise CliError("--times needs at least one value")
+    _require_finite("--times", *times)
     if any(t < 0.0 for t in times):
         raise CliError("times must be nonnegative")
     if args.f_count < 2:
@@ -279,6 +287,8 @@ def cmd_redundancy(args) -> int:
         raise CliError(f"--alpha must be in (0, 1], got {args.alpha}")
     if args.t_count < 2:
         raise CliError("--t-count must be at least 2")
+    _require_finite("--t-start", args.t_start)
+    _require_finite("--t-stop", args.t_stop)
     if args.t_start >= args.t_stop:
         raise CliError("--t-start must be below --t-stop")
     if args.spacing == "log":
@@ -421,6 +431,9 @@ def cmd_sweep(args) -> int:
             fixed[key] = float(raw)
         except ValueError as exc:
             raise CliError(f"--fix {assignment!r}: {exc}") from exc
+        _require_finite(f"--fix {key}", fixed[key])
+    _require_finite("--start", args.start)
+    _require_finite("--stop", args.stop)
     if args.spacing == "log":
         if args.start <= 0.0 or args.stop <= 0.0:
             raise CliError("log spacing needs positive endpoints")
@@ -463,7 +476,12 @@ def _io_arguments(sub) -> None:
                      help="output format (default depends on the command)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so main() reuses it across calls.
+    """
     parser = argparse.ArgumentParser(
         prog="photon-darwinism",
         description="Decoherence, receptivity and information redundancy "

@@ -46,6 +46,14 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
+def _check_time(t_over_tauD: float) -> float:
+    if not 0.0 <= t_over_tauD < math.inf:
+        raise ValueError(
+            f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}"
+        )
+    return t_over_tauD
+
+
 @dataclass(frozen=True)
 class InfoParams:
     """Dimensionless bundle feeding the information-theoretic operations."""
@@ -62,8 +70,7 @@ class InfoParams:
 
     @classmethod
     def at_time(cls, t_over_tauD: float, alpha: float, f: float) -> "InfoParams":
-        if t_over_tauD < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t_over_tauD}")
+        _check_time(t_over_tauD)
         return cls(gamma=math.exp(-t_over_tauD), alpha=alpha, f=f,
                    t_over_tauD=t_over_tauD)
 
@@ -104,8 +111,7 @@ def mutual_information_at_time(t_over_tauD: float, alpha: float, f: float) -> Na
     combined exponent, so t = 1000 underflows gracefully to the plateau
     instead of losing the exponent structure in Gamma itself.
     """
-    if t_over_tauD < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t_over_tauD}")
+    _check_time(t_over_tauD)
     _check_unit("alpha", alpha)
     _check_unit("f", f)
     if alpha == 0.0:
@@ -159,8 +165,10 @@ def redundancy_exact(gamma: float | None, alpha: float, delta: float,
         if gamma == 0.0:
             return math.inf
         t_over_tauD = -math.log(gamma)
-    elif t_over_tauD == 0.0:
-        return None
+    else:
+        _check_time(t_over_tauD)
+        if t_over_tauD == 0.0:
+            return None
 
     target = (1.0 - delta) * LN2
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sky import (
+    FULL_SPHERE,
     AngularMoments,
     SkyRegion,
     angular_moments,
@@ -37,8 +38,6 @@ __all__ = [
     "redundancy_rate",
     "receptivity_result",
 ]
-
-FULL_SPHERE = 4.0 * math.pi
 
 
 def _pair_integral(a: AngularMoments, b: AngularMoments) -> float:

@@ -14,6 +14,7 @@ converges spectrally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -161,20 +162,37 @@ def _custom_cell_size(region: SkyRegion) -> tuple[float, float]:
     return du, dphi
 
 
-def _panel(ulo: float, uhi: float, order: int, nphi: int):
-    """Product nodes on a cos(theta) panel: (points (N,3), weights (N,))."""
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are made read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _panel(ulo: float, uhi: float, order: int, nphi: int):
+    """Product nodes on a cos(theta) panel: (points (N,3), weights (N,)).
+
+    The Gauss-Legendre rule comes from a per-process cache, and the trig
+    runs on the 1-d factors only; the (order, nphi) node array is filled
+    by broadcasting them.
+    """
+    x, w = _gauss_legendre(order)
     u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
     wu = 0.5 * (uhi - ulo) * w
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
     wphi = 2.0 * math.pi / nphi
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
     ww = np.repeat(wu, nphi) * wphi
-    s = np.sqrt(np.clip(1.0 - uu**2, 0.0, None))
-    pts = np.stack(
-        [s * np.cos(pp), s * np.sin(pp), uu], axis=-1
-    ).reshape(-1, 3)
-    return pts, ww
+    s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))[:, None]
+    pts = np.empty((order, nphi, 3))
+    pts[:, :, 0] = s * np.cos(phi)
+    pts[:, :, 1] = s * np.sin(phi)
+    pts[:, :, 2] = u[:, None]
+    return pts.reshape(-1, 3), ww
 
 
 def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
@@ -183,7 +201,8 @@ def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
     split_cos lists cos(theta) values at which the domain is cut into
     panels, so integrands that kink or jump at a parallel keep spectral
     accuracy. The phi rule uses 2*order uniform points, exact for
-    trigonometric polynomials up to that degree.
+    trigonometric polynomials up to that degree. The Gauss-Legendre rule
+    for each order is computed once per process and reused.
     """
     if order < 2:
         raise ValueError(f"quadrature order must be >= 2, got {order}")

@@ -305,3 +305,62 @@ def test_argparse_rejections_use_the_config_exit_code():
         main(["sweep", "--quantity", "nonsense", "--axis", "f",
               "--start", "0", "--stop", "1", "--count", "3"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["pip", "--times", "1,nan"], "--times"),
+    (["pip", "--times", "inf"], "--times"),
+    (["redundancy", "--t-start", "nan"], "--t-start"),
+    (["redundancy", "--t-stop", "nan"], "--t-stop"),
+    (["redundancy", "--t-stop", "inf"], "--t-stop"),
+    (["sweep", "--quantity", "alpha", "--axis", "theta0",
+      "--start", "nan", "--stop", "90", "--count", "3"], "--start"),
+    (["sweep", "--quantity", "alpha", "--axis", "theta0",
+      "--start", "0", "--stop", "inf", "--count", "3"], "--stop"),
+    (["sweep", "--quantity", "mi", "--axis", "f", "--start", "0",
+      "--stop", "0.5", "--count", "3", "--fix", "t_over_tauD=nan"],
+     "--fix t_over_tauD"),
+])
+def test_non_finite_numbers_are_config_errors(argv, flag, capsys):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be finite" in captured.err
+
+
+class TestParserReuse:
+    """main() builds its parser once; earlier calls must not leak state."""
+
+    SWEEP = ["sweep", "--quantity", "mi", "--axis", "f",
+             "--start", "0", "--stop", "0.5", "--count", "4"]
+
+    def _run(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_after_an_argparse_rejection(self, disk_config, capsys):
+        argv = ["alpha", "--config", disk_config, "--order", "16"]
+        first = self._run(argv, capsys)
+        with pytest.raises(SystemExit):
+            main(["alpha", "--order", "16"])
+        capsys.readouterr()
+        assert self._run(argv, capsys) == first
+
+    def test_after_a_cli_error(self, capsys):
+        argv = ["pip", "--times", "1,10", "--f-count", "5"]
+        first = self._run(argv, capsys)
+        assert main(["pip", "--times", "1", "--f-count", "1"]) == EXIT_CONFIG
+        capsys.readouterr()
+        assert self._run(argv, capsys) == first
+
+    def test_fix_does_not_stick(self, capsys):
+        default = self._run(self.SWEEP, capsys)
+        fixed = self._run(self.SWEEP + ["--fix", "f=0.3",
+                                        "--fix", "t_over_tauD=2"], capsys)
+        assert fixed != default
+        assert self._run(self.SWEEP, capsys) == default
+        payload = self._run(self.SWEEP + ["--format", "json"], capsys)[1]
+        assert json.loads(payload)["fixed"] == {
+            "t_over_tauD": 10.0, "f": 0.2, "alpha": 1.0
+        }

@@ -116,6 +116,11 @@ class TestMutualInformationAtTime:
     def test_zero_time(self):
         assert mutual_information_at_time(0.0, 1.0, 0.3) == 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time_is_named(self, t):
+        with pytest.raises(ValueError, match="t_over_tauD"):
+            mutual_information_at_time(t, 1.0, 0.3)
+
 
 def test_approximation_near_plateau():
     # ln 2 - gamma^(alpha f) / 2, frozen from the closed form
@@ -169,6 +174,11 @@ class TestRedundancyExact:
             redundancy_exact(0.5, 1.0, 0.0)
         with pytest.raises(ValueError):
             redundancy_exact(0.5, 0.0, 0.01)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_time_is_named(self, t):
+        with pytest.raises(ValueError, match="t_over_tauD"):
+            redundancy_exact(None, 1.0, 0.01, t_over_tauD=t)
 
 
 class TestRedundancyEstimate:
@@ -249,3 +259,8 @@ class TestInfoParams:
             InfoParams(1.5, 1.0, 0.2)
         with pytest.raises(ValueError):
             InfoParams(0.5, 1.0, -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time_is_named(self, t):
+        with pytest.raises(ValueError, match="t_over_tauD"):
+            InfoParams.at_time(t, 1.0, 0.2)

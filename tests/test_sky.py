@@ -1,15 +1,20 @@
 """Tests for sphere quadrature, sky regions, and the pair-weight moments."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from photon_darwinism.cli import main
 from photon_darwinism.sky import (
     FULL_SPHERE,
     Direction,
     SkyRegion,
+    _gauss_legendre,
+    _panel,
     angular_moments,
     complement_nodes,
     g2_weight,
@@ -109,6 +114,79 @@ class TestIntegrateSphere:
             integrate_sphere(lambda d: 1.0, order=1)
         with pytest.raises(ValueError):
             integrate_sphere(lambda d: 1.0, split_cos=(1.5,))
+
+
+def _meshgrid_panel(ulo, uhi, order, nphi):
+    """Reference panel: trig evaluated on the full (order, nphi) meshgrid."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
+    wu = 0.5 * (uhi - ulo) * w
+    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
+    wphi = 2.0 * math.pi / nphi
+    uu, pp = np.meshgrid(u, phi, indexing="ij")
+    ww = np.repeat(wu, nphi) * wphi
+    s = np.sqrt(np.clip(1.0 - uu**2, 0.0, None))
+    pts = np.stack(
+        [s * np.cos(pp), s * np.sin(pp), uu], axis=-1
+    ).reshape(-1, 3)
+    return pts, ww
+
+
+def _panel_cases():
+    edges = [-1.0, -0.999, math.cos(math.radians(179.5)), -0.3, 0.0,
+             math.cos(math.radians(60.0)), 0.9999, 1.0]
+    cases = [(lo, hi, order)
+             for lo, hi in zip(edges[:-1], edges[1:])
+             for order in (2, 3, 16, 17, 64, 128)]
+    cases += [(-1.0, 1.0, order) for order in (5, 32, 100, 201)]
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        lo, hi = np.sort(rng.uniform(-1.0, 1.0, size=2))
+        cases.append((float(lo), float(hi), int(rng.integers(2, 160))))
+    return cases
+
+
+class TestPanel:
+    @pytest.mark.parametrize("ulo,uhi,order", _panel_cases())
+    def test_matches_the_meshgrid_construction_bit_for_bit(self, ulo, uhi,
+                                                           order):
+        pts, ww = _panel(ulo, uhi, order, 2 * order)
+        ref_pts, ref_ww = _meshgrid_panel(ulo, uhi, order, 2 * order)
+        assert pts.shape == ref_pts.shape and ww.shape == ref_ww.shape
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert ww.tobytes() == ref_ww.tobytes()
+
+    def test_cached_rule_is_shared_and_read_only(self):
+        x, w = _gauss_legendre(16)
+        assert _gauss_legendre(16)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert x.tobytes() == ref_x.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+
+    def test_one_alpha_report_computes_one_rule(self, tmp_path, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            calls.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        _gauss_legendre.cache_clear()
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text("radius_m = 1e-6\npermittivity = 4\ndx_m = 1e-6\n"
+                       "temperature_K = 2.725\nregion = disk:30:20\n")
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["alpha", "--config", str(cfg),
+                             "--order", "64"]) == 0
+        finally:
+            _gauss_legendre.cache_clear()
+        assert calls == [64]
 
 
 class TestG2Weight:
