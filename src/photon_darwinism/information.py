@@ -46,12 +46,11 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
-def _check_time(t_over_tauD: float) -> float:
+def _check_time(t_over_tauD: float) -> None:
     if not 0.0 <= t_over_tauD < math.inf:
         raise ValueError(
             f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}"
         )
-    return t_over_tauD
 
 
 @dataclass(frozen=True)

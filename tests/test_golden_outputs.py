@@ -11,6 +11,8 @@ that file with
 and review the diff.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -108,9 +110,6 @@ def test_stdout_matches_golden(case_id, golden, inputs, capsys):
 
 
 def _regenerate() -> None:
-    import contextlib
-    import io
-
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(Path(tmp))
