@@ -10,7 +10,6 @@ automated battery runs, with the numbers on display.
 import math
 
 import numpy as np
-from scipy.special import zeta
 
 from photon_darwinism import (
     DiscreteEnv,
@@ -25,6 +24,7 @@ from photon_darwinism import (
     scattering_probability_grid,
 )
 from photon_darwinism.discrete_oracle import entropy_error_halving
+from photon_darwinism.radiometry import ZETA_3, ZETA_9
 
 env = DiscreteEnv(b=np.array([-0.01, -0.02, -0.04]), fN=2)
 values, mult = env.spectrum()
@@ -71,7 +71,7 @@ print()
 # Thermal weighting: Gauss nodes for the Planck k^6 average.
 nodes, weights = planck_spectral_nodes(32)
 k6 = float(np.sum(weights * nodes ** 6))
-exact_k6 = math.factorial(8) * zeta(9) / (2 * zeta(3))
+exact_k6 = math.factorial(8) * ZETA_9 / (2 * ZETA_3)
 print("== Planck spectral nodes (32 point) ==")
 print(f"weight sum  {float(np.sum(weights)):.12f}  (should be 1)")
 print(f"<kappa^6>   {k6:.6f}  vs 8! zeta(9) / 2 zeta(3) = {exact_k6:.6f}")

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -93,15 +92,6 @@ def _emit_report(report: dict, fmt: str, out_path) -> None:
         lines = ["quantity,value"]
         lines += [f"{key},{_fmt(val)}" for key, val in report.items()]
         _write_text("\n".join(lines) + "\n", out_path)
-
-
-def _parallel_map(worker, items, jobs):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # map() preserves input order no matter which worker finishes
-            # first, which is what keeps the emitted grid deterministic.
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
 
 
 def _positive_int(text: str) -> int:
@@ -199,11 +189,6 @@ def cmd_alpha(args) -> int:
 # pip: partial information plot grids
 
 
-def _pip_point(item) -> float:
-    t_over_tauD, alpha, f = item
-    return mutual_information_at_time(t_over_tauD, alpha, f)
-
-
 def cmd_pip(args) -> int:
     times = args.times
     if not times:
@@ -233,8 +218,8 @@ def cmd_pip(args) -> int:
         raise CliError(f"alpha must be in [0, 1], got {alpha}")
 
     f_grid = np.linspace(0.0, args.f_max, args.f_count)
-    items = [(t, alpha, float(f)) for t in times for f in f_grid]
-    mi = _parallel_map(_pip_point, items, args.jobs)
+    mi = [mutual_information_at_time(t, alpha, float(f))
+          for t in times for f in f_grid]
 
     if (args.format or "csv") == "json":
         blocks = []
@@ -264,8 +249,7 @@ def cmd_pip(args) -> int:
 # redundancy: growth curves over time
 
 
-def _redundancy_row(item):
-    t_over_tauD, alpha, delta = item
+def _redundancy_row(t_over_tauD, alpha, delta):
     exact = redundancy_exact(None, alpha, delta, t_over_tauD=t_over_tauD)
     with warnings.catch_warnings():
         # The estimate's crossover warning is useful interactively but
@@ -298,18 +282,18 @@ def cmd_redundancy(args) -> int:
     else:
         times = np.linspace(args.t_start, args.t_stop, args.t_count)
 
-    items = [(float(t), args.alpha, args.delta) for t in times]
-    rows = _parallel_map(_redundancy_row, items, args.jobs)
+    times = [float(t) for t in times]
+    rows = [_redundancy_row(t, args.alpha, args.delta) for t in times]
 
     if (args.format or "csv") == "json":
         payload = [
             {"t_over_tauD": t, "R_exact": ex, "R_estimate": est, "R_lower": low}
-            for (t, _, _), (ex, est, low) in zip(items, rows)
+            for t, (ex, est, low) in zip(times, rows)
         ]
         _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
     else:
         lines = ["t_over_tauD,R_exact,R_estimate,R_lower"]
-        for (t, _, _), (ex, est, low) in zip(items, rows):
+        for t, (ex, est, low) in zip(times, rows):
             lines.append(f"{_fmt(t)},{_fmt(ex)},{_fmt(est)},{_fmt(low)}")
         _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -320,9 +304,15 @@ def cmd_redundancy(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    report = oracle_battery(seed=args.seed)
     if (args.db is None) != (args.fn is None):
         raise CliError("--db and --fn must be given together")
+    # The model's eigenvalues b = -|b-scale| need 1 + b >= 0; NaN fails too.
+    if not abs(args.b_scale) <= 1.0:
+        raise CliError(
+            f"--b-scale must be finite and at most 1 in magnitude, "
+            f"got {args.b_scale}"
+        )
+    report = oracle_battery(seed=args.seed)
     if args.db is not None:
         b = np.full(args.db, -abs(args.b_scale))
         report["model"] = {
@@ -377,8 +367,7 @@ _SWEEP_TABLE = {
 }
 
 
-def _sweep_point(item):
-    quantity, params = item
+def _sweep_point(quantity, params):
     if quantity == "alpha":
         return alpha_disk(math.radians(params["theta0"]),
                           math.radians(params["chi"]))
@@ -404,6 +393,23 @@ def _sweep_point(item):
             t_over_tauD=params["t_over_tauD"],
         )
     raise ValueError(f"unknown sweep quantity {quantity!r}")
+
+
+def _sweep_fault(quantity, axis, value, fixed, exc) -> str:
+    """Name the input behind a domain error raised at one sweep point.
+
+    A ``--fix`` key is at fault when its value alone, with every other
+    parameter at its default, is out of domain; otherwise the axis value is.
+    """
+    defaults = _SWEEP_TABLE[quantity]["fixed"]
+    for key in fixed:
+        if key == axis or fixed[key] == defaults[key]:
+            continue
+        try:
+            _sweep_point(quantity, {**defaults, key: fixed[key]})
+        except (ValueError, OverflowError) as fix_exc:
+            return f"--fix {key}={_fmt(fixed[key])}: {fix_exc}"
+    return f"--axis {axis} at {_fmt(value)}: {exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -443,12 +449,15 @@ def cmd_sweep(args) -> int:
     if args.axis == "M":
         values = np.array([float(max(2, int(round(v)))) for v in values])
 
-    items = []
+    results = []
     for value in values:
         params = dict(fixed)
         params[args.axis] = float(value)
-        items.append((args.quantity, params))
-    results = _parallel_map(_sweep_point, items, args.jobs)
+        try:
+            results.append(_sweep_point(args.quantity, params))
+        except (ValueError, OverflowError) as exc:
+            raise CliError(_sweep_fault(args.quantity, args.axis, float(value),
+                                        fixed, exc)) from exc
 
     if (args.format or "csv") == "json":
         payload = {
@@ -468,6 +477,11 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+# --jobs is parsed so that existing command lines keep working. Every
+# command computes its points in one process: a process pool measured slower.
+_JOBS_HELP = "accepted and ignored; points are computed in this process"
 
 
 def _io_arguments(sub) -> None:
@@ -513,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pip.add_argument("--f-max", type=float, default=1.0)
     pip.add_argument("--order", type=_positive_int, default=64)
     pip.add_argument("--jobs", type=_positive_int, default=1,
-                     help="parallel worker processes")
+                     help=_JOBS_HELP)
     _io_arguments(pip)
     pip.set_defaults(func=cmd_pip)
 
@@ -525,7 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--t-stop", type=float, default=1000.0)
     red.add_argument("--t-count", type=_positive_int, default=61)
     red.add_argument("--spacing", choices=("linear", "log"), default="log")
-    red.add_argument("--jobs", type=_positive_int, default=1)
+    red.add_argument("--jobs", type=_positive_int, default=1,
+                     help=_JOBS_HELP)
     _io_arguments(red)
     red.set_defaults(func=cmd_redundancy)
 
@@ -556,7 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="linear")
     sweep.add_argument("--fix", action="append", metavar="KEY=VALUE",
                        help="override a fixed parameter (repeatable)")
-    sweep.add_argument("--jobs", type=_positive_int, default=1)
+    sweep.add_argument("--jobs", type=_positive_int, default=1,
+                       help=_JOBS_HELP)
     _io_arguments(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -18,9 +18,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import xlogy
 
-from .entropy_kernels import LN2, Nats, h
+from .entropy_kernels import LN2, Nats, h, xlogx
 from .information import mutual_information
 from .radiometry import (
     BOLTZMANN,
@@ -157,7 +156,7 @@ def fragment_entropy_exact(values, multiplicities=None) -> Nats:
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"spectrum sums to {total}, not 1")
     v = np.clip(values, 0.0, None)
-    return float(-(mult * xlogy(v, v)).sum())
+    return float(-(mult * xlogx(v)).sum())
 
 
 def fragment_entropy_change_exact(b, fN, cap: int = DEFAULT_CAP) -> Nats:
@@ -409,7 +408,7 @@ def mi_exact_general(cat: CatSpec, f: float) -> Nats:
                 "not realizable by photon overlaps"
             )
         eigs = np.clip(eigs, 0.0, None)
-        return float(-xlogy(eigs, eigs).sum())
+        return float(-xlogx(eigs).sum())
 
     return E(f) + E(1.0) - E(1.0 - f)
 
@@ -597,7 +596,7 @@ def oracle_battery(seed: int = 0) -> dict:
     def pair_entropy(w):
         x = math.sqrt(mu + (1.0 - mu) * g10 ** w)
         lam = np.array([(1.0 + x) / 2.0, (1.0 - x) / 2.0])
-        return float(-xlogy(lam, lam).sum())
+        return float(-xlogx(lam).sum())
 
     f_u = 0.2
     eig_mi = pair_entropy(f_u) + pair_entropy(1.0) - pair_entropy(1.0 - f_u)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import xlogy
+import numpy as np
 
 # Information measured in natural-log units. Plain floats throughout; the
 # alias only documents intent in signatures.
@@ -27,6 +27,21 @@ LN2 = math.log(2.0)
 # Below this argument the closed form loses digits to cancellation between
 # the arctanh and log terms, so the power series takes over.
 _SERIES_CUTOVER = 1e-3
+
+
+def xlogx(x):
+    """Elementwise x ln x, with 0 ln 0 = 0 and NaN (or x < 0) giving NaN.
+
+    Returns an array of the input's shape. Each element goes through the
+    C library's ``math.log``, not ``np.log``, whose vectorised kernels can
+    differ in the last bit; so the result equals ``scipy.special.xlogy(x,
+    x)`` bit for bit.
+    """
+    arr = np.asarray(x, dtype=float)
+    return np.array([
+        v * math.log(v) if v > 0.0 else 0.0 if v == 0.0 else math.nan
+        for v in arr.ravel().tolist()
+    ]).reshape(arr.shape)
 
 
 def h_power_series(x: float, terms: int) -> tuple[float, float]:
@@ -90,7 +105,7 @@ def binary_entropy_from_gap(x: float) -> Nats:
         raise ValueError(f"gap must be in [0, 1], got {x}")
     p = 0.5 * (1.0 + x)
     q = 0.5 * (1.0 - x)
-    return float(-(xlogy(p, p) + xlogy(q, q)))
+    return float(-(xlogx(p) + xlogx(q)))
 
 
 def m_spectrum_entropy(x: float, M: int) -> Nats:
@@ -110,4 +125,4 @@ def m_spectrum_entropy(x: float, M: int) -> Nats:
         raise ValueError(f"branch count must be an integer >= 2, got {M}")
     top = (1.0 + (M - 1) * x) / M
     rest = (1.0 - x) / M
-    return float(-(xlogy(top, top) + (M - 1) * xlogy(rest, rest)))
+    return float(-(xlogx(top) + (M - 1) * xlogx(rest)))

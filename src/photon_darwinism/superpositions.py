@@ -19,9 +19,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .entropy_kernels import LN2, Nats, h, m_spectrum_entropy
+from .entropy_kernels import LN2, Nats, h, m_spectrum_entropy, xlogx
 
 __all__ = [
     "CatSpec",
@@ -110,7 +109,7 @@ def max_entropy(probs) -> Nats:
     same kernel that runs the time dependence.
     """
     probs = _check_probs(probs)
-    return float(-xlogy(probs, probs).sum())
+    return float(-xlogx(probs).sum())
 
 
 def mi_unbalanced(gamma: float, f: float, mu: float) -> Nats:
@@ -194,7 +193,7 @@ def _uniform_factor_mi(probs: np.ndarray, gamma: float, f: float) -> Nats:
         rho = np.outer(amp, amp) * gamma ** (0.5 * w)
         np.fill_diagonal(rho, probs)
         eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-        return float(-xlogy(eigs, eigs).sum())
+        return float(-xlogx(eigs).sum())
 
     return E(f) + E(1.0) - E(1.0 - f)
 

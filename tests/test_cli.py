@@ -1,14 +1,19 @@
 """End-to-end tests for the command line front end.
 
-Everything runs in-process through main(argv) so exit codes and output
-bytes are checked without shelling out.
+Everything but the import check runs in-process through main(argv), so
+exit codes and output bytes are checked without shelling out.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import photon_darwinism
 from photon_darwinism.cli import EXIT_CAP, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
 from photon_darwinism.receptivity import alpha_disk
 from photon_darwinism.superpositions import mi_mway
@@ -213,6 +218,34 @@ class TestOracle:
         assert main(["oracle", "--db", "4"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--db", "3"], "--db and --fn"),
+        (["--fn", "2"], "--db and --fn"),
+        (["--db", "3", "--fn", "2", "--b-scale", "nan"], "--b-scale"),
+        (["--db", "3", "--fn", "2", "--b-scale", "2"], "--b-scale"),
+        (["--db", "3", "--fn", "2", "--b-scale=-1.5"], "--b-scale"),
+        (["--b-scale", "inf"], "--b-scale"),
+    ])
+    def test_inputs_checked_before_the_battery(self, argv, flag, capsys,
+                                               monkeypatch):
+        def battery(seed=0):
+            raise AssertionError("the battery ran before input checks")
+
+        monkeypatch.setattr("photon_darwinism.cli.oracle_battery", battery)
+        assert main(["oracle"] + argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_unit_b_scale_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr("photon_darwinism.cli.oracle_battery",
+                            lambda seed=0: {"seed": seed, "all_passed": True,
+                                            "checks": []})
+        assert main(["oracle", "--db", "2", "--fn", "1",
+                     "--b-scale", "1"]) == EXIT_OK
+        model = json.loads(capsys.readouterr().out)["model"]
+        assert model["b"] == -1.0
+
     def test_cap_exit_code(self, capsys):
         assert main(["oracle", "--db", "10", "--fn", "10"]) == EXIT_CAP
         assert "cap exceeded" in capsys.readouterr().err
@@ -295,6 +328,56 @@ class TestSweep:
                      "--start", "0", "--stop", "10", "--count", "3",
                      "--spacing", "log"]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,culprit", [
+        (["--quantity", "mi", "--axis", "t_over_tauD",
+          "--start", "-5", "--stop", "5"], "--axis t_over_tauD at -5:"),
+        (["--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "2"],
+         "--axis f at 2:"),
+        (["--quantity", "redundancy", "--axis", "delta",
+          "--start", "0.5", "--stop", "2"], "--axis delta at 1.25:"),
+        (["--quantity", "mi_unbalanced", "--axis", "t_over_tauD",
+          "--start", "-1000", "--stop", "1"], "--axis t_over_tauD at -1000:"),
+        (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
+          "--stop", "1", "--fix", "M=1"], "--fix M=1:"),
+        (["--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "1",
+          "--fix", "t_over_tauD=5", "--fix", "alpha=2"], "--fix alpha=2:"),
+    ])
+    def test_domain_errors_name_the_input(self, argv, culprit, capsys):
+        assert main(["sweep", "--count", "3"] + argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {culprit}")
+
+
+def test_jobs_is_accepted_and_ignored(capsys):
+    argv = ["redundancy", "--t-start", "10", "--t-stop", "100",
+            "--t-count", "3"]
+    assert main(argv) == EXIT_OK
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "4"]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    with pytest.raises(SystemExit):
+        main(argv + ["--jobs", "0"])
+    capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy_or_process_pool():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    src = str(Path(photon_darwinism.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = (
+        "import sys, photon_darwinism.cli\n"
+        "banned = ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+        "print(' '.join(m for m in banned if m in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
 
 
 def test_argparse_rejections_use_the_config_exit_code():

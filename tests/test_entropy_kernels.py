@@ -17,6 +17,7 @@ from photon_darwinism.entropy_kernels import (
     h,
     h_power_series,
     m_spectrum_entropy,
+    xlogx,
 )
 
 
@@ -161,3 +162,32 @@ def test_m_spectrum_entropy_validates_branch_count():
         m_spectrum_entropy(0.5, 1)
     with pytest.raises(ValueError):
         m_spectrum_entropy(0.5, 2.5)
+
+
+def _xlogx_cases():
+    rng = np.random.default_rng(20260917)
+    uniform = rng.random(20_000)
+    uniform[::97] = 0.0
+    uniform[::101] = 1.0
+    spread = 10.0 ** rng.uniform(-320.0, 0.0, 5_000)  # reaches subnormals
+    edges = np.array([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308,
+                      1e-310, np.nan, np.inf, -1.0, 0.5])
+    return [uniform, spread, edges, uniform[:12].reshape(3, 4),
+            np.array(0.0), np.array(0.25), np.array(np.nan), 0.7]
+
+
+@pytest.mark.parametrize("x", _xlogx_cases())
+def test_xlogx_is_bitwise_scipy_xlogy(x):
+    special = pytest.importorskip("scipy.special")
+    got = xlogx(x)
+    want = np.asarray(special.xlogy(x, x))
+    assert got.shape == want.shape
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_xlogx_zero_and_nan():
+    assert xlogx(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
+    assert not np.signbit(xlogx(-0.0))
+    assert np.isnan(xlogx(np.nan))
+    assert xlogx(np.array([])).shape == (0,)
