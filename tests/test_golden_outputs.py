@@ -1,8 +1,10 @@
 """Golden CLI outputs: exact stdout bytes for a fixed set of invocations.
 
-Quadrature-backed reports (rate, alpha, pip --config) and one closed-form
-sweep are pinned byte for byte, so a refactor or speed-up of the sky
-quadrature cannot move a printed digit unnoticed. The expected bytes live
+Quadrature-backed reports (rate, alpha, pip --config), the information
+tables (pip --alpha, redundancy and the mi, mi_unbalanced, mi_mway and
+redundancy sweeps) and one closed-form sweep are pinned byte for byte, so
+a refactor or speed-up of the sky quadrature or of the information layer
+cannot move a printed digit unnoticed. The expected bytes live
 in golden/cli_outputs.json. After a deliberate change of output, rewrite
 that file with
 
@@ -79,6 +81,56 @@ def _cases() -> dict:
                            "--f-count", "6", "--order", "32"]
     cases["sweep-alpha"] = ["sweep", "--quantity", "alpha", "--axis", "theta0",
                             "--start", "0", "--stop", "180", "--count", "7"]
+    cases.update(_information_cases())
+    return cases
+
+
+def _information_cases() -> dict:
+    """pip --alpha, redundancy and the information sweeps, CSV and JSON."""
+    cases = {}
+    pip = {
+        "pip-alpha": ["--alpha", "0.3", "--times", "0,0.5,10,1000",
+                      "--f-count", "21"],
+        "pip-alpha0": ["--alpha", "0", "--times", "0,2,50", "--f-count", "11"],
+        "pip-alpha1": ["--alpha", "1", "--times", "1e-3,3,1e4",
+                       "--f-count", "11"],
+        "pip-fmax-tiny": ["--alpha", "0.7", "--times", "1,100",
+                          "--f-count", "11", "--f-max", "1e-4"],
+    }
+    red = {
+        "redundancy-log": ["--alpha", "0.6", "--t-start", "1",
+                           "--t-stop", "1000", "--t-count", "25"],
+        "redundancy-linear": ["--t-start", "0", "--t-stop", "60",
+                              "--t-count", "13", "--spacing", "linear"],
+        "redundancy-delta-tiny": ["--alpha", "0.25", "--delta", "1e-15",
+                                  "--t-start", "10", "--t-stop", "1e4",
+                                  "--t-count", "9"],
+    }
+    for command, table in (("pip", pip), ("redundancy", red)):
+        for case_id, args in table.items():
+            for fmt in ("csv", "json"):
+                cases[f"{case_id}-{fmt}"] = [command, *args, "--format", fmt]
+    sweeps = [
+        ("mi", "t_over_tauD", "0", "40", "linear", ["alpha=0.4", "f=0.3"]),
+        ("mi", "f", "0", "1", "linear", ["t_over_tauD=7"]),
+        ("mi", "f", "0", "1", "linear", ["alpha=0"]),
+        ("mi_unbalanced", "t_over_tauD", "1e-3", "1e3", "log", []),
+        ("mi_unbalanced", "f", "0", "1", "linear", ["mu=0.2"]),
+        ("mi_unbalanced", "mu", "0", "1", "linear", ["t_over_tauD=3"]),
+        ("mi_mway", "t_over_tauD", "1e-3", "1e3", "log", ["M=5"]),
+        ("mi_mway", "f", "0", "1", "linear", ["t_over_tauD=4"]),
+        ("mi_mway", "M", "2", "9", "linear", ["f=0.35"]),
+        ("redundancy", "t_over_tauD", "0", "60", "linear", ["alpha=0.7"]),
+        ("redundancy", "delta", "1e-15", "0.3", "log", ["t_over_tauD=40"]),
+    ]
+    for i, (quantity, axis, start, stop, spacing, fix) in enumerate(sweeps):
+        argv = ["sweep", "--quantity", quantity, "--axis", axis,
+                "--start", start, "--stop", stop, "--count", "15",
+                "--spacing", spacing]
+        for assignment in fix:
+            argv += ["--fix", assignment]
+        fmt = "json" if i % 3 == 0 else "csv"
+        cases[f"sweep-{quantity}-{axis}-{i}-{fmt}"] = argv + ["--format", fmt]
     return cases
 
 
