@@ -28,6 +28,7 @@ from .discrete_oracle import (
     fragment_entropy_change_exact,
     oracle_battery,
 )
+from .entropy_kernels import _libm
 from .information import (
     MAX_DEFICIT,
     mutual_information_at_time,
@@ -63,6 +64,20 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     return "%.12g" % value
+
+
+def _csv_pairs(xs, ys) -> list:
+    """CSV rows "x,y" with 12 significant digits, empty where y is None.
+
+    "%.12g,%.12g" % row prints the same bytes as two _fmt calls.
+    """
+    return ["%.12g,%.12g" % row if row[1] is not None else "%.12g," % row[0]
+            for row in zip(xs, ys)]
+
+
+def _none_for_nan(values) -> list:
+    """Array values as Python floats, with None where a value is NaN."""
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
 
 def _round12(obj):
@@ -218,48 +233,28 @@ def cmd_pip(args) -> int:
         raise CliError(f"alpha must be in [0, 1], got {alpha}")
 
     f_grid = np.linspace(0.0, args.f_max, args.f_count)
-    mi = [mutual_information_at_time(t, alpha, float(f))
-          for t in times for f in f_grid]
+    mi = mutual_information_at_time(np.array(times)[:, None], alpha, f_grid)
+    fs = f_grid.tolist()
 
     if (args.format or "csv") == "json":
-        blocks = []
-        for i, t in enumerate(times):
-            chunk = mi[i * len(f_grid):(i + 1) * len(f_grid)]
-            blocks.append({
-                "t_over_tauD": t,
-                "f": list(f_grid),
-                "mi_nats": list(chunk),
-            })
+        blocks = [{"t_over_tauD": t, "f": fs, "mi_nats": row}
+                  for t, row in zip(times, mi.tolist())]
         payload = {"alpha": alpha, "blocks": blocks}
         _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
     else:
         lines = []
-        for i, t in enumerate(times):
+        for i, (t, row) in enumerate(zip(times, mi.tolist())):
             if i:
                 lines.append("")
             lines.append(f"# t_over_tauD = {_fmt(t)}")
             lines.append("f,mi_nats")
-            chunk = mi[i * len(f_grid):(i + 1) * len(f_grid)]
-            lines += [f"{_fmt(f)},{_fmt(v)}" for f, v in zip(f_grid, chunk)]
+            lines += _csv_pairs(fs, row)
         _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # redundancy: growth curves over time
-
-
-def _redundancy_row(t_over_tauD, alpha, delta):
-    exact = redundancy_exact(None, alpha, delta, t_over_tauD=t_over_tauD)
-    with warnings.catch_warnings():
-        # The estimate's crossover warning is useful interactively but
-        # noise inside a sweep that deliberately starts at t ~ 1.
-        warnings.simplefilter("ignore")
-        estimate = redundancy_estimate(t_over_tauD, alpha, delta)
-    lower = None
-    if t_over_tauD > math.log(2.0 / delta):
-        lower = redundancy_lower_bound(t_over_tauD, delta)
-    return exact, estimate, lower
 
 
 def cmd_redundancy(args) -> int:
@@ -280,21 +275,33 @@ def cmd_redundancy(args) -> int:
             raise CliError("log spacing needs a positive --t-start")
         times = np.geomspace(args.t_start, args.t_stop, args.t_count)
     else:
+        if args.t_start < 0.0:
+            raise CliError(f"--t-start must be nonnegative, got {args.t_start}")
         times = np.linspace(args.t_start, args.t_stop, args.t_count)
 
-    times = [float(t) for t in times]
-    rows = [_redundancy_row(t, args.alpha, args.delta) for t in times]
+    exact = _none_for_nan(
+        redundancy_exact(None, args.alpha, args.delta, t_over_tauD=times))
+    times = times.tolist()
+    with warnings.catch_warnings():
+        # The estimate's crossover warning is useful interactively but
+        # noise inside a sweep that deliberately starts at t ~ 1.
+        warnings.simplefilter("ignore")
+        estimate = [redundancy_estimate(t, args.alpha, args.delta)
+                    for t in times]
+    bound_from = math.log(2.0 / args.delta)
+    lower = [redundancy_lower_bound(t, args.delta) if t > bound_from else None
+             for t in times]
+    rows = list(zip(times, exact, estimate, lower))
 
     if (args.format or "csv") == "json":
         payload = [
             {"t_over_tauD": t, "R_exact": ex, "R_estimate": est, "R_lower": low}
-            for t, (ex, est, low) in zip(times, rows)
+            for t, ex, est, low in rows
         ]
         _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
     else:
         lines = ["t_over_tauD,R_exact,R_estimate,R_lower"]
-        for t, (ex, est, low) in zip(times, rows):
-            lines.append(f"{_fmt(t)},{_fmt(ex)},{_fmt(est)},{_fmt(low)}")
+        lines += [",".join(map(_fmt, row)) for row in rows]
         _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -368,24 +375,29 @@ _SWEEP_TABLE = {
 
 
 def _sweep_point(quantity, params):
-    if quantity == "alpha":
-        return alpha_disk(math.radians(params["theta0"]),
-                          math.radians(params["chi"]))
-    if quantity == "rate_ratio":
-        return disk_rate(math.radians(params["theta0"]),
-                         math.radians(params["chi"]))
+    """The quantity at params, one value per element of an array parameter.
+
+    The information quantities broadcast; the disk closed forms are mapped
+    over the points. Not-redundant points of "redundancy" are NaN.
+    """
+    if quantity in ("alpha", "rate_ratio"):
+        closed_form = alpha_disk if quantity == "alpha" else disk_rate
+        return np.array([
+            closed_form(math.radians(theta0), math.radians(chi))
+            for theta0, chi in np.broadcast(params["theta0"], params["chi"])
+        ])
     if quantity == "mi":
         return mutual_information_at_time(
             params["t_over_tauD"], params["alpha"], params["f"]
         )
     if quantity == "mi_unbalanced":
         return mi_unbalanced(
-            math.exp(-params["t_over_tauD"]), params["f"], params["mu"]
+            _libm(math.exp, -params["t_over_tauD"]), params["f"], params["mu"]
         )
     if quantity == "mi_mway":
         return mi_mway(
-            math.exp(-params["t_over_tauD"]), params["f"],
-            int(round(params["M"]))
+            _libm(math.exp, -params["t_over_tauD"]), params["f"],
+            np.rint(params["M"])
         )
     if quantity == "redundancy":
         return redundancy_exact(
@@ -395,12 +407,19 @@ def _sweep_point(quantity, params):
     raise ValueError(f"unknown sweep quantity {quantity!r}")
 
 
-def _sweep_fault(quantity, axis, value, fixed, exc) -> str:
-    """Name the input behind a domain error raised at one sweep point.
+def _sweep_fault(quantity, axis, values, fixed, exc) -> str:
+    """Name the input behind a domain error raised by a sweep.
 
+    The points are evaluated one at a time to find the first that fails.
     A ``--fix`` key is at fault when its value alone, with every other
-    parameter at its default, is out of domain; otherwise the axis value is.
+    parameter at its default, is out of domain; otherwise that axis value is.
     """
+    for value in values.tolist():
+        try:
+            _sweep_point(quantity, {**fixed, axis: value})
+        except (ValueError, OverflowError) as point_exc:
+            exc = point_exc
+            break
     defaults = _SWEEP_TABLE[quantity]["fixed"]
     for key in fixed:
         if key == axis or fixed[key] == defaults[key]:
@@ -449,28 +468,25 @@ def cmd_sweep(args) -> int:
     if args.axis == "M":
         values = np.array([float(max(2, int(round(v)))) for v in values])
 
-    results = []
-    for value in values:
-        params = dict(fixed)
-        params[args.axis] = float(value)
-        try:
-            results.append(_sweep_point(args.quantity, params))
-        except (ValueError, OverflowError) as exc:
-            raise CliError(_sweep_fault(args.quantity, args.axis, float(value),
-                                        fixed, exc)) from exc
+    try:
+        results = _sweep_point(args.quantity, {**fixed, args.axis: values})
+    except (ValueError, OverflowError) as exc:
+        raise CliError(_sweep_fault(args.quantity, args.axis, values,
+                                    fixed, exc)) from exc
+    xs = values.tolist()
+    ys = (_none_for_nan(results) if args.quantity == "redundancy"
+          else results.tolist())
 
     if (args.format or "csv") == "json":
         payload = {
             "quantity": args.quantity,
             "axis": args.axis,
             "fixed": fixed,
-            "points": [[float(x), y] for x, y in zip(values, results)],
+            "points": [[x, y] for x, y in zip(xs, ys)],
         }
         _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
     else:
-        lines = [f"{args.axis},{args.quantity}"]
-        lines += [f"{_fmt(float(x))},{_fmt(y)}"
-                  for x, y in zip(values, results)]
+        lines = [f"{args.axis},{args.quantity}"] + _csv_pairs(xs, ys)
         _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

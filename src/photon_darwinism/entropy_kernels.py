@@ -29,6 +29,58 @@ LN2 = math.log(2.0)
 _SERIES_CUTOVER = 1e-3
 
 
+def _libm(fn, *args) -> np.ndarray:
+    """A ``math`` function applied element by element, with broadcasting.
+
+    numpy's exp, log, log1p and power differ from the C library's in the
+    last bit on a few percent of inputs, so every transcendental call in
+    the package goes through here: an array result then equals a loop of
+    scalar calls bit for bit, on every host. Arithmetic stays in numpy,
+    whose + - * / and sqrt are correctly rounded.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    shape = arrays[0].shape if len(arrays) == 1 else np.broadcast(*arrays).shape
+    columns = [np.broadcast_to(a, shape).ravel().tolist() if a.shape != shape
+               else a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(fn, *columns), float, len(columns[0])).reshape(shape)
+
+
+def _stacked(parts, *others) -> np.ndarray:
+    """The parts stacked along a new first axis, each broadcast to the
+    shape that the parts and the other operands of the caller share.
+
+    One kernel call on the stack then does the work of one call per part.
+    """
+    out = np.empty((len(parts),) + np.broadcast(*parts, *others).shape)
+    for i, part in enumerate(parts):
+        out[i] = part
+    return out
+
+
+def _result(values):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _require(ok, values, message: str) -> None:
+    """Raise ValueError naming the first of values where ok is False."""
+    if not ok.all():
+        bad = values[np.logical_not(ok)]
+        raise ValueError(message.format(bad.flat[0].item()))
+
+
+def _check_unit(name: str, value) -> np.ndarray:
+    """value as a float array, rejected by name unless it lies in [0, 1]."""
+    value = np.asarray(value, dtype=float)
+    _require((0.0 <= value) & (value <= 1.0), value,
+             name + " must be in [0, 1], got {}")
+    return value
+
+
+def _xlogx_one(v: float) -> float:
+    return v * math.log(v) if v > 0.0 else 0.0 if v == 0.0 else math.nan
+
+
 def xlogx(x):
     """Elementwise x ln x, with 0 ln 0 = 0 and NaN (or x < 0) giving NaN.
 
@@ -37,14 +89,20 @@ def xlogx(x):
     differ in the last bit; so the result equals ``scipy.special.xlogy(x,
     x)`` bit for bit.
     """
-    arr = np.asarray(x, dtype=float)
-    return np.array([
-        v * math.log(v) if v > 0.0 else 0.0 if v == 0.0 else math.nan
-        for v in arr.ravel().tolist()
-    ]).reshape(arr.shape)
+    return _libm(_xlogx_one, x)
 
 
-def h_power_series(x: float, terms: int) -> tuple[float, float]:
+def _series_sum(x, terms: int):
+    """(sum_{n<=terms} x^n / (2n(2n-1)), x^(terms+1)), summed term by term."""
+    total = 0.0
+    xn = x
+    for n in range(1, terms + 1):
+        total = total + xn / float(2 * n * (2 * n - 1))
+        xn = xn * x
+    return total, xn
+
+
+def h_power_series(x, terms: int):
     """Partial sum of sum x^n / (2n(2n-1)) plus a rigorous tail bound.
 
     Returns (partial_sum, tail_bound) with
@@ -52,23 +110,20 @@ def h_power_series(x: float, terms: int) -> tuple[float, float]:
         partial_sum <= h(x) <= partial_sum + tail_bound,
 
     the bound being x^(terms+1) / ((2*terms+1)(2*terms+2)(1-x)) from
-    comparison with a geometric series. Only valid for x < 1.
+    comparison with a geometric series. Only valid for x < 1. Broadcasts
+    over an array x; a scalar x gives two floats.
     """
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"series argument must be in [0, 1), got {x}")
+    x = np.asarray(x, dtype=float)
+    _require((0.0 <= x) & (x < 1.0), x,
+             "series argument must be in [0, 1), got {}")
     if terms < 1:
         raise ValueError("need at least one term")
-    total = 0.0
-    xn = x
-    for n in range(1, terms + 1):
-        total += xn / (2 * n * (2 * n - 1))
-        xn *= x
-    # xn is now x^(terms+1)
+    total, xn = _series_sum(x, terms)
     bound = xn / ((2 * terms + 1) * (2 * terms + 2) * (1.0 - x))
-    return total, bound
+    return _result(total), _result(bound)
 
 
-def h(x: float) -> Nats:
+def h(x):
     """The entropy-deficit kernel, monotone from h(0) = 0 to h(1) = ln 2.
 
     Satisfies x/2 <= h(x) <= x ln 2 on [0, 1]. Evaluated by the closed
@@ -76,23 +131,28 @@ def h(x: float) -> Nats:
 
         h(x) = [(1+u) ln(1+u) + (1-u) ln(1-u)] / 2,
 
-    which is stable for u away from 0; a short power series covers the
-    small-x end where that expression would cancel.
+    which is stable for u away from 0; the power series of
+    h_power_series covers the small-x end where that expression would
+    cancel.
+
+    Broadcasts over an array x and returns an array of its shape; a scalar
+    x gives a float. Each element equals the scalar evaluation bit for
+    bit, because log1p goes through ``math`` per element.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"h argument must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        # Removable singularity: arctanh diverges but the limit is ln 2.
-        return LN2
-    if x < _SERIES_CUTOVER:
-        # Terms shrink by at least a factor x < 1e-3, so a handful suffice
-        # for full double precision.
-        total, _ = h_power_series(x, 6)
-        return total
-    u = math.sqrt(x)
-    return 0.5 * ((1.0 + u) * math.log1p(u) + (1.0 - u) * math.log1p(-u))
+    x = np.asarray(x, dtype=float)
+    _require((0.0 <= x) & (x <= 1.0), x, "h argument must be in [0, 1], got {}")
+    # Terms shrink by at least a factor x < 1e-3, so a handful suffice for
+    # full double precision; x = 0 sums to exactly 0. The series is cheap
+    # next to a logarithm, so it runs on every lane and the closed form
+    # replaces it where x >= 1e-3.
+    out = np.asarray(_series_sum(x, 6)[0])
+    closed = (x >= _SERIES_CUTOVER) & (x < 1.0)
+    if closed.any():
+        u = np.sqrt(x[closed])
+        out[closed] = 0.5 * ((1.0 + u) * _libm(math.log1p, u)
+                             + (1.0 - u) * _libm(math.log1p, -u))
+    # Removable singularity: arctanh diverges but the limit is ln 2.
+    return _result(np.where(x == 1.0, LN2, out))
 
 
 def binary_entropy_from_gap(x: float) -> Nats:
@@ -108,7 +168,7 @@ def binary_entropy_from_gap(x: float) -> Nats:
     return float(-(xlogx(p) + xlogx(q)))
 
 
-def m_spectrum_entropy(x: float, M: int) -> Nats:
+def m_spectrum_entropy(x, M):
     """Entropy of the M x M density matrix with diagonal 1/M, off-diagonal x/M.
 
     Its spectrum is (1 + (M-1)x)/M once and (1-x)/M with multiplicity M-1,
@@ -117,12 +177,13 @@ def m_spectrum_entropy(x: float, M: int) -> Nats:
 
     The analytic spectrum is used rather than a series in x; the matching
     power series only converges for x < 1/(M-1) and is exercised in tests,
-    not here.
+    not here. Broadcasts over arrays of x and of integer-valued M; scalar
+    arguments give a float.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"coupling must be in [0, 1], got {x}")
-    if not isinstance(M, int) or M < 2:
-        raise ValueError(f"branch count must be an integer >= 2, got {M}")
+    x = _check_unit("coupling", x)
+    M = np.asarray(M)
+    _require(np.isfinite(M) & (M == np.floor(M)) & (M >= 2), M,
+             "branch count must be an integer >= 2, got {}")
     top = (1.0 + (M - 1) * x) / M
     rest = (1.0 - x) / M
-    return float(-(xlogx(top) + (M - 1) * xlogx(rest)))
+    return _result(-(xlogx(top) + (M - 1) * xlogx(rest)))

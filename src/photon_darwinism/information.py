@@ -9,6 +9,10 @@ system and a fragment holding a fraction f of the photons is
 
 evaluated through the closed-form kernel h, which sums the underlying
 power series exactly.
+
+The mutual information and redundancy functions broadcast over numpy
+arrays and return arrays; scalar arguments give Python floats. Each array
+element equals the scalar evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy_kernels import LN2, Nats, h
+from .entropy_kernels import (
+    LN2,
+    Nats,
+    _check_unit,
+    _libm,
+    _require,
+    _result,
+    _stacked,
+    h,
+)
 
 __all__ = [
     "InfoParams",
@@ -40,17 +53,11 @@ __all__ = [
 MAX_DEFICIT = 1.0 / (2.0 * LN2)
 
 
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def _check_time(t_over_tauD: float) -> None:
-    if not 0.0 <= t_over_tauD < math.inf:
-        raise ValueError(
-            f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}"
-        )
+def _check_time(t_over_tauD) -> np.ndarray:
+    t = np.asarray(t_over_tauD, dtype=float)
+    _require((0.0 <= t) & (t < math.inf), t,
+             "t_over_tauD must be finite and nonnegative, got {}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -74,53 +81,66 @@ class InfoParams:
                    t_over_tauD=t_over_tauD)
 
 
-def system_entropy(gamma: float) -> Nats:
+def system_entropy(gamma) -> Nats:
     """Entropy of the decohered pair state: ln 2 - h(Gamma)."""
-    _check_unit("gamma", gamma)
-    return LN2 - h(gamma)
+    return _result(LN2 - h(_check_unit("gamma", gamma)))
 
 
-def fragment_entropy_change(gamma: float, alpha: float, f: float) -> Nats:
+def fragment_entropy_change(gamma, alpha, f) -> Nats:
     """Entropy gained by a fragment of fraction f: ln 2 - h(Gamma^(alpha f)).
 
     At alpha = 0 the exponent collapses to 0 and the gain vanishes for
     every Gamma: a fully angle-mixed environment records nothing.
     """
-    _check_unit("gamma", gamma)
-    _check_unit("alpha", alpha)
-    _check_unit("f", f)
-    return LN2 - h(gamma ** (alpha * f))
+    gamma = _check_unit("gamma", gamma)
+    alpha = _check_unit("alpha", alpha)
+    f = _check_unit("f", f)
+    return _result(LN2 - h(_libm(math.pow, gamma, alpha * f)))
 
 
-def mutual_information(gamma: float, alpha: float, f: float) -> Nats:
+def _combine(alpha, h_rest, h_fragment, h_gamma):
+    """I = ln 2 + h(rest) - h(fragment) - h(Gamma), summed left to right.
+
+    At alpha = 0 the ln 2 contributions cancel exactly, so those lanes
+    take h(rest) - h(Gamma) instead.
+    """
+    return np.where(alpha == 0.0, h_rest - h_gamma,
+                    ((LN2 + h_rest) - h_fragment) - h_gamma)
+
+
+def mutual_information(gamma, alpha, f) -> Nats:
     """Mutual information between the system and a fragment of fraction f."""
-    _check_unit("gamma", gamma)
-    _check_unit("alpha", alpha)
-    _check_unit("f", f)
-    if alpha == 0.0:
-        # The ln 2 contributions cancel exactly in this limit.
-        return h(gamma ** (1.0 - f)) - h(gamma)
-    return LN2 + h(gamma ** (1.0 - f)) - h(gamma ** (alpha * f)) - h(gamma)
+    gamma = _check_unit("gamma", gamma)
+    alpha = _check_unit("alpha", alpha)
+    f = _check_unit("f", f)
+    exponents = _stacked((1.0 - f, alpha * f), gamma)
+    h_rest, h_fragment = h(_libm(math.pow, gamma, exponents))
+    return _result(_combine(alpha, h_rest, h_fragment, h(gamma)))
 
 
-def mutual_information_at_time(t_over_tauD: float, alpha: float, f: float) -> Nats:
+def _mi_exponent_form(t, alpha, f, h_gamma):
+    """I(f) at time t from checked arrays, with h(exp(-t)) given."""
+    exponents = _stacked((-t * (1.0 - f), (-t * alpha) * f))
+    h_rest, h_fragment = h(_libm(math.exp, exponents))
+    return _combine(alpha, h_rest, h_fragment, h_gamma)
+
+
+def mutual_information_at_time(t_over_tauD, alpha, f) -> Nats:
     """Mutual information with Gamma = exp(-t/tau_D) formed inside.
 
     Preferred for large times: each h argument is exponentiated from the
     combined exponent, so t = 1000 underflows gracefully to the plateau
     instead of losing the exponent structure in Gamma itself.
+
+    Broadcasts over arrays of t, alpha and f (a times x fractions grid is
+    one call with t of shape (T, 1)); h(exp(-t)) is evaluated once per
+    time. Scalar arguments give a float.
     """
-    _check_time(t_over_tauD)
-    _check_unit("alpha", alpha)
-    _check_unit("f", f)
-    if alpha == 0.0:
-        return h(math.exp(-t_over_tauD * (1.0 - f))) - h(math.exp(-t_over_tauD))
-    return (
-        LN2
-        + h(math.exp(-t_over_tauD * (1.0 - f)))
-        - h(math.exp(-t_over_tauD * alpha * f))
-        - h(math.exp(-t_over_tauD))
-    )
+    t = _check_time(t_over_tauD)
+    alpha = _check_unit("alpha", alpha)
+    f = _check_unit("f", f)
+    h_gamma = h(_libm(math.exp, -t))
+    return _result(_mi_exponent_form(t, alpha, f, h_gamma))
 
 
 def mutual_information_approx(gamma: float, alpha: float, f: float) -> Nats:
@@ -138,54 +158,83 @@ def mutual_information_approx(gamma: float, alpha: float, f: float) -> Nats:
     return LN2 - 0.5 * gamma ** (alpha * f)
 
 
-def redundancy_exact(gamma: float | None, alpha: float, delta: float,
-                     t_over_tauD: float | None = None,
+def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
                      f_tol: float = 1e-12):
     """Redundancy 1/f_delta by bisection, or None when not yet redundant.
 
     Solves I(f) = (1 - delta) ln 2 for the smallest fragment fraction on
     (0, 1/2]; fractions above one half cannot be disjointly replicated, so
     a solution there reports None rather than a redundancy below 2.
+    Perfect decoherence (gamma = 0) gives inf.
 
     Passing t_over_tauD switches to the exponent form of the mutual
     information, which stays accurate long after Gamma itself has
     underflowed.
+
+    Broadcasts over arrays of gamma (or t_over_tauD), alpha and delta and
+    then returns an array in which NaN marks "not redundant". Every lane
+    bisects the same bracket [0, 1/2] in lockstep, so each root equals the
+    scalar one bit for bit. Scalar arguments give a float or None.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not 0.0 < f_tol < math.inf:
+        raise ValueError(f"f_tol must be finite and positive, got {f_tol}")
+    delta = np.asarray(delta, dtype=float)
+    _require((0.0 < delta) & (delta < 1.0), delta,
+             "delta must be in (0, 1), got {}")
+    alpha = np.asarray(alpha, dtype=float)
+    _require((0.0 < alpha) & (alpha <= 1.0), alpha,
+             "alpha must be in (0, 1], got {}")
     if t_over_tauD is None:
         if gamma is None:
             raise ValueError("provide either gamma or t_over_tauD")
-        _check_unit("gamma", gamma)
-        if gamma == 1.0:
-            return None
-        if gamma == 0.0:
-            return math.inf
-        t_over_tauD = -math.log(gamma)
+        gamma, alpha, delta = np.broadcast_arrays(
+            _check_unit("gamma", gamma), alpha, delta)
+        roots = np.where(gamma == 0.0, math.inf, math.nan)
+        live = (0.0 < gamma) & (gamma < 1.0)
+        if live.any():
+            roots[live] = _bisect_redundancy(-_libm(math.log, gamma[live]),
+                                             alpha[live], delta[live], f_tol)
     else:
-        _check_time(t_over_tauD)
-        if t_over_tauD == 0.0:
-            return None
+        t, alpha, delta = np.broadcast_arrays(
+            _check_time(t_over_tauD), alpha, delta)
+        roots = np.full(t.shape, math.nan)
+        live = t > 0.0
+        if live.any():
+            roots[live] = _bisect_redundancy(t[live], alpha[live],
+                                             delta[live], f_tol)
+    if roots.ndim:
+        return roots
+    return None if math.isnan(roots) else float(roots)
 
+
+def _bisect_redundancy(t, alpha, delta, f_tol):
+    """2 / (lo + hi) per lane of 1-d t > 0, or NaN where I(1/2) falls short."""
+    h_gamma = h(_libm(math.exp, -t))
     target = (1.0 - delta) * LN2
 
     def shortfall(f):
-        return mutual_information_at_time(t_over_tauD, alpha, f) - target
+        return _mi_exponent_form(t, alpha, f, h_gamma) - target
 
-    hi = 0.5
-    if shortfall(hi) < 0.0:
-        return None
-    lo = 0.0
+    roots = np.full(t.shape, math.nan)
+    attained = ~(shortfall(0.5) < 0.0)
+    if not attained.any():
+        return roots
+    t, alpha, h_gamma, target = (
+        a[attained] for a in (t, alpha, h_gamma, target))
+    lo = np.zeros(t.shape)
+    hi = np.full(t.shape, 0.5)
     # I(f) rises monotonically from I(0) = 0, so this bracket is safe.
-    while hi - lo > f_tol:
+    # Every lane starts on [0, 1/2] and halves it exactly, so hi - lo is
+    # the same width in all lanes and they stop together.
+    width = 0.5
+    while width > f_tol:
         mid = 0.5 * (lo + hi)
-        if shortfall(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 2.0 / (lo + hi)
+        below = shortfall(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        width *= 0.5
+    roots[attained] = 2.0 / (lo + hi)
+    return roots
 
 
 def redundancy_estimate(t_over_tauD: float, alpha: float, delta: float) -> float:
@@ -240,5 +289,5 @@ def pip_curve(gamma: float, alpha: float, f_grid) -> PipCurve:
         raise ValueError("f_grid must be sorted ascending")
     if f_grid[0] < 0.0 or f_grid[-1] > 1.0:
         raise ValueError("fragment fractions must lie in [0, 1]")
-    mi = np.array([mutual_information(gamma, alpha, f) for f in f_grid])
+    mi = mutual_information(gamma, alpha, f_grid)
     return PipCurve(f=f_grid, mi_nats=mi, gamma=gamma, alpha=alpha)

@@ -20,7 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy_kernels import LN2, Nats, h, m_spectrum_entropy, xlogx
+from .entropy_kernels import (
+    LN2,
+    Nats,
+    _check_unit,
+    _libm,
+    _result,
+    _stacked,
+    h,
+    m_spectrum_entropy,
+    xlogx,
+)
 
 __all__ = [
     "CatSpec",
@@ -35,12 +45,6 @@ __all__ = [
 # Above this pairwise factor the surrogate ordering (weakest pair below,
 # strongest pair above) is no longer guaranteed.
 BOUND_VALIDITY_GAMMA = math.exp(-5.0)
-
-
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
 
 
 def _check_probs(probs) -> np.ndarray:
@@ -112,26 +116,24 @@ def max_entropy(probs) -> Nats:
     return float(-xlogx(probs).sum())
 
 
-def mi_unbalanced(gamma: float, f: float, mu: float) -> Nats:
+def mi_unbalanced(gamma, f, mu) -> Nats:
     """Mutual information for branch weights with imbalance mu, point source.
 
     Every kernel argument x of the balanced result is displaced to
     mu + (1 - mu) x, which interpolates between the balanced case at
-    mu = 0 and a lone classical branch at mu = 1.
+    mu = 0 and a lone classical branch at mu = 1. Broadcasts over arrays
+    of gamma, f and mu; scalar arguments give a float.
     """
-    _check_unit("gamma", gamma)
-    _check_unit("f", f)
-    _check_unit("mu", mu)
+    gamma = _check_unit("gamma", gamma)
+    f = _check_unit("f", f)
+    mu = _check_unit("mu", mu)
 
     def shifted(x):
         return h(mu + (1.0 - mu) * x)
 
-    return (
-        LN2
-        + shifted(gamma ** (1.0 - f))
-        - shifted(gamma ** f)
-        - shifted(gamma)
-    )
+    exponents = _stacked((1.0 - f, f), gamma, mu)
+    h_rest, h_fragment = shifted(_libm(math.pow, gamma, exponents))
+    return _result(((LN2 + h_rest) - h_fragment) - shifted(gamma))
 
 
 def mi_unbalanced_limit(gamma: float, f: float) -> float:
@@ -146,20 +148,22 @@ def mi_unbalanced_limit(gamma: float, f: float) -> float:
     return 1.0 + gamma ** (1.0 - f) - gamma ** f - gamma
 
 
-def mi_mway(gamma: float, f: float, M: int) -> Nats:
+def mi_mway(gamma, f, M) -> Nats:
     """Mutual information for M equally weighted branches, common factor.
 
     Each of the three reduced states carries the M-point spectrum with
     pairwise element Gamma^(w/2) at w = f, 1, 1 - f; the half power is
-    the amplitude-level overlap of a single branch pair.
+    the amplitude-level overlap of a single branch pair. Broadcasts over
+    arrays of gamma, f and integer-valued M; scalar arguments give a float.
     """
-    _check_unit("gamma", gamma)
-    _check_unit("f", f)
+    gamma = _check_unit("gamma", gamma)
+    f = _check_unit("f", f)
 
-    def E(w):
-        return m_spectrum_entropy(gamma ** (0.5 * w), M)
-
-    return E(f) + E(1.0) - E(1.0 - f)
+    # The reduced states at w = f, 1 and 1 - f, evaluated in one call.
+    exponents = _stacked((0.5 * f, 0.5 * 1.0, 0.5 * (1.0 - f)), gamma, M)
+    e_fragment, e_whole, e_rest = m_spectrum_entropy(
+        _libm(math.pow, gamma, exponents), M)
+    return _result((e_fragment + e_whole) - e_rest)
 
 
 def mi_mway_limit(gamma: float, f: float) -> float:

@@ -411,6 +411,15 @@ def test_non_finite_numbers_are_config_errors(argv, flag, capsys):
     assert f"{flag} must be finite" in captured.err
 
 
+def test_negative_start_time_is_a_config_error(capsys):
+    argv = ["redundancy", "--t-start", "-5", "--t-stop", "10",
+            "--t-count", "3", "--spacing", "linear"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --t-start must be nonnegative, got -5.0\n"
+
+
 class TestParserReuse:
     """main() builds its parser once; earlier calls must not leak state."""
 
