@@ -40,9 +40,12 @@ def _libm(fn, *args) -> np.ndarray:
     """
     arrays = [np.asarray(a, dtype=float) for a in args]
     shape = arrays[0].shape if len(arrays) == 1 else np.broadcast(*arrays).shape
-    columns = [np.broadcast_to(a, shape).ravel().tolist() if a.shape != shape
-               else a.ravel().tolist() for a in arrays]
-    return np.fromiter(map(fn, *columns), float, len(columns[0])).reshape(shape)
+    size = math.prod(shape)
+    columns = [a.ravel().tolist() if a.shape == shape
+               else [a.item()] * size if a.ndim == 0
+               else np.broadcast_to(a, shape).ravel().tolist()
+               for a in arrays]
+    return np.fromiter(map(fn, *columns), float, size).reshape(shape)
 
 
 def _stacked(parts, *others) -> np.ndarray:
@@ -77,19 +80,21 @@ def _check_unit(name: str, value) -> np.ndarray:
     return value
 
 
-def _xlogx_one(v: float) -> float:
-    return v * math.log(v) if v > 0.0 else 0.0 if v == 0.0 else math.nan
-
-
 def xlogx(x):
     """Elementwise x ln x, with 0 ln 0 = 0 and NaN (or x < 0) giving NaN.
 
     Returns an array of the input's shape. Each element goes through the
     C library's ``math.log``, not ``np.log``, whose vectorised kernels can
     differ in the last bit; so the result equals ``scipy.special.xlogy(x,
-    x)`` bit for bit.
+    x)`` bit for bit. The expression is inlined rather than mapped through
+    _libm: most calls pass a handful of eigenvalues, and a Python function
+    call per element costs more than the whole evaluation.
     """
-    return _libm(_xlogx_one, x)
+    arr = np.asarray(x, dtype=float)
+    return np.array([
+        v * math.log(v) if v > 0.0 else 0.0 if v == 0.0 else math.nan
+        for v in arr.ravel().tolist()
+    ]).reshape(arr.shape)
 
 
 def _series_sum(x, terms: int):
@@ -182,8 +187,10 @@ def m_spectrum_entropy(x, M):
     """
     x = _check_unit("coupling", x)
     M = np.asarray(M)
-    _require(np.isfinite(M) & (M == np.floor(M)) & (M >= 2), M,
-             "branch count must be an integer >= 2, got {}")
+    integral = M >= 2
+    if M.dtype.kind == "f":
+        integral &= np.isfinite(M) & (M == np.floor(M))
+    _require(integral, M, "branch count must be an integer >= 2, got {}")
     top = (1.0 + (M - 1) * x) / M
     rest = (1.0 - x) / M
     return _result(-(xlogx(top) + (M - 1) * xlogx(rest)))

@@ -182,24 +182,25 @@ def mi_mway_limit(gamma: float, f: float) -> float:
     )
 
 
-def _uniform_factor_mi(probs: np.ndarray, gamma: float, f: float) -> Nats:
-    """MI with every pairwise factor equal, arbitrary branch weights.
+def _uniform_factor_mi(probs: np.ndarray, gammas, f: float) -> list:
+    """MI with every pairwise factor equal, for each factor in gammas.
 
-    Uniform weights route through the closed form; otherwise the three
-    small matrices [sqrt(p_a p_b) Gamma^(w/2)] are diagonalized directly.
+    Uniform weights route through the closed form, one call for all the
+    factors; otherwise the three small matrices [sqrt(p_a p_b) Gamma^(w/2)]
+    are diagonalized directly.
     """
     M = probs.size
     if np.allclose(probs, 1.0 / M, atol=1e-12):
-        return mi_mway(gamma, f, M)
+        return mi_mway(np.array(gammas), f, M).tolist()
 
-    def E(w):
+    def E(gamma, w):
         amp = np.sqrt(probs)
         rho = np.outer(amp, amp) * gamma ** (0.5 * w)
         np.fill_diagonal(rho, probs)
         eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         return float(-xlogx(eigs).sum())
 
-    return E(f) + E(1.0) - E(1.0 - f)
+    return [E(gamma, f) + E(gamma, 1.0) - E(gamma, 1.0 - f) for gamma in gammas]
 
 
 def mi_interval_bounds(gamma_matrix, probs, f: float) -> tuple[Nats, Nats]:
@@ -226,7 +227,5 @@ def mi_interval_bounds(gamma_matrix, probs, f: float) -> tuple[Nats, Nats]:
             "surrogates are not guaranteed to bracket the exact value",
             stacklevel=2,
         )
-    return (
-        _uniform_factor_mi(probs, gamma_weak, f),
-        _uniform_factor_mi(probs, gamma_strong, f),
-    )
+    mi_weak, mi_strong = _uniform_factor_mi(probs, (gamma_weak, gamma_strong), f)
+    return mi_weak, mi_strong

@@ -13,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from photon_darwinism.entropy_kernels import LN2, h, h_power_series, m_spectrum_entropy
+from photon_darwinism.entropy_kernels import (
+    LN2,
+    h,
+    h_power_series,
+    m_spectrum_entropy,
+)
 from photon_darwinism.information import (
     fragment_entropy_change,
     mutual_information,
@@ -185,7 +190,7 @@ def test_mi_at_time_grid_matches_scalar_reference():
                    loop(ref_mi_at_time, t, alpha, f))
 
 
-def test_mi_at_time_hoists_nothing_that_changes_bits():
+def test_mi_at_time_grid_rows_equal_single_time_calls():
     # A times x fractions grid, as the pip command asks for it, equals one
     # row per time.
     t = TIMES[:, None]
@@ -305,7 +310,8 @@ def test_array_calls_return_arrays():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: h(np.array([0.5, 2.0, -1.0])), "h argument must be in [0, 1], got 2.0"),
+    (lambda: h(np.array([0.5, 2.0, -1.0])),
+     "h argument must be in [0, 1], got 2.0"),
     (lambda: mutual_information_at_time(np.array([1.0, -3.0]), 1.0, 0.2),
      "t_over_tauD must be finite and nonnegative, got -3.0"),
     (lambda: mutual_information(0.5, 1.0, np.array([0.2, 1.5, 2.5])),
