@@ -240,8 +240,8 @@ def test_mi_mway_matches_scalar_reference():
 # redundancy
 
 
-def _nan_for_none(values):
-    return np.array([math.nan if v is None else v for v in values])
+def nan_if_none(value):
+    return math.nan if value is None else value
 
 
 def test_redundancy_lanes_match_scalar_bisection():
@@ -251,8 +251,8 @@ def test_redundancy_lanes_match_scalar_bisection():
     alpha = np.array([1.0, 0.25, 1e-3])[:, None]
     delta = np.array([0.3, 0.01, 1e-9])[:, None, None]
     got = redundancy_exact(None, alpha, delta, t_over_tauD=t)
-    want = loop(lambda ti, a, d: math.nan if ref_redundancy(ti, a, d) is None
-                else ref_redundancy(ti, a, d), t, alpha, delta)
+    want = loop(lambda *point: nan_if_none(ref_redundancy(*point)),
+                t, alpha, delta)
     assert_bitwise(got, want)
     assert np.isnan(got).any() and np.isfinite(got).any()
 
@@ -263,7 +263,7 @@ def test_redundancy_gamma_route_lanes():
     want = [math.inf, math.nan, math.nan,
             ref_redundancy(-math.log(math.exp(-80.0)), 1.0, 0.01),
             ref_redundancy(-math.log(1e-300), 1.0, 0.01)]
-    assert_bitwise(got, _nan_for_none(want))
+    assert_bitwise(got, want)
     for g, r in zip(gamma, got):
         scalar = redundancy_exact(float(g), 1.0, 0.01)
         assert (scalar is None) if math.isnan(r) else scalar == r
