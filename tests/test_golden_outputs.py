@@ -1,6 +1,7 @@
 """Golden CLI outputs: exact stdout bytes for a fixed set of invocations.
 
-Quadrature-backed reports (rate, alpha, pip --config), the information
+Quadrature-backed reports (rate, alpha, pip --config for every region
+kind, alpha on a point without an irradiance), the information
 tables (pip --alpha, redundancy and the mi, mi_unbalanced, mi_mway and
 redundancy sweeps) and one closed-form sweep are pinned byte for byte, so
 a refactor or speed-up of the sky quadrature or of the information layer
@@ -42,6 +43,12 @@ SCENARIOS = {
     "custom": "region = custom:{grid}\n",
 }
 
+# Written alongside SCENARIOS but left out of the rate/alpha matrix: rate
+# refuses a point source without an irradiance.
+EXTRA_SCENARIOS = {
+    "point_dark": "region = point:45\n",
+}
+
 
 def _grid_text(rows: int = 8, cols: int = 16) -> str:
     """A small indicator grid: the cap u > 0.3 over half the azimuths."""
@@ -59,7 +66,7 @@ def write_inputs(directory: Path) -> dict:
     grid = directory / "grid.txt"
     grid.write_text(_grid_text())
     paths = {}
-    for name, region in SCENARIOS.items():
+    for name, region in {**SCENARIOS, **EXTRA_SCENARIOS}.items():
         path = directory / f"{name}.cfg"
         path.write_text(BASE_CFG + region.format(grid=grid))
         paths[name] = str(path)
@@ -79,6 +86,11 @@ def _cases() -> dict:
                          "--f-count", "11"]
     cases["pip-custom"] = ["pip", "--config", "{custom}", "--times", "5",
                            "--f-count", "6", "--order", "32"]
+    cases["pip-point"] = ["pip", "--config", "{point}", "--times", "0.5,20",
+                          "--f-count", "6"]
+    cases["pip-isotropic"] = ["pip", "--config", "{isotropic}", "--times",
+                              "3", "--f-count", "6", "--format", "json"]
+    cases["alpha-point-no-irradiance"] = ["alpha", "--config", "{point_dark}"]
     cases["sweep-alpha"] = ["sweep", "--quantity", "alpha", "--axis", "theta0",
                             "--start", "0", "--stop", "180", "--count", "7"]
     cases.update(_information_cases())
