@@ -39,6 +39,7 @@ from .radiometry import (
     point_source_rate,
 )
 from .receptivity import (
+    alpha_closed_form,
     alpha_disk,
     alpha_numeric,
     receptivity_result,
@@ -108,6 +109,7 @@ __all__ = [
     "disk_rate",
     "point_source_rate",
     "decoherence_factor",
+    "alpha_closed_form",
     "alpha_numeric",
     "alpha_disk",
     "redundancy_rate",

@@ -40,12 +40,10 @@ from .radiometry import (
     ScenarioError,
     decoherence_rate,
     disk_rate,
-    isotropic_rate,
     parse_scenario,
     photon_number_density,
-    point_source_rate,
 )
-from .receptivity import alpha_disk, alpha_numeric
+from .receptivity import alpha_closed_form, alpha_disk, alpha_numeric
 from .sky import FULL_SPHERE
 from .superpositions import mi_mway, mi_unbalanced
 
@@ -135,57 +133,38 @@ def _comma_floats(text: str) -> list[float]:
 
 def cmd_rate(args) -> int:
     scenario = parse_scenario(args.config)
-    big_rate = isotropic_rate(scenario)
-    if scenario.region.kind == "point":
-        theta = math.acos(scenario.region.direction.cos_theta)
-        try:
-            tau_inv = point_source_rate(scenario, theta)
-        except ValueError as exc:
-            raise ScenarioError(f"{args.config}: {exc}") from exc
-        ratio = tau_inv / big_rate
-    else:
+    try:
         result = decoherence_rate(scenario, order=args.order)
-        tau_inv = result.tau_D_inv
-        ratio = result.ratio
+    except ValueError as exc:
+        raise ScenarioError(f"{args.config}: {exc}") from exc
     report = {
-        "tau_D_inv_per_s": tau_inv,
-        "ratio_to_isotropic": ratio,
-        "T_D_inv_per_s": big_rate,
+        "tau_D_inv_per_s": result.tau_D_inv,
+        "ratio_to_isotropic": result.ratio,
+        "T_D_inv_per_s": result.T_D_inv,
         "photon_density_per_m3": photon_number_density(
             scenario.temperature_K, FULL_SPHERE
         ),
     }
-    _emit_report(report, args.format or "json", args.out)
+    _emit_report(report, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_alpha(args) -> int:
     scenario = parse_scenario(args.config)
     region = scenario.region
-    closed = None
-    quad = None
-    if region.kind == "disk":
-        closed = alpha_disk(region.theta0, region.chi)
-        quad = alpha_numeric(region, order=args.order)
-    elif region.kind == "point":
-        closed = 1.0
-    elif region.kind == "isotropic":
-        closed = 0.0
-        quad = alpha_numeric(region, order=args.order)
-    else:
-        quad = alpha_numeric(region, order=args.order)
+    # A point has no quadrature, and no full-sky rate ratio: its rate
+    # comes from an irradiance, when one is given.
+    point = region.kind == "point"
+    closed = alpha_closed_form(region)
+    quad = None if point else alpha_numeric(region, order=args.order)
     alpha = closed if closed is not None else quad
 
-    tau_r_inv = None
-    tau_r_over_big = None
-    if region.kind == "point":
-        if scenario.irradiance_W_m2 is not None:
-            theta = math.acos(region.direction.cos_theta)
-            tau_r_inv = alpha * point_source_rate(scenario, theta)
-    else:
+    tau_r_inv = tau_r_over_big = None
+    if not point or scenario.irradiance_W_m2 is not None:
         result = decoherence_rate(scenario, order=args.order)
         tau_r_inv = alpha * result.tau_D_inv
-        tau_r_over_big = alpha * result.ratio
+        if not point:
+            tau_r_over_big = alpha * result.ratio
     report = {
         "alpha": alpha,
         "alpha_closed_form": closed,
@@ -196,7 +175,7 @@ def cmd_alpha(args) -> int:
         "tau_R_inv_per_s": tau_r_inv,
         "tau_R_inv_over_T_D_inv": tau_r_over_big,
     }
-    _emit_report(report, args.format or "json", args.out)
+    _emit_report(report, args.format, args.out)
     return EXIT_OK
 
 
@@ -219,13 +198,9 @@ def cmd_pip(args) -> int:
     if args.alpha is not None:
         alpha = args.alpha
     elif args.config:
-        scenario = parse_scenario(args.config)
-        region = scenario.region
-        if region.kind == "disk":
-            alpha = alpha_disk(region.theta0, region.chi)
-        elif region.kind == "point":
-            alpha = 1.0
-        else:
+        region = parse_scenario(args.config).region
+        alpha = alpha_closed_form(region)
+        if alpha is None:
             alpha = alpha_numeric(region, order=args.order)
     else:
         alpha = 1.0
@@ -236,7 +211,7 @@ def cmd_pip(args) -> int:
     mi = mutual_information_at_time(np.array(times)[:, None], alpha, f_grid)
     fs = f_grid.tolist()
 
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         blocks = [{"t_over_tauD": t, "f": fs, "mi_nats": row}
                   for t, row in zip(times, mi.tolist())]
         payload = {"alpha": alpha, "blocks": blocks}
@@ -293,7 +268,7 @@ def cmd_redundancy(args) -> int:
              for t in times]
     rows = list(zip(times, exact, estimate, lower))
 
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         payload = [
             {"t_over_tauD": t, "R_exact": ex, "R_estimate": est, "R_lower": low}
             for t, ex, est, low in rows
@@ -311,6 +286,8 @@ def cmd_redundancy(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
     if (args.db is None) != (args.fn is None):
         raise CliError("--db and --fn must be given together")
     # The model's eigenvalues b = -|b-scale| need 1 + b >= 0; NaN fails too.
@@ -334,7 +311,7 @@ def cmd_oracle(args) -> int:
     for check in report["checks"]:
         verdict = "ok  " if check["passed"] else "FAIL"
         print(f"{verdict} {check['name']}", file=sys.stderr)
-    if (args.format or "json") == "json":
+    if args.format == "json":
         _write_text(json.dumps(_round12(report), indent=2) + "\n", args.out)
     else:
         lines = ["check,passed"]
@@ -477,7 +454,7 @@ def cmd_sweep(args) -> int:
     ys = (_none_for_nan(results) if args.quantity == "redundancy"
           else results.tolist())
 
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         payload = {
             "quantity": args.quantity,
             "axis": args.axis,
@@ -500,10 +477,10 @@ def cmd_sweep(args) -> int:
 _JOBS_HELP = "accepted and ignored; points are computed in this process"
 
 
-def _io_arguments(sub) -> None:
+def _io_arguments(sub, default: str) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     help="output format (default depends on the command)")
+    sub.add_argument("--format", choices=("csv", "json"), default=default,
+                     help=f"output format (default {default})")
 
 
 @functools.cache
@@ -523,13 +500,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--config", required=True, help="scenario file")
     rate.add_argument("--order", type=_positive_int, default=64,
                       help="quadrature order (default 64)")
-    _io_arguments(rate)
+    _io_arguments(rate, "json")
     rate.set_defaults(func=cmd_rate)
 
     alpha = sub.add_parser("alpha", help="receptivity for a scenario")
     alpha.add_argument("--config", required=True, help="scenario file")
     alpha.add_argument("--order", type=_positive_int, default=64)
-    _io_arguments(alpha)
+    _io_arguments(alpha, "json")
     alpha.set_defaults(func=cmd_alpha)
 
     pip = sub.add_parser("pip", help="partial information plot data")
@@ -544,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pip.add_argument("--order", type=_positive_int, default=64)
     pip.add_argument("--jobs", type=_positive_int, default=1,
                      help=_JOBS_HELP)
-    _io_arguments(pip)
+    _io_arguments(pip, "csv")
     pip.set_defaults(func=cmd_pip)
 
     red = sub.add_parser("redundancy", help="redundancy growth over time")
@@ -557,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--spacing", choices=("linear", "log"), default="log")
     red.add_argument("--jobs", type=_positive_int, default=1,
                      help=_JOBS_HELP)
-    _io_arguments(red)
+    _io_arguments(red, "csv")
     red.set_defaults(func=cmd_redundancy)
 
     oracle = sub.add_parser("oracle", help="run the cross-check battery")
@@ -571,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="uniform |b| of the reported model")
     oracle.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="enumeration cap on D_B^fN")
-    _io_arguments(oracle)
+    _io_arguments(oracle, "json")
     oracle.set_defaults(func=cmd_oracle)
 
     sweep = sub.add_parser("sweep", help="tabulate one quantity along one axis")
@@ -589,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a fixed parameter (repeatable)")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help=_JOBS_HELP)
-    _io_arguments(sweep)
+    _io_arguments(sweep, "csv")
     sweep.set_defaults(func=cmd_sweep)
 
     return parser

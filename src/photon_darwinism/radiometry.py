@@ -126,18 +126,17 @@ class Scenario:
     irradiance_W_m2: float | None = None
 
     def __post_init__(self):
-        if self.radius_m <= 0.0:
-            raise ScenarioError(f"radius_m must be positive, got {self.radius_m}")
-        if self.permittivity <= 1.0:
-            raise ScenarioError(
-                f"permittivity must exceed 1, got {self.permittivity}"
-            )
-        if self.dx_m <= 0.0:
-            raise ScenarioError(f"dx_m must be positive, got {self.dx_m}")
-        if self.temperature_K <= 0.0:
-            raise ScenarioError(
-                f"temperature_K must be positive, got {self.temperature_K}"
-            )
+        # Each value must lie strictly between its floor and infinity;
+        # written as "not floor < value < inf" so that NaN fails as well.
+        floors = {"radius_m": 0.0, "permittivity": 1.0, "dx_m": 0.0,
+                  "temperature_K": 0.0}
+        if self.irradiance_W_m2 is not None:
+            floors["irradiance_W_m2"] = 0.0
+        for key, floor in floors.items():
+            value = getattr(self, key)
+            if not floor < value < math.inf:
+                raise ScenarioError(
+                    f"{key} must be finite and above {floor:g}, got {value}")
         lam = 2.0 * math.pi * HBAR * SPEED_OF_LIGHT / (
             BOLTZMANN * self.temperature_K)
         # Outside the dipole regime the cross section model is wrong, but
@@ -162,7 +161,7 @@ class RateResult:
 
     tau_D_inv: float      # 1/s
     T_D_inv: float        # 1/s, full-sky value
-    ratio: float          # tau_D_inv / T_D_inv, in [0, 1]
+    ratio: float          # tau_D_inv / T_D_inv
 
 
 def isotropic_rate(scenario: Scenario) -> float:
@@ -177,19 +176,19 @@ def isotropic_rate(scenario: Scenario) -> float:
 
 
 def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
-    """Decoherence rate for the scenario's sky region, by quadrature.
+    """Decoherence rate for the scenario's sky region.
 
-    The region enters through the average of 3 + 11 cos^2(theta) over the
-    patch, theta measured from the separation axis, normalized so that the
-    isotropic region returns the full-sky rate exactly.
+    An extended region enters through the average of 3 + 11 cos^2(theta)
+    over the patch, by quadrature, theta measured from the separation axis,
+    normalized so that the isotropic region returns the full-sky rate
+    exactly. A point region carries no solid angle and is priced by
+    point_source_rate from the scenario's irradiance.
     """
     big_rate = isotropic_rate(scenario)
     region = scenario.region
     if region.kind == "point":
-        raise ValueError(
-            "a point region carries zero solid angle; use point_source_rate "
-            "with an irradiance instead"
-        )
+        tau = point_source_rate(scenario, math.acos(region.direction.cos_theta))
+        return RateResult(tau_D_inv=tau, T_D_inv=big_rate, ratio=tau / big_rate)
     if solid_angle(region) == 0.0:
         warnings.warn("region has zero solid angle; decoherence rate is 0",
                       stacklevel=2)

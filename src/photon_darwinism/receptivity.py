@@ -33,6 +33,7 @@ from .sky import (
 
 __all__ = [
     "ReceptivityResult",
+    "alpha_closed_form",
     "alpha_numeric",
     "alpha_disk",
     "redundancy_rate",
@@ -73,21 +74,39 @@ def _alpha_integrals(region: SkyRegion, order: int = 64):
     return numerator, denominator
 
 
+def _alpha_limit(region: SkyRegion) -> float | None:
+    """alpha where the ratio is undefined: 1 at zero measure, 0 at the full sky."""
+    omega = solid_angle(region)
+    if region.kind == "point" or omega == 0.0:
+        return 1.0
+    if region.kind == "isotropic" or omega >= FULL_SPHERE - 1e-12:
+        return 0.0
+    return None
+
+
 def alpha_numeric(region: SkyRegion, order: int = 64) -> float:
     """Receptivity of a sky region, by product quadrature.
 
     The zero-measure and full-sphere limits do not admit the ratio
     directly and return their analytic values 1 and 0.
     """
-    omega = solid_angle(region)
-    if region.kind == "point" or omega == 0.0:
-        return 1.0
-    if region.kind == "isotropic" or omega >= FULL_SPHERE - 1e-12:
-        return 0.0
+    limit = _alpha_limit(region)
+    if limit is not None:
+        return limit
     numerator, denominator = _alpha_integrals(region, order)
     if denominator <= 0.0:
         raise ArithmeticError("degenerate region: overlap integral vanished")
     return min(1.0, max(0.0, numerator / denominator))
+
+
+def alpha_closed_form(region: SkyRegion) -> float | None:
+    """Receptivity without quadrature: alpha_disk for a disk, 1 for a point,
+    0 for the full sky, and None for a custom grid (see alpha_numeric)."""
+    if region.kind == "disk":
+        return alpha_disk(region.theta0, region.chi)
+    if region.kind == "custom":
+        return None
+    return _alpha_limit(region)
 
 
 def alpha_disk(theta0: float, chi: float) -> float:
@@ -142,15 +161,11 @@ def receptivity_result(region: SkyRegion, order: int = 64,
                        tau_D_inv: float | None = None,
                        rate_ratio: float | None = None) -> ReceptivityResult:
     """Bundle alpha with its integrals and, if rates are given, tau_R."""
-    omega = solid_angle(region)
-    if region.kind == "point" or omega == 0.0:
-        alpha, num, den = 1.0, 0.0, 0.0
-    else:
-        num, den = _alpha_integrals(region, order)
-        if region.kind == "isotropic" or omega >= FULL_SPHERE - 1e-12:
-            alpha = 0.0
-        else:
-            alpha = min(1.0, max(0.0, num / den))
+    alpha = _alpha_limit(region)
+    # At zero measure both integrals vanish identically.
+    num, den = (0.0, 0.0) if alpha == 1.0 else _alpha_integrals(region, order)
+    if alpha is None:
+        alpha = min(1.0, max(0.0, num / den))
     return ReceptivityResult(
         alpha=alpha,
         numerator=num,

@@ -225,6 +225,7 @@ class TestOracle:
         (["--db", "3", "--fn", "2", "--b-scale", "2"], "--b-scale"),
         (["--db", "3", "--fn", "2", "--b-scale=-1.5"], "--b-scale"),
         (["--b-scale", "inf"], "--b-scale"),
+        (["--seed=-1"], "--seed"),
     ])
     def test_inputs_checked_before_the_battery(self, argv, flag, capsys,
                                                monkeypatch):
@@ -380,6 +381,16 @@ def test_cli_import_loads_no_scipy_or_process_pool():
     assert result.stdout.strip() == ""
 
 
+@pytest.mark.parametrize("command,default", [
+    ("rate", "json"), ("alpha", "json"), ("pip", "csv"),
+    ("redundancy", "csv"), ("oracle", "json"), ("sweep", "csv"),
+])
+def test_help_states_the_format_default(command, default, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"output format (default {default})" in capsys.readouterr().out
+
+
 def test_argparse_rejections_use_the_config_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["rate"])  # missing required --config
@@ -409,6 +420,30 @@ def test_non_finite_numbers_are_config_errors(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} must be finite" in captured.err
+
+
+@pytest.mark.parametrize("command,extra,key", [
+    ("rate", "region = disk:60:0\n", "radius_m = nan\n"),
+    ("rate", "region = isotropic\n", "permittivity = inf\n"),
+    ("alpha", "region = point:45\n", "irradiance_W_m2 = 0\n"),
+    ("alpha", "region = point:45\n", "irradiance_W_m2 = -1\n"),
+    ("pip", "region = disk:30:0\n", "temperature_K = nan\n"),
+], ids=["rate-nan-radius", "rate-inf-permittivity", "alpha-zero-irradiance",
+        "alpha-negative-irradiance", "pip-nan-temperature"])
+def test_scenario_values_out_of_domain_are_named(command, extra, key,
+                                                 tmp_path, capsys):
+    name = key.split(" = ")[0]
+    base = "".join(line + "\n" for line in BASE_CFG.splitlines()
+                   if not line.startswith(name))
+    path = tmp_path / "bad.cfg"
+    path.write_text(base + extra + key)
+    argv = [command, "--config", str(path)]
+    if command == "pip":
+        argv += ["--times", "1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {name} must be finite and above" in captured.err
 
 
 def test_negative_start_time_is_a_config_error(capsys):

@@ -24,7 +24,7 @@ from photon_darwinism.radiometry import (
     photon_number_density,
     point_source_rate,
 )
-from photon_darwinism.sky import FULL_SPHERE, SkyRegion
+from photon_darwinism.sky import FULL_SPHERE, Direction, SkyRegion
 
 CMB = 2.725
 
@@ -109,10 +109,19 @@ class TestScenario:
             {"permittivity": 0.5},
             {"dx_m": 0.0},
             {"temperature_K": -1.0},
+            {"radius_m": math.nan},
+            {"radius_m": math.inf},
+            {"permittivity": math.inf},
+            {"permittivity": math.nan},
+            {"dx_m": math.nan},
+            {"temperature_K": math.inf},
+            {"irradiance_W_m2": 0.0},
+            {"irradiance_W_m2": -1.0},
+            {"irradiance_W_m2": math.nan},
         ],
     )
     def test_validation(self, overrides):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=next(iter(overrides))):
             _scenario(**overrides)
 
     def test_warns_outside_dipole_regime(self):
@@ -184,6 +193,16 @@ class TestRates:
     def test_point_region_is_rejected(self):
         with pytest.raises(ValueError, match="point"):
             decoherence_rate(_scenario(region=SkyRegion.point()))
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 45.0, 90.0, 150.0])
+    def test_point_region_with_irradiance_is_a_point_source(self, theta_deg):
+        region = SkyRegion.point(Direction(math.cos(math.radians(theta_deg))))
+        scn = _scenario(region=region, irradiance_W_m2=1e-5)
+        result = decoherence_rate(scn)
+        tau = point_source_rate(scn, math.acos(region.direction.cos_theta))
+        assert result.tau_D_inv == tau
+        assert result.T_D_inv == isotropic_rate(scn)
+        assert result.ratio == tau / result.T_D_inv
 
     def test_empty_custom_region_warns_and_gives_zero(self):
         u = np.array([-0.5, 0.5])

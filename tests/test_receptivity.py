@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from photon_darwinism.receptivity import (
+    alpha_closed_form,
     alpha_disk,
     alpha_numeric,
     receptivity_result,
@@ -59,6 +60,17 @@ class TestAlphaDisk:
     def test_monotone_shrinks_with_aperture(self):
         vals = [alpha_disk(math.radians(t), 0.3) for t in np.linspace(1, 179, 90)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("region,expected", [
+        (SkyRegion.disk(math.radians(40.0), math.radians(35.0)),
+         alpha_disk(math.radians(40.0), math.radians(35.0))),
+        (SkyRegion.point(), 1.0),
+        (SkyRegion.isotropic(), 0.0),
+        (SkyRegion.custom(np.array([-0.5, 0.5]), np.array([1.0, 2.0]),
+                          np.eye(2, dtype=bool)), None),
+    ], ids=["disk", "point", "isotropic", "custom"])
+    def test_closed_form_by_region_kind(self, region, expected):
+        assert alpha_closed_form(region) == expected
 
 
 class TestAlphaNumeric:
