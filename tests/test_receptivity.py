@@ -68,7 +68,9 @@ class TestAlphaDisk:
         (SkyRegion.isotropic(), 0.0),
         (SkyRegion.custom(np.array([-0.5, 0.5]), np.array([1.0, 2.0]),
                           np.eye(2, dtype=bool)), None),
-    ], ids=["disk", "point", "isotropic", "custom"])
+        (SkyRegion.custom(np.array([-0.5, 0.5]), np.array([1.0, 2.0]),
+                          np.zeros((2, 2), dtype=bool)), None),
+    ], ids=["disk", "point", "isotropic", "custom", "custom-empty"])
     def test_closed_form_by_region_kind(self, region, expected):
         assert alpha_closed_form(region) == expected
 
