@@ -1,9 +1,11 @@
 """Golden CLI outputs: exact stdout bytes for a fixed set of invocations.
 
 Quadrature-backed reports (rate, alpha, pip --config for every region
-kind, alpha on a point without an irradiance), the information
-tables (pip --alpha, redundancy and the mi, mi_unbalanced, mi_mway and
-redundancy sweeps) and one closed-form sweep are pinned byte for byte, so
+kind, alpha on a point without an irradiance, rate and alpha on a point
+as CSV), the information tables (pip --alpha, redundancy and the mi,
+mi_unbalanced, mi_mway and redundancy sweeps), the two closed-form disk
+sweeps and the oracle report (CSV, and JSON with a finite model) are
+pinned byte for byte, so
 a refactor or speed-up of the sky quadrature or of the information layer
 cannot move a printed digit unnoticed. The expected bytes live
 in golden/cli_outputs.json. After a deliberate change of output, rewrite
@@ -93,6 +95,19 @@ def _cases() -> dict:
     cases["alpha-point-no-irradiance"] = ["alpha", "--config", "{point_dark}"]
     cases["sweep-alpha"] = ["sweep", "--quantity", "alpha", "--axis", "theta0",
                             "--start", "0", "--stop", "180", "--count", "7"]
+    # The default rate_ratio hemisphere prints a constant 0.5 along chi.
+    cases["sweep-rate_ratio-chi"] = ["sweep", "--quantity", "rate_ratio",
+                                     "--axis", "chi", "--start", "0",
+                                     "--stop", "180", "--count", "7",
+                                     "--fix", "theta0=40"]
+    cases["rate-point-csv"] = ["rate", "--config", "{point}",
+                               "--format", "csv"]
+    # A point has no quadrature: its CSV prints blanks for those fields.
+    cases["alpha-point-csv"] = ["alpha", "--config", "{point}",
+                                "--format", "csv"]
+    cases["oracle-csv"] = ["oracle", "--seed", "0", "--format", "csv"]
+    cases["oracle-model-json"] = ["oracle", "--seed", "0", "--db", "3",
+                                  "--fn", "2", "--format", "json"]
     cases.update(_information_cases())
     return cases
 
