@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -89,22 +90,37 @@ def _round12(obj):
     return obj
 
 
-def _write_text(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(args, payload, csv_lines) -> None:
+    """Write one command's table to --out, or to stdout without one.
+
+    The only reader of --format and --out: JSON prints payload, CSV prints
+    csv_lines, which is iterated only for CSV output.
+    """
+    if args.format == "json":
+        text = json.dumps(_round12(payload), indent=2) + "\n"
+    else:
+        text = "\n".join(csv_lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, fmt: str, out_path) -> None:
-    """A flat quantity -> value report, as JSON object or two-column CSV."""
-    if fmt == "json":
-        _write_text(json.dumps(_round12(report), indent=2) + "\n", out_path)
-    else:
-        lines = ["quantity,value"]
-        lines += [f"{key},{_fmt(val)}" for key, val in report.items()]
-        _write_text("\n".join(lines) + "\n", out_path)
+def _pair_blocks(header, blocks):
+    """CSV blocks of (title lines, xs, ys), separated by blank lines."""
+    for i, (titles, xs, ys) in enumerate(blocks):
+        if i:
+            yield ""
+        yield from titles
+        yield header
+        yield from _csv_pairs(xs, ys)
+
+
+def _report_lines(report: dict):
+    """A flat quantity -> value report as two-column CSV lines."""
+    yield "quantity,value"
+    yield from (f"{key},{_fmt(val)}" for key, val in report.items())
 
 
 def _positive_int(text: str) -> int:
@@ -145,7 +161,7 @@ def cmd_rate(args) -> int:
             scenario.temperature_K, FULL_SPHERE
         ),
     }
-    _emit_report(report, args.format, args.out)
+    _emit(args, report, _report_lines(report))
     return EXIT_OK
 
 
@@ -175,7 +191,7 @@ def cmd_alpha(args) -> int:
         "tau_R_inv_per_s": tau_r_inv,
         "tau_R_inv_over_T_D_inv": tau_r_over_big,
     }
-    _emit_report(report, args.format, args.out)
+    _emit(args, report, _report_lines(report))
     return EXIT_OK
 
 
@@ -209,22 +225,12 @@ def cmd_pip(args) -> int:
 
     f_grid = np.linspace(0.0, args.f_max, args.f_count)
     mi = mutual_information_at_time(np.array(times)[:, None], alpha, f_grid)
-    fs = f_grid.tolist()
-
-    if args.format == "json":
-        blocks = [{"t_over_tauD": t, "f": fs, "mi_nats": row}
-                  for t, row in zip(times, mi.tolist())]
-        payload = {"alpha": alpha, "blocks": blocks}
-        _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
-    else:
-        lines = []
-        for i, (t, row) in enumerate(zip(times, mi.tolist())):
-            if i:
-                lines.append("")
-            lines.append(f"# t_over_tauD = {_fmt(t)}")
-            lines.append("f,mi_nats")
-            lines += _csv_pairs(fs, row)
-        _write_text("\n".join(lines) + "\n", args.out)
+    fs, rows = f_grid.tolist(), mi.tolist()
+    blocks = [{"t_over_tauD": t, "f": fs, "mi_nats": row}
+              for t, row in zip(times, rows)]
+    lines = _pair_blocks("f,mi_nats", (([f"# t_over_tauD = {_fmt(t)}"], fs, row)
+                                       for t, row in zip(times, rows)))
+    _emit(args, {"alpha": alpha, "blocks": blocks}, lines)
     return EXIT_OK
 
 
@@ -267,17 +273,11 @@ def cmd_redundancy(args) -> int:
     lower = [redundancy_lower_bound(t, args.delta) if t > bound_from else None
              for t in times]
     rows = list(zip(times, exact, estimate, lower))
-
-    if args.format == "json":
-        payload = [
-            {"t_over_tauD": t, "R_exact": ex, "R_estimate": est, "R_lower": low}
-            for t, ex, est, low in rows
-        ]
-        _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
-    else:
-        lines = ["t_over_tauD,R_exact,R_estimate,R_lower"]
-        lines += [",".join(map(_fmt, row)) for row in rows]
-        _write_text("\n".join(lines) + "\n", args.out)
+    payload = [{"t_over_tauD": t, "R_exact": ex, "R_estimate": est,
+                "R_lower": low} for t, ex, est, low in rows]
+    lines = itertools.chain(["t_over_tauD,R_exact,R_estimate,R_lower"],
+                            (",".join(map(_fmt, row)) for row in rows))
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -311,77 +311,49 @@ def cmd_oracle(args) -> int:
     for check in report["checks"]:
         verdict = "ok  " if check["passed"] else "FAIL"
         print(f"{verdict} {check['name']}", file=sys.stderr)
-    if args.format == "json":
-        _write_text(json.dumps(_round12(report), indent=2) + "\n", args.out)
-    else:
-        lines = ["check,passed"]
-        lines += [f"{c['name']},{int(c['passed'])}" for c in report["checks"]]
-        _write_text("\n".join(lines) + "\n", args.out)
+    lines = itertools.chain(["check,passed"], (
+        f"{c['name']},{int(c['passed'])}" for c in report["checks"]))
+    _emit(args, report, lines)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
 # sweep: one quantity against one axis
 
+
+def _over_disks(closed_form):
+    """An evaluator mapping a disk closed form over (theta0, chi) in degrees."""
+    return lambda p: np.array([
+        closed_form(math.radians(theta0), math.radians(chi))
+        for theta0, chi in np.broadcast(p["theta0"], p["chi"])])
+
+
+# Each quantity's axes, fixed defaults and evaluator. An evaluator returns
+# one value per element of an array parameter; the information quantities
+# broadcast. Not-redundant points of "redundancy" are NaN.
+_DISK_AXES = {"axes": ("theta0", "chi"), "fixed": {"theta0": 90.0, "chi": 0.0}}
 _SWEEP_TABLE = {
-    "alpha": {
-        "axes": ("theta0", "chi"),
-        "fixed": {"theta0": 90.0, "chi": 0.0},
-    },
-    "rate_ratio": {
-        "axes": ("theta0", "chi"),
-        "fixed": {"theta0": 90.0, "chi": 0.0},
-    },
-    "mi": {
-        "axes": ("t_over_tauD", "f"),
-        "fixed": {"t_over_tauD": 10.0, "f": 0.2, "alpha": 1.0},
-    },
-    "mi_unbalanced": {
-        "axes": ("t_over_tauD", "f", "mu"),
-        "fixed": {"t_over_tauD": 10.0, "f": 0.2, "mu": 0.5},
-    },
-    "mi_mway": {
-        "axes": ("t_over_tauD", "f", "M"),
-        "fixed": {"t_over_tauD": 10.0, "f": 0.2, "M": 3.0},
-    },
-    "redundancy": {
-        "axes": ("t_over_tauD", "delta"),
-        "fixed": {"t_over_tauD": 100.0, "delta": 0.01, "alpha": 1.0},
-    },
+    "alpha": {**_DISK_AXES, "evaluate": _over_disks(alpha_disk)},
+    "rate_ratio": {**_DISK_AXES, "evaluate": _over_disks(disk_rate)},
+    "mi": {"axes": ("t_over_tauD", "f"),
+           "fixed": {"t_over_tauD": 10.0, "f": 0.2, "alpha": 1.0},
+           "evaluate": lambda p: mutual_information_at_time(
+               p["t_over_tauD"], p["alpha"], p["f"])},
+    "mi_unbalanced": {"axes": ("t_over_tauD", "f", "mu"),
+                      "fixed": {"t_over_tauD": 10.0, "f": 0.2, "mu": 0.5},
+                      "evaluate": lambda p: mi_unbalanced(
+                          _libm(math.exp, -p["t_over_tauD"]), p["f"], p["mu"])},
+    "mi_mway": {"axes": ("t_over_tauD", "f", "M"),
+                "fixed": {"t_over_tauD": 10.0, "f": 0.2, "M": 3.0},
+                "evaluate": lambda p: mi_mway(
+                    _libm(math.exp, -p["t_over_tauD"]), p["f"],
+                    np.rint(p["M"]))},
+    "redundancy": {"axes": ("t_over_tauD", "delta"),
+                   "fixed": {"t_over_tauD": 100.0, "delta": 0.01, "alpha": 1.0},
+                   "evaluate": lambda p: redundancy_exact(
+                       None, p["alpha"], p["delta"],
+                       t_over_tauD=p["t_over_tauD"])},
 }
-
-
-def _sweep_point(quantity, params):
-    """The quantity at params, one value per element of an array parameter.
-
-    The information quantities broadcast; the disk closed forms are mapped
-    over the points. Not-redundant points of "redundancy" are NaN.
-    """
-    if quantity in ("alpha", "rate_ratio"):
-        closed_form = alpha_disk if quantity == "alpha" else disk_rate
-        return np.array([
-            closed_form(math.radians(theta0), math.radians(chi))
-            for theta0, chi in np.broadcast(params["theta0"], params["chi"])
-        ])
-    if quantity == "mi":
-        return mutual_information_at_time(
-            params["t_over_tauD"], params["alpha"], params["f"]
-        )
-    if quantity == "mi_unbalanced":
-        return mi_unbalanced(
-            _libm(math.exp, -params["t_over_tauD"]), params["f"], params["mu"]
-        )
-    if quantity == "mi_mway":
-        return mi_mway(
-            _libm(math.exp, -params["t_over_tauD"]), params["f"],
-            np.rint(params["M"])
-        )
-    if quantity == "redundancy":
-        return redundancy_exact(
-            None, params["alpha"], params["delta"],
-            t_over_tauD=params["t_over_tauD"],
-        )
-    raise ValueError(f"unknown sweep quantity {quantity!r}")
 
 
 def _sweep_fault(quantity, axis, values, fixed, exc) -> str:
@@ -391,27 +363,26 @@ def _sweep_fault(quantity, axis, values, fixed, exc) -> str:
     A ``--fix`` key is at fault when its value alone, with every other
     parameter at its default, is out of domain; otherwise that axis value is.
     """
+    spec = _SWEEP_TABLE[quantity]
     for value in values.tolist():
         try:
-            _sweep_point(quantity, {**fixed, axis: value})
+            spec["evaluate"]({**fixed, axis: value})
         except (ValueError, OverflowError) as point_exc:
             exc = point_exc
             break
-    defaults = _SWEEP_TABLE[quantity]["fixed"]
+    defaults = spec["fixed"]
     for key in fixed:
         if key == axis or fixed[key] == defaults[key]:
             continue
         try:
-            _sweep_point(quantity, {**defaults, key: fixed[key]})
+            spec["evaluate"]({**defaults, key: fixed[key]})
         except (ValueError, OverflowError) as fix_exc:
             return f"--fix {key}={_fmt(fixed[key])}: {fix_exc}"
     return f"--axis {axis} at {_fmt(value)}: {exc}"
 
 
 def cmd_sweep(args) -> int:
-    spec = _SWEEP_TABLE.get(args.quantity)
-    if spec is None:
-        raise CliError(f"unknown quantity {args.quantity!r}")
+    spec = _SWEEP_TABLE[args.quantity]
     if args.axis not in spec["axes"]:
         raise CliError(
             f"quantity {args.quantity!r} sweeps over {', '.join(spec['axes'])}; "
@@ -446,25 +417,21 @@ def cmd_sweep(args) -> int:
         values = np.array([float(max(2, int(round(v)))) for v in values])
 
     try:
-        results = _sweep_point(args.quantity, {**fixed, args.axis: values})
+        results = spec["evaluate"]({**fixed, args.axis: values})
     except (ValueError, OverflowError) as exc:
         raise CliError(_sweep_fault(args.quantity, args.axis, values,
                                     fixed, exc)) from exc
     xs = values.tolist()
     ys = (_none_for_nan(results) if args.quantity == "redundancy"
           else results.tolist())
-
-    if args.format == "json":
-        payload = {
-            "quantity": args.quantity,
-            "axis": args.axis,
-            "fixed": fixed,
-            "points": [[x, y] for x, y in zip(xs, ys)],
-        }
-        _write_text(json.dumps(_round12(payload), indent=2) + "\n", args.out)
-    else:
-        lines = [f"{args.axis},{args.quantity}"] + _csv_pairs(xs, ys)
-        _write_text("\n".join(lines) + "\n", args.out)
+    payload = {
+        "quantity": args.quantity,
+        "axis": args.axis,
+        "fixed": fixed,
+        "points": [[x, y] for x, y in zip(xs, ys)],
+    }
+    lines = _pair_blocks(f"{args.axis},{args.quantity}", [((), xs, ys)])
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -580,10 +547,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OracleCapError as exc:

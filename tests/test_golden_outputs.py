@@ -188,6 +188,15 @@ def test_stdout_matches_golden(case_id, golden, inputs, capsys):
     assert capsys.readouterr().out == golden[case_id]
 
 
+@pytest.mark.parametrize("case_id", sorted(CASES))
+def test_out_file_receives_the_golden_bytes(case_id, golden, inputs, tmp_path,
+                                            capsys):
+    out = tmp_path / "table.out"
+    assert main(_argv(case_id, inputs) + ["--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == golden[case_id]
+
+
 def _regenerate() -> None:
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
