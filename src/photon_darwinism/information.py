@@ -245,6 +245,9 @@ def redundancy_estimate(t_over_tauD: float, alpha: float, delta: float) -> float
         )
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not 0.0 <= t_over_tauD < math.inf:
+        raise ValueError(
+            f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}")
     if t_over_tauD < 10.0:
         warnings.warn(
             "redundancy estimate assumes t well beyond the decoherence time; "
@@ -261,6 +264,9 @@ def redundancy_lower_bound(t_over_tauD: float, delta: float) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not 0.0 <= t_over_tauD < math.inf:
+        raise ValueError(
+            f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}")
     if t_over_tauD <= math.log(2.0 / delta):
         raise ValueError(
             f"bound needs t/tau_D > ln(2/delta) = {math.log(2.0 / delta):.4f}, "

@@ -67,17 +67,29 @@ def effective_radius(radius: float, permittivity: float,
     comparison. It is not the default because it is negative for eps < 2 and
     disagrees with the standard polarizability.
     """
-    if permittivity <= 1.0:
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
+    if not 1.0 < permittivity < math.inf:
         raise ValueError(
-            f"permittivity must exceed 1 for scattering contrast, got {permittivity}"
+            "permittivity must be finite and exceed 1 for scattering contrast, "
+            f"got {permittivity}"
         )
     denom = permittivity + denominator_offset
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise ValueError(
             f"contrast denominator is not positive (eps = {permittivity}, "
             f"offset = {denominator_offset})"
         )
     return radius * ((permittivity - 1.0) / denom) ** (1.0 / 3.0)
+
+
+def _check_patch(temperature: float, omega: float) -> None:
+    """Name the input unless 0 < temperature < inf and 0 <= omega <= 4 pi."""
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(
+            f"temperature must be finite and positive, got {temperature}")
+    if not 0.0 <= omega <= 4.0 * math.pi + 1e-12:
+        raise ValueError(f"solid angle out of range: {omega}")
 
 
 def photon_number_density(temperature: float, omega: float) -> float:
@@ -87,10 +99,7 @@ def photon_number_density(temperature: float, omega: float) -> float:
     full sphere reproducing the standard blackbody photon density
     2 zeta(3) (k_B T / hbar c)^3 / pi^2.
     """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not 0.0 <= omega <= 4.0 * math.pi + 1e-12:
-        raise ValueError(f"solid angle out of range: {omega}")
+    _check_patch(temperature, omega)
     y = BOLTZMANN * temperature / (HBAR * SPEED_OF_LIGHT)
     return omega * ZETA_3 * y**3 / (2.0 * math.pi**3)
 
@@ -102,8 +111,7 @@ def patch_irradiance(temperature: float, omega: float) -> float:
     sigma T^4 / pi radiance times the solid angle. Used to hand a finite
     patch to the point-source rate on equal photon-flux footing.
     """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_patch(temperature, omega)
     y = BOLTZMANN * temperature / (HBAR * SPEED_OF_LIGHT)
     return omega * 3.0 * ZETA_4 / (2.0 * math.pi**3) * y**3 \
         * BOLTZMANN * temperature * SPEED_OF_LIGHT
@@ -237,8 +245,10 @@ def point_source_rate(scenario: Scenario, theta: float) -> float:
 
 def decoherence_factor(t: float, tau_D_inv: float) -> float:
     """Remaining squared coherence exp(-t * rate) after time t seconds."""
-    if t < 0.0:
-        raise ValueError(f"elapsed time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"elapsed time must be finite and nonnegative, got {t}")
+    if not 0.0 <= tau_D_inv < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {tau_D_inv}")
     return math.exp(-t * tau_D_inv)
 
 
@@ -307,4 +317,7 @@ def parse_scenario(path) -> Scenario:
             kwargs["irradiance_W_m2"] = float(values["irradiance_W_m2"])
         except ValueError as exc:
             raise ScenarioError(f"{path}: irradiance_W_m2: {exc}") from exc
-    return Scenario(region=region, **kwargs)
+    try:
+        return Scenario(region=region, **kwargs)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc

@@ -141,8 +141,8 @@ def redundancy_rate(alpha: float, tau_D_inv: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if tau_D_inv < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {tau_D_inv}")
+    if not 0.0 <= tau_D_inv < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {tau_D_inv}")
     return alpha * tau_D_inv
 
 

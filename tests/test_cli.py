@@ -330,6 +330,16 @@ class TestSweep:
                      "--spacing", "log"]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_unknown_quantity_is_rejected_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--quantity", "nope", "--axis", "f",
+                  "--start", "0", "--stop", "1", "--count", "3"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nope'" in captured.err
+        assert "'mi_mway'" in captured.err
+
     @pytest.mark.parametrize("argv,culprit", [
         (["--quantity", "mi", "--axis", "t_over_tauD",
           "--start", "-5", "--stop", "5"], "--axis t_over_tauD at -5:"),
@@ -443,7 +453,7 @@ def test_scenario_values_out_of_domain_are_named(command, extra, key,
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"config error: {name} must be finite and above" in captured.err
+    assert f"config error: {path}: {name} must be finite and above" in captured.err
 
 
 def test_negative_start_time_is_a_config_error(capsys):

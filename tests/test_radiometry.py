@@ -24,6 +24,11 @@ from photon_darwinism.radiometry import (
     photon_number_density,
     point_source_rate,
 )
+from photon_darwinism.information import (
+    redundancy_estimate,
+    redundancy_lower_bound,
+)
+from photon_darwinism.receptivity import redundancy_rate
 from photon_darwinism.sky import FULL_SPHERE, Direction, SkyRegion
 
 CMB = 2.725
@@ -248,6 +253,34 @@ def test_decoherence_factor():
     assert decoherence_factor(3.0, 2.0) == pytest.approx(math.exp(-6.0), rel=1e-14)
     with pytest.raises(ValueError):
         decoherence_factor(-1.0, 2.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: redundancy_estimate(NAN, 1.0, 0.01), "t_over_tauD must be finite"),
+    (lambda: redundancy_estimate(INF, 1.0, 0.01), "t_over_tauD must be finite"),
+    (lambda: redundancy_lower_bound(NAN, 0.01), "t_over_tauD must be finite"),
+    (lambda: redundancy_lower_bound(INF, 0.01), "t_over_tauD must be finite"),
+    (lambda: redundancy_rate(0.5, NAN), "rate must be finite"),
+    (lambda: redundancy_rate(0.5, INF), "rate must be finite"),
+    (lambda: decoherence_factor(NAN, 1.0), "elapsed time must be finite"),
+    (lambda: decoherence_factor(1.0, NAN), "rate must be finite"),
+    (lambda: photon_number_density(NAN, 1.0), "temperature must be finite"),
+    (lambda: patch_irradiance(NAN, 1.0), "temperature must be finite"),
+    (lambda: patch_irradiance(CMB, NAN), "solid angle out of range"),
+    (lambda: effective_radius(NAN, 4.0), "radius must be finite"),
+    (lambda: effective_radius(1e-6, NAN), "permittivity must be finite"),
+    (lambda: effective_radius(1e-6, 4.0, NAN), "denominator is not positive"),
+], ids=["estimate-nan-t", "estimate-inf-t", "lower-bound-nan-t",
+        "lower-bound-inf-t", "record-rate-nan", "record-rate-inf",
+        "factor-nan-t", "factor-nan-rate", "density-nan-T",
+        "irradiance-nan-T", "irradiance-nan-omega", "radius-nan",
+        "permittivity-nan", "offset-nan"])
+def test_scalar_functions_reject_non_finite_inputs_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestParseScenario:
