@@ -5,11 +5,10 @@ kind, alpha on a point without an irradiance, rate and alpha on a point
 as CSV), the information tables (pip --alpha, redundancy and the mi,
 mi_unbalanced, mi_mway and redundancy sweeps), the two closed-form disk
 sweeps and the oracle report (CSV, and JSON with a finite model) are
-pinned byte for byte, so
-a refactor or speed-up of the sky quadrature or of the information layer
-cannot move a printed digit unnoticed. The expected bytes live
-in golden/cli_outputs.json. After a deliberate change of output, rewrite
-that file with
+pinned byte for byte, so a refactor or speed-up of the sky quadrature, of
+the information layer or of the output path cannot move a printed digit
+unnoticed. The expected bytes live in golden/cli_outputs.json. After a
+deliberate change of output, rewrite that file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -95,7 +94,7 @@ def _cases() -> dict:
     cases["alpha-point-no-irradiance"] = ["alpha", "--config", "{point_dark}"]
     cases["sweep-alpha"] = ["sweep", "--quantity", "alpha", "--axis", "theta0",
                             "--start", "0", "--stop", "180", "--count", "7"]
-    # The default rate_ratio hemisphere prints a constant 0.5 along chi.
+    # theta0 is fixed because the default hemisphere is 0.5 at every chi.
     cases["sweep-rate_ratio-chi"] = ["sweep", "--quantity", "rate_ratio",
                                      "--axis", "chi", "--start", "0",
                                      "--stop", "180", "--count", "7",
