@@ -130,6 +130,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Quadrature nodes number order x 2*order, so memory grows as the square
+# of the order; the one-node rule of order 1 is not a quadrature at all.
+MAX_ORDER = 1024
+
+
+def _quadrature_order(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"expected a quadrature order in [2, {MAX_ORDER}], got {text}")
+    return value
+
+
 def _require_finite(flag: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
@@ -450,6 +463,11 @@ def _io_arguments(sub, default: str) -> None:
                      help=f"output format (default {default})")
 
 
+def _order_argument(sub) -> None:
+    sub.add_argument("--order", type=_quadrature_order, default=64,
+                     help=f"quadrature order, 2 to {MAX_ORDER} (default 64)")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -465,14 +483,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rate = sub.add_parser("rate", help="decoherence rates for a scenario")
     rate.add_argument("--config", required=True, help="scenario file")
-    rate.add_argument("--order", type=_positive_int, default=64,
-                      help="quadrature order (default 64)")
+    _order_argument(rate)
     _io_arguments(rate, "json")
     rate.set_defaults(func=cmd_rate)
 
     alpha = sub.add_parser("alpha", help="receptivity for a scenario")
     alpha.add_argument("--config", required=True, help="scenario file")
-    alpha.add_argument("--order", type=_positive_int, default=64)
+    _order_argument(alpha)
     _io_arguments(alpha, "json")
     alpha.set_defaults(func=cmd_alpha)
 
@@ -485,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pip.add_argument("--f-count", type=_positive_int, default=101,
                      help="fragment-fraction grid size (default 101)")
     pip.add_argument("--f-max", type=float, default=1.0)
-    pip.add_argument("--order", type=_positive_int, default=64)
+    _order_argument(pip)
     pip.add_argument("--jobs", type=_positive_int, default=1,
                      help=_JOBS_HELP)
     _io_arguments(pip, "csv")

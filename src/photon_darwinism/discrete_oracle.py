@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -64,6 +64,10 @@ def _check_b(b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a nonempty 1-d array of eigenvalues")
+    if not np.isfinite(b).all():
+        raise ValueError(
+            f"perturbation eigenvalues must be finite, got {b[~np.isfinite(b)][0]}"
+        )
     if np.any(1.0 + b < 0.0):
         raise ValueError("perturbation eigenvalues need 1 + b >= 0")
     return b
@@ -106,6 +110,28 @@ class DiscreteEnv:
         return analytic_entropy_change(self.b, self.fN)
 
 
+def _largest_multiplicity(D: int, fN: int) -> int:
+    """fN! / prod(count!) at the most even split of fN photons over D indices.
+
+    No multiset has a larger multiplicity. Built as a product of binomials,
+    one per nonempty index, so fN! is never formed.
+    """
+    q, r = divmod(fN, D)
+    largest, photons = 1, 0
+    for count in [q + 1] * r + [q] * (min(D, fN) - r):
+        photons += count
+        largest *= math.comb(photons, count)
+    return largest
+
+
+def _per_distinct_pair(fn, a, c, base: int, dtype) -> np.ndarray:
+    """fn(a_i, c_i) for every i, as Python scalar calls, one per distinct
+    pair; c must lie in [0, base)."""
+    keys, inverse = np.unique(a * base + c, return_inverse=True)
+    values = [fn(*divmod(k, base)) for k in keys.tolist()]
+    return np.array(values, dtype=dtype)[inverse]
+
+
 def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
     """Exact fragment spectrum: pairs (1 +/- prod sqrt(1+b_j)) / (2 D^fN).
 
@@ -113,6 +139,14 @@ def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
     returned arrays hold one (value, multiplicity) entry per distinct
     eigenvalue product instead of D^fN rows. The cap guards the implied
     total count D^fN, not the (much smaller) number of groups.
+
+    The multisets are enumerated as one (groups, fN) index array and split
+    into runs of equal indices; the work arrays hold O(groups x fN) entries
+    whatever D_B. A run of c copies of index j contributes roots[j] ** c,
+    multiplied in ascending j. A multiplicity fN! / prod(c!) is the exact
+    int64 product of the binomials C(photons up to the run's end, c), each
+    partial product at most the multiplicity itself, so fN! is never
+    formed; OverflowError is raised when a multiplicity exceeds int64.
     """
     b = _check_b(b)
     fN = _check_fn(fN)
@@ -122,23 +156,46 @@ def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
         raise OracleCapError(
             f"D_B^fN = {D}^{fN} = {total} exceeds the enumeration cap {cap}"
         )
+    if _largest_multiplicity(D, fN) > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"multiplicities of D_B^fN = {D}^{fN} do not fit in int64"
+        )
     roots = np.sqrt(1.0 + b)
     norm = 2.0 * float(total)
-    values = []
-    mults = []
-    for combo in combinations_with_replacement(range(D), fN):
-        counts = np.bincount(combo, minlength=D)
-        mult = math.factorial(fN)
-        g = 1.0
-        for j in np.nonzero(counts)[0]:
-            c = int(counts[j])
-            mult //= math.factorial(c)
-            g *= roots[j] ** c
-        values.append((1.0 + g) / norm)
-        values.append((1.0 - g) / norm)
-        mults.append(mult)
-        mults.append(mult)
-    return np.array(values), np.array(mults, dtype=np.int64)
+    groups = math.comb(D + fN - 1, fN)
+    combos = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(range(D), fN)),
+        dtype=np.intp, count=groups * fN,
+    ).reshape(groups, fN)
+
+    # Runs of equal indices in row-major order. Every row starts with a
+    # run, so each run ends where the next one starts.
+    starts = np.ones((groups, fN), dtype=bool)
+    np.not_equal(combos[:, 1:], combos[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=groups * fN)
+    index = combos.ravel()[first]
+    row, col = np.divmod(first, fN)
+    rank = np.arange(first.size) - np.flatnonzero(col == 0)[row]
+
+    # One column per run rank; missing runs leave the exact factor 1.
+    width = int(rank.max()) + 1
+    factors = np.ones((groups, width))
+    factors[row, rank] = _per_distinct_pair(
+        lambda j, c: roots[j] ** c, index, counts, fN + 1, float)
+    binomials = np.ones((groups, width), dtype=np.int64)
+    binomials[row, rank] = _per_distinct_pair(
+        math.comb, col + counts, counts, fN + 1, np.int64)
+    g = factors[:, 0].copy()
+    mult = binomials[:, 0].copy()
+    for k in range(1, width):
+        g *= factors[:, k]
+        mult *= binomials[:, k]
+
+    values = np.empty(2 * groups)
+    values[0::2] = (1.0 + g) / norm
+    values[1::2] = (1.0 - g) / norm
+    return values, np.repeat(mult, 2)
 
 
 def fragment_entropy_exact(values, multiplicities=None) -> Nats:
@@ -300,9 +357,18 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     follow the dipole angular kernel scaled by the coupling; diagonals
     complete each row to one. An even n_theta puts the equator on a bin
     edge, so a half-sphere region is represented without straddling bins.
+
+    The D_S x D_S matrix (D_S = n_theta n_phi) is built in place in one
+    buffer, so peak memory is about prob.nbytes = 8 D_S^2 bytes: 32 MB at
+    32 x 64 bins. The (cos theta_n - cos theta_m)^2 factor depends only on
+    the two theta rows and is applied from an n_theta x n_theta table.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least 2 bins per axis")
+    for name, value in (("coupling", coupling), ("theta0", theta0),
+                        ("chi", chi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
     u = -1.0 + (np.arange(n_theta) + 0.5) * (2.0 / n_theta)
@@ -313,9 +379,15 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
     delta_omega = FULL_SPHERE / (n_theta * n_phi)
 
-    cos_nm = points @ points.T
-    gap = (uu[:, None] - uu[None, :]) ** 2
-    prob = coupling * delta_omega * (1.0 + cos_nm ** 2) * gap
+    # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2, in place.
+    # points @ points.T is one symmetric product, so both triangles agree.
+    prob = points @ points.T
+    np.square(prob, out=prob)
+    prob += 1.0
+    prob *= coupling * delta_omega
+    gap = (u[:, None] - u[None, :]) ** 2
+    by_theta = prob.reshape(n_theta, n_phi, n_theta, n_phi)
+    by_theta *= gap[:, None, :, None]
     np.fill_diagonal(prob, 0.0)
     leak = prob.sum(axis=1)
     if leak.max() >= 1.0:
@@ -397,20 +469,21 @@ def mi_exact_general(cat: CatSpec, f: float) -> Nats:
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"f must be in [0, 1], got {f}")
     amp = np.sqrt(cat.probs)
-
-    def E(w):
-        rho = np.outer(amp, amp) * cat.gamma ** (0.5 * w)
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < -1e-9:
+    # E(w) at w = f, 1 and 1 - f, diagonalized in one stacked call.
+    ws = (f, 1.0, 1.0 - f)
+    rho = np.outer(amp, amp) * np.stack([cat.gamma ** (0.5 * w) for w in ws])
+    eigs = np.linalg.eigvalsh(rho)
+    lowest = eigs.min(axis=1)
+    for w, low in zip(ws, lowest):
+        if low < -1e-9:
             raise ArithmeticError(
                 f"branch matrix at w = {w} is not positive semidefinite "
-                f"(min eigenvalue {eigs.min():.3e}); the factor matrix is "
+                f"(min eigenvalue {low:.3e}); the factor matrix is "
                 "not realizable by photon overlaps"
             )
-        eigs = np.clip(eigs, 0.0, None)
-        return float(-xlogx(eigs).sum())
-
-    return E(f) + E(1.0) - E(1.0 - f)
+    e_f, e_whole, e_rest = (-float(row.sum())
+                            for row in xlogx(np.clip(eigs, 0.0, None)))
+    return e_f + e_whole - e_rest
 
 
 def oracle_battery(seed: int = 0) -> dict:
@@ -558,10 +631,11 @@ def oracle_battery(seed: int = 0) -> dict:
         target=target_alpha,
     )
 
+    # The 16 x 32 grid above has the default coupling 1e-6.
     a_coup = [
+        alphas[1],
         discrete_alpha(scattering_probability_grid(16, 32, math.pi / 2.0,
-                                                   coupling=c))
-        for c in (1e-6, 1e-7)
+                                                   coupling=1e-7)),
     ]
     record("alpha_coupling_invariance", abs(a_coup[0] - a_coup[1]) < 1e-5,
            values=a_coup)

@@ -174,6 +174,11 @@ def _gauss_legendre(order: int):
     return x, w
 
 
+def _check_order(order: int) -> None:
+    if order < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {order}")
+
+
 def _panel(ulo: float, uhi: float, order: int, nphi: int):
     """Product nodes on a cos(theta) panel: (points (N,3), weights (N,)).
 
@@ -204,8 +209,7 @@ def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
     trigonometric polynomials up to that degree. The Gauss-Legendre rule
     for each order is computed once per process and reused.
     """
-    if order < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order}")
+    _check_order(order)
     edges = sorted({-1.0, 1.0, *(float(s) for s in split_cos)})
     if edges[0] < -1.0 or edges[-1] > 1.0:
         raise ValueError("split points must lie inside [-1, 1]")
@@ -267,6 +271,7 @@ def _custom_nodes(region: SkyRegion, inside: bool):
 
 def region_nodes(region: SkyRegion, order: int = 64):
     """Quadrature nodes and weights covering the region itself."""
+    _check_order(order)
     if region.kind == "point":
         raise ValueError("a point region has zero measure; integrate nothing")
     if region.kind == "isotropic":
@@ -278,6 +283,7 @@ def region_nodes(region: SkyRegion, order: int = 64):
 
 def complement_nodes(region: SkyRegion, order: int = 64):
     """Quadrature nodes and weights covering the sky minus the region."""
+    _check_order(order)
     if region.kind == "point":
         return _panel(-1.0, 1.0, order, 2 * order)
     if region.kind == "isotropic":
@@ -294,6 +300,7 @@ def sphere_nodes(region: SkyRegion, order: int = 64):
     Sharing panels with region_nodes keeps differences of the two
     integrals free of inconsistent quadrature error.
     """
+    _check_order(order)
     if region.kind in ("point", "isotropic"):
         return _panel(-1.0, 1.0, order, 2 * order)
     pa, wa = region_nodes(region, order)

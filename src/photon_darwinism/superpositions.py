@@ -60,7 +60,13 @@ def _check_factor_matrix(gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError("factor matrix must be square")
-    if not np.allclose(gamma, gamma.T, atol=1e-12):
+    # np.allclose(gamma, gamma.T, atol=1e-12) written out: each entry lies
+    # within 1e-12 + 1e-5 |m| of its finite mirror m, or equals it, so equal
+    # infinities count as close and NaN never does.
+    mirror = gamma.T
+    with np.errstate(invalid="ignore"):
+        near = np.abs(gamma - mirror) <= 1e-12 + 1e-5 * np.abs(mirror)
+    if not (near & np.isfinite(mirror) | (gamma == mirror)).all():
         raise ValueError("factor matrix must be symmetric")
     if np.any(np.abs(np.diag(gamma) - 1.0) > 1e-12):
         raise ValueError("factor matrix must have a unit diagonal")

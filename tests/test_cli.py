@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 
 import photon_darwinism
-from photon_darwinism.cli import EXIT_CAP, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+from photon_darwinism.cli import (
+    EXIT_CAP,
+    EXIT_CHECK,
+    EXIT_CONFIG,
+    EXIT_OK,
+    _quadrature_order,
+    main,
+)
 from photon_darwinism.receptivity import alpha_disk
 from photon_darwinism.superpositions import mi_mway
 
@@ -448,6 +455,30 @@ def test_scenario_values_out_of_domain_are_named(command, extra, key,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {path}: {name} must be finite and above" in captured.err
+
+
+@pytest.mark.parametrize("command", ["rate", "alpha", "pip"])
+@pytest.mark.parametrize("order", ["1", "0", "1025", "5000"])
+def test_order_outside_its_range_is_a_config_error(command, order,
+                                                   disk_config, capsys):
+    # Order 1 printed a full-sky ratio_to_isotropic of 0.45 with exit 0, and
+    # node memory grows as the square of the order.
+    argv = [command, "--config", disk_config, "--order", order]
+    if command == "pip":
+        argv += ["--times", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --order: expected a quadrature order in [2, 1024], "
+            f"got {order}") in captured.err
+
+
+def test_order_range_endpoints_are_accepted(disk_config, capsys):
+    assert _quadrature_order("1024") == 1024
+    assert main(["rate", "--config", disk_config, "--order", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ratio_to_isotropic"] > 0.0
 
 
 def test_negative_start_time_is_a_config_error(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -66,6 +67,9 @@ class TestFragmentSpectrum:
             fragment_eigenvalues([0.0] * 10, 8)
         with pytest.raises(OracleCapError):
             fragment_eigenvalues([0.0] * 4, 4, cap=100)
+        # The cap comes first, before any multiplicity could overflow int64.
+        with pytest.raises(OracleCapError):
+            fragment_eigenvalues([0.0] * 2, 67)
         assert DEFAULT_CAP == 10_000_000
 
     def test_input_validation(self):
@@ -73,6 +77,14 @@ class TestFragmentSpectrum:
             fragment_eigenvalues([-1.5], 1)  # 1 + b must stay nonnegative
         with pytest.raises(ValueError):
             fragment_eigenvalues([0.0], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eigenvalues_are_rejected_by_name(self, bad):
+        # NaN used to give a NaN entropy change, -inf a "1 + b" complaint.
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            fragment_eigenvalues([-0.01, bad], 2)
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            fragment_entropy_change_exact([bad], 1)
 
 
 class TestFragmentEntropy:
@@ -228,6 +240,26 @@ class TestDirectionalGrid:
     def test_excessive_coupling_is_rejected(self):
         with pytest.raises(ValueError, match="coupling"):
             scattering_probability_grid(8, 16, math.pi / 2.0, coupling=1e3)
+
+    @pytest.mark.parametrize("name", ["coupling", "theta0", "chi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_rejected_by_name(self, name, bad):
+        # A NaN coupling used to give an all-NaN matrix, and a NaN theta0
+        # an empty mask that discrete_alpha blamed on the region.
+        kwargs = {"theta0": math.pi / 2.0, "chi": 0.0, "coupling": 1e-6}
+        kwargs[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            scattering_probability_grid(8, 16, **kwargs)
+
+    def test_matrix_is_built_in_one_buffer(self):
+        # The earlier build held three D_S x D_S temporaries (3.0 x nbytes).
+        tracemalloc.start()
+        try:
+            grid = scattering_probability_grid(32, 64, math.pi / 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * grid.prob.nbytes
 
 
 class TestDiscreteAlpha:

@@ -1,0 +1,302 @@
+"""The oracle's array code against the code it replaced.
+
+The reference functions below are the earlier implementations, kept
+verbatim in operation order: the probability grid built from three full
+D_S x D_S temporaries, the fragment spectrum enumerated one multiset at a
+time with Python-integer factorials, the general-cat mutual information
+with one diagonalization per reduced state, and the factor-matrix check
+through np.allclose. Every current result must equal them bit for bit,
+and every rejection must raise the same exception with the same message.
+"""
+
+import math
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+
+from photon_darwinism.discrete_oracle import (
+    discrete_alpha,
+    fragment_eigenvalues,
+    mi_exact_general,
+    scattering_probability_grid,
+)
+from photon_darwinism.entropy_kernels import xlogx
+from photon_darwinism.sky import FULL_SPHERE
+from photon_darwinism.superpositions import CatSpec, _check_factor_matrix
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_grid(n_theta, n_phi, theta0, chi=0.0, coupling=1e-6):
+    """(points, mask, prob) as the earlier scattering_probability_grid."""
+    u = -1.0 + (np.arange(n_theta) + 0.5) * (2.0 / n_theta)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    uu = np.repeat(u, n_phi)
+    pp = np.tile(phi, n_theta)
+    s = np.sqrt(1.0 - uu ** 2)
+    points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
+    delta_omega = FULL_SPHERE / (n_theta * n_phi)
+
+    cos_nm = points @ points.T
+    gap = (uu[:, None] - uu[None, :]) ** 2
+    prob = coupling * delta_omega * (1.0 + cos_nm ** 2) * gap
+    np.fill_diagonal(prob, 0.0)
+    leak = prob.sum(axis=1)
+    if leak.max() >= 1.0:
+        raise ValueError(
+            f"coupling {coupling} leaks probability {leak.max():.3f} >= 1; "
+            "reduce it to stay in the perturbative regime"
+        )
+    np.fill_diagonal(prob, 1.0 - leak)
+
+    axis = np.array([math.sin(chi), 0.0, math.cos(chi)])
+    mask = points @ axis >= math.cos(theta0)
+    return points, mask, prob
+
+
+def ref_fragment_eigenvalues(b, fN):
+    b = np.asarray(b, dtype=float)
+    D = b.size
+    total = D ** fN
+    roots = np.sqrt(1.0 + b)
+    norm = 2.0 * float(total)
+    values = []
+    mults = []
+    for combo in combinations_with_replacement(range(D), fN):
+        counts = np.bincount(combo, minlength=D)
+        mult = math.factorial(fN)
+        g = 1.0
+        for j in np.nonzero(counts)[0]:
+            c = int(counts[j])
+            mult //= math.factorial(c)
+            g *= roots[j] ** c
+        values.append((1.0 + g) / norm)
+        values.append((1.0 - g) / norm)
+        mults.append(mult)
+        mults.append(mult)
+    return np.array(values), np.array(mults, dtype=np.int64)
+
+
+def ref_mi_exact_general(cat, f):
+    amp = np.sqrt(cat.probs)
+
+    def E(w):
+        rho = np.outer(amp, amp) * cat.gamma ** (0.5 * w)
+        eigs = np.linalg.eigvalsh(rho)
+        if eigs.min() < -1e-9:
+            raise ArithmeticError(
+                f"branch matrix at w = {w} is not positive semidefinite "
+                f"(min eigenvalue {eigs.min():.3e}); the factor matrix is "
+                "not realizable by photon overlaps"
+            )
+        eigs = np.clip(eigs, 0.0, None)
+        return float(-xlogx(eigs).sum())
+
+    return E(f) + E(1.0) - E(1.0 - f)
+
+
+def ref_check_factor_matrix(gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
+        raise ValueError("factor matrix must be square")
+    if not np.allclose(gamma, gamma.T, atol=1e-12):
+        raise ValueError("factor matrix must be symmetric")
+    if np.any(np.abs(np.diag(gamma) - 1.0) > 1e-12):
+        raise ValueError("factor matrix must have a unit diagonal")
+    if np.any(gamma < 0.0) or np.any(gamma > 1.0 + 1e-12):
+        raise ValueError("pairwise factors must lie in [0, 1]")
+    return gamma
+
+
+def _outcome(fn, *args, **kwargs):
+    """("ok", result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ValueError, ArithmeticError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# probability grid and discrete alpha
+
+SHAPES = [(2, 2), (2, 3), (3, 2), (3, 5), (4, 4), (5, 3), (7, 11), (8, 16),
+          (9, 4), (11, 7), (13, 26), (16, 32), (17, 9), (32, 64)]
+ANGLES = [(0.3, 0.0), (math.pi / 2.0, 0.0), (2.0, 0.7), (math.pi, 0.0),
+          (1.1, math.pi)]
+
+
+@pytest.mark.parametrize("n_theta,n_phi", SHAPES)
+def test_grid_and_alpha_match_the_reference_over_shapes(n_theta, n_phi):
+    grid = scattering_probability_grid(n_theta, n_phi, math.pi / 2.0)
+    points, mask, prob = ref_grid(n_theta, n_phi, math.pi / 2.0)
+    assert _same_bits(grid.points, points)
+    assert _same_bits(grid.mask, mask)
+    assert _same_bits(grid.prob, prob)
+    assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
+
+
+@pytest.mark.parametrize("theta0,chi", ANGLES)
+@pytest.mark.parametrize("coupling", [1e-7, 1e-6, 3e-4])
+@pytest.mark.parametrize("n_theta,n_phi", [(6, 10), (9, 14)])
+def test_grid_and_alpha_match_the_reference_over_regions(n_theta, n_phi,
+                                                         theta0, chi,
+                                                         coupling):
+    grid = scattering_probability_grid(n_theta, n_phi, theta0, chi, coupling)
+    points, mask, prob = ref_grid(n_theta, n_phi, theta0, chi, coupling)
+    assert _same_bits(grid.mask, mask)
+    assert _same_bits(grid.prob, prob)
+    if mask.any():
+        assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
+
+
+def test_grid_leak_error_matches_the_reference():
+    new = _outcome(scattering_probability_grid, 8, 16, 1.0, coupling=2.0)
+    assert new[0] is ValueError
+    assert new == _outcome(ref_grid, 8, 16, 1.0, coupling=2.0)
+
+
+# ---------------------------------------------------------------------------
+# fragment spectrum
+
+
+@pytest.mark.parametrize("D,fN", [(1, 1), (3, 2), (3, 6), (5, 3), (8, 6),
+                                  (10, 2), (2, 23)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fragment_spectrum_matches_the_reference(D, fN, seed):
+    b = np.random.default_rng([seed, D, fN]).uniform(-0.9, 0.5, size=D)
+    values, mults = fragment_eigenvalues(b, fN)
+    ref_values, ref_mults = ref_fragment_eigenvalues(b, fN)
+    assert _same_bits(values, ref_values)
+    assert _same_bits(mults, ref_mults)
+
+
+@pytest.mark.parametrize("D,fN", [(2, 66), (2, 67), (3, 43), (3, 44)])
+def test_largest_int64_multiplicities_match_the_reference(D, fN):
+    # The largest multiplicities: C(66, 33) = 7.2e18 and 43!/(15! 14! 14!)
+    # = 6.1e18 fit in int64; C(67, 33) = 1.4e19 does not, nor does
+    # 44!/(15! 15! 14!) = 1.8e19, although each of its binomials does.
+    b = np.linspace(-0.01, -0.03, D)
+    new = _outcome(fragment_eigenvalues, b, fN, cap=D ** fN)
+    ref = _outcome(ref_fragment_eigenvalues, b, fN)
+    assert new[0] == ref[0]
+    if ref[0] == "ok":
+        assert _same_bits(new[1][0], ref[1][0])
+        assert _same_bits(new[1][1], ref[1][1])
+    else:
+        assert ref[0] is OverflowError
+
+
+# ---------------------------------------------------------------------------
+# general-cat mutual information
+
+
+def _gaussian_cat(rng, M):
+    """Factors exp(-k |x_a - x_b|^2): a Gaussian kernel, so every power is
+    positive semidefinite and the cat is realizable."""
+    x = rng.normal(size=(M, 2))
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+    gamma = np.exp(-rng.uniform(0.5, 8.0) * d2)
+    return CatSpec(probs=rng.dirichlet(np.ones(M)), gamma=gamma)
+
+
+def _random_cat(rng, M):
+    """Uniform random symmetric factors: often not realizable."""
+    gamma = rng.uniform(0.0, 1.0, size=(M, M))
+    gamma = np.triu(gamma, 1)
+    gamma = gamma + gamma.T + np.eye(M)
+    return CatSpec(probs=rng.dirichlet(np.ones(M)), gamma=gamma)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+@pytest.mark.parametrize("make", [_gaussian_cat, _random_cat])
+def test_general_mi_matches_the_reference(M, make):
+    rng = np.random.default_rng([M, len(make.__name__)])
+    outcomes = set()
+    for _ in range(40):
+        cat = make(rng, M)
+        for f in (0.0, rng.uniform(0.0, 1.0), 0.5, 1.0):
+            new = _outcome(mi_exact_general, cat, f)
+            ref = _outcome(ref_mi_exact_general, cat, f)
+            assert new[0] == ref[0]
+            if new[0] == "ok":
+                assert _same_bits(new[1], ref[1])
+            else:
+                assert new[1] == ref[1]
+            outcomes.add(new[0])
+    if make is _gaussian_cat:
+        assert outcomes == {"ok"}
+
+
+def test_psd_error_names_the_first_failing_w():
+    tiny = math.exp(-8.0)
+    gm = np.array([[1.0, 0.99, tiny],
+                   [0.99, 1.0, 0.99],
+                   [tiny, 0.99, 1.0]])
+    cat = CatSpec(probs=(1 / 3, 1 / 3, 1 / 3), gamma=gm)
+    for f in (0.0, 0.3, 0.9, 1.0):
+        new = _outcome(mi_exact_general, cat, f)
+        assert new[0] is ArithmeticError
+        assert new == _outcome(ref_mi_exact_general, cat, f)
+
+
+# ---------------------------------------------------------------------------
+# factor-matrix check
+
+
+def _sym(off, diag=1.0):
+    gm = np.full((3, 3), 0.01)
+    np.fill_diagonal(gm, diag)
+    gm[0, 1] = gm[1, 0] = off
+    return gm
+
+
+def _asym(upper, lower):
+    gm = _sym(0.01)
+    gm[0, 1], gm[1, 0] = upper, lower
+    return gm
+
+
+FACTOR_MATRICES = {
+    "valid": _sym(0.3),
+    "zero_factor": _sym(0.0),
+    "within_atol": _asym(0.3, 0.3 + 5e-13),
+    "within_rtol": _asym(0.3, 0.3 + 2e-6),
+    "beyond_rtol": _asym(0.3, 0.3 + 1e-4),
+    "asymmetric": _asym(0.2, 0.4),
+    "nan_pair": _sym(math.nan),
+    "nan_one_side": _asym(math.nan, 0.2),
+    "nan_diagonal": _sym(0.2, diag=math.nan),
+    "inf_pair": _sym(math.inf),
+    "minus_inf_pair": _sym(-math.inf),
+    "inf_one_side": _asym(math.inf, 0.2),
+    "opposite_infs": _asym(math.inf, -math.inf),
+    "inf_diagonal": _sym(0.2, diag=math.inf),
+    "off_diagonal_diag": _sym(0.2, diag=0.9),
+    "negative_factor": _sym(-0.1),
+    "factor_above_one": _sym(1.5),
+    "factor_at_tolerance": _sym(1.0 + 5e-13),
+    "not_square": np.ones((2, 3)),
+    "one_dimensional": np.ones(3),
+    "empty": np.ones((0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_MATRICES))
+def test_factor_matrix_check_matches_the_reference(name):
+    gm = FACTOR_MATRICES[name]
+    with np.errstate(all="raise"):
+        new = _outcome(_check_factor_matrix, gm.copy())
+    ref = _outcome(ref_check_factor_matrix, gm.copy())
+    assert new[0] == ref[0]
+    if new[0] == "ok":
+        assert _same_bits(new[1], ref[1])
+    else:
+        assert new[1] == ref[1]

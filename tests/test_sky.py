@@ -257,6 +257,17 @@ class TestNodes:
         _, ww = complement_nodes(SkyRegion.point(), order=16)
         assert ww.sum() == pytest.approx(FULL_SPHERE, rel=1e-13)
 
+    @pytest.mark.parametrize("nodes", [region_nodes, complement_nodes,
+                                       sphere_nodes])
+    @pytest.mark.parametrize("region", [
+        SkyRegion.disk(1.1, 0.3), SkyRegion.isotropic(), SkyRegion.point(),
+    ], ids=["disk", "isotropic", "point"])
+    def test_order_below_two_is_rejected(self, nodes, region):
+        # A one-node rule used to give a full-sky rate ratio of 0.45.
+        for order in (1, 0, -3):
+            with pytest.raises(ValueError, match="order must be >= 2"):
+                nodes(region, order=order)
+
     def test_custom_nodes_split_the_grid(self):
         rows, cols = 10, 12
         u = -1.0 + (np.arange(rows) + 0.5) * (2.0 / rows)
