@@ -5,7 +5,9 @@ kind, alpha on a point without an irradiance, rate and alpha on a point
 as CSV), the information tables (pip --alpha, redundancy and the mi,
 mi_unbalanced, mi_mway and redundancy sweeps), the two closed-form disk
 sweeps and the oracle report (CSV, the full JSON report, and JSON with
-finite models up to the enumeration cap) are pinned byte for byte, so a
+finite models up to the enumeration cap) are pinned byte for byte, as are
+two edges of JSON number text (a 300 K photon density that JSON prints
+positionally and a subnormal fragment fraction), so a
 refactor or speed-up of the sky quadrature, of the information layer, of
 the discrete oracle or of the output path cannot move a printed digit
 unnoticed. The expected bytes live in golden/cli_outputs.json. After a
@@ -51,6 +53,14 @@ EXTRA_SCENARIOS = {
     "point_dark": "region = point:45\n",
 }
 
+# A 300 K disk, for rate and alpha as JSON only: its photon density,
+# 5.477e14 per m^3, is where %.12g prints an exponent but JSON prints the
+# number positionally.
+WARM_CFG = BASE_CFG.replace("temperature_K = 2.725", "temperature_K = 300")
+WARM_SCENARIOS = {
+    "disk_300K": "region = disk:60:0\n",
+}
+
 
 def _grid_text(rows: int = 8, cols: int = 16) -> str:
     """A small indicator grid: the cap u > 0.3 over half the azimuths."""
@@ -72,6 +82,10 @@ def write_inputs(directory: Path) -> dict:
         path = directory / f"{name}.cfg"
         path.write_text(BASE_CFG + region.format(grid=grid))
         paths[name] = str(path)
+    for name, region in WARM_SCENARIOS.items():
+        path = directory / f"{name}.cfg"
+        path.write_text(WARM_CFG + region)
+        paths[name] = str(path)
     return paths
 
 
@@ -84,6 +98,9 @@ def _cases() -> dict:
                 cases[f"{command}-{name}-{order}"] = [
                     command, "--config", "{%s}" % name, "--order", str(order)
                 ]
+    for command in ("rate", "alpha"):
+        cases[f"{command}-disk_300K-json"] = [command, "--config",
+                                              "{disk_300K}"]
     cases["pip-disk"] = ["pip", "--config", "{tilted}", "--times", "1,10",
                          "--f-count", "11"]
     cases["pip-custom"] = ["pip", "--config", "{custom}", "--times", "5",
@@ -132,6 +149,9 @@ def _information_cases() -> dict:
                        "--f-count", "11"],
         "pip-fmax-tiny": ["--alpha", "0.7", "--times", "1,100",
                           "--f-count", "11", "--f-max", "1e-4"],
+        # The middle fraction, 5e-311, is subnormal.
+        "pip-fmax-subnormal": ["--alpha", "0.5", "--times", "1",
+                               "--f-count", "3", "--f-max", "1e-310"],
     }
     red = {
         "redundancy-log": ["--alpha", "0.6", "--t-start", "1",
