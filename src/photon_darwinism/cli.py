@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -65,29 +65,72 @@ def _fmt(value) -> str:
     return "%.12g" % value
 
 
-def _csv_pairs(xs, ys) -> list:
-    """CSV rows "x,y" with 12 significant digits, empty where y is None.
-
-    "%.12g,%.12g" % row prints the same bytes as two _fmt calls.
-    """
-    return ["%.12g,%.12g" % row if row[1] is not None else "%.12g," % row[0]
-            for row in zip(xs, ys)]
-
-
 def _none_for_nan(values) -> list:
     """Array values as Python floats, with None where a value is NaN."""
     return [None if math.isnan(v) else v for v in values.tolist()]
 
 
-def _round12(obj):
-    """Recursively round floats to the 12-significant-digit contract."""
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Endings of %.12g text that JSON spells differently: exponents 12 to 15,
+# which JSON prints positionally, and the three-digit negative exponents,
+# whose subnormal values JSON may print in fewer digits.
+_JSON_RESPELL = frozenset(["e+12", "e+13", "e+14", "e+15"]
+                          + ["-3%02d" % e for e in range(25)])
+
+
+def _json_float(value) -> str:
+    """JSON text of value rounded to 12 significant digits.
+
+    The %.12g text is already the shortest round-trip text of the rounded
+    double, which is what JSON prints, except where it has neither "." nor
+    an exponent (integers, -0, nan, inf) or ends in an exponent of
+    _JSON_RESPELL; there the rounded double is printed again by repr.
+    """
+    text = "%.12g" % value
+    if ("." in text or "e" in text) and text[-4:] not in _JSON_RESPELL:
+        return text
+    return _JSON_SPECIAL.get(text) or repr(float(text))
+
+
+def _json(obj, indent: str, memo: dict) -> str:
+    """JSON text of obj with its floats at 12 significant digits.
+
+    The bytes are those of json.dumps(obj, indent=2) after rounding every
+    float through %.12g. Dict keys must be strings. indent is the newline
+    and indentation that precede obj's closing bracket. A list or tuple
+    that appears more than once at one depth, like the fragment grid
+    shared by pip blocks, is formatted once: memo maps (id, indent) to its
+    text and lives for one call.
+    """
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return _json_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json(value, inner, memo)
+                 for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        key = (id(obj), indent)
+        if key not in memo:
+            items = [_json_float(v) if type(v) is float else _json(v, inner, memo)
+                     for v in obj]
+            memo[key] = "[" + inner + ("," + inner).join(items) + indent + "]"
+        return memo[key]
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def _emit(args, payload, csv_lines) -> None:
@@ -97,7 +140,7 @@ def _emit(args, payload, csv_lines) -> None:
     csv_lines, which is iterated only for CSV output.
     """
     if args.format == "json":
-        text = json.dumps(_round12(payload), indent=2) + "\n"
+        text = _json(payload, "\n", {}) + "\n"
     else:
         text = "\n".join(csv_lines) + "\n"
     if args.out:
@@ -107,14 +150,18 @@ def _emit(args, payload, csv_lines) -> None:
         sys.stdout.write(text)
 
 
-def _pair_blocks(header, blocks):
-    """CSV blocks of (title lines, xs, ys), separated by blank lines."""
-    for i, (titles, xs, ys) in enumerate(blocks):
+def _pair_blocks(header, xs, blocks):
+    """CSV blocks of (title lines, ys) over one x column, separated by
+    blank lines; the x column's text is formatted once for all blocks.
+    """
+    x_text = ["%.12g," % x for x in xs]
+    for i, (titles, ys) in enumerate(blocks):
         if i:
             yield ""
         yield from titles
         yield header
-        yield from _csv_pairs(xs, ys)
+        yield from (x if y is None else x + "%.12g" % y
+                    for x, y in zip(x_text, ys))
 
 
 def _report_lines(report: dict):
@@ -241,8 +288,8 @@ def cmd_pip(args) -> int:
     fs, rows = f_grid.tolist(), mi.tolist()
     blocks = [{"t_over_tauD": t, "f": fs, "mi_nats": row}
               for t, row in zip(times, rows)]
-    lines = _pair_blocks("f,mi_nats", (([f"# t_over_tauD = {_fmt(t)}"], fs, row)
-                                       for t, row in zip(times, rows)))
+    lines = _pair_blocks("f,mi_nats", fs, (([f"# t_over_tauD = {_fmt(t)}"], row)
+                                           for t, row in zip(times, rows)))
     _emit(args, {"alpha": alpha, "blocks": blocks}, lines)
     return EXIT_OK
 
@@ -275,16 +322,17 @@ def cmd_redundancy(args) -> int:
 
     exact = _none_for_nan(
         redundancy_exact(None, args.alpha, args.delta, t_over_tauD=times))
-    times = times.tolist()
     with warnings.catch_warnings():
         # The estimate's crossover warning is useful interactively but
         # noise inside a sweep that deliberately starts at t ~ 1.
         warnings.simplefilter("ignore")
-        estimate = [redundancy_estimate(t, args.alpha, args.delta)
-                    for t in times]
-    bound_from = math.log(2.0 / args.delta)
-    lower = [redundancy_lower_bound(t, args.delta) if t > bound_from else None
-             for t in times]
+        estimate = redundancy_estimate(times, args.alpha, args.delta).tolist()
+    # The bound holds only after t = ln(2/delta); earlier rows print none.
+    late = times > math.log(2.0 / args.delta)
+    lower = np.full(times.shape, math.nan)
+    lower[late] = redundancy_lower_bound(times[late], args.delta)
+    lower = _none_for_nan(lower)
+    times = times.tolist()
     rows = list(zip(times, exact, estimate, lower))
     payload = [{"t_over_tauD": t, "R_exact": ex, "R_estimate": est,
                 "R_lower": low} for t, ex, est, low in rows]
@@ -443,7 +491,7 @@ def cmd_sweep(args) -> int:
         "fixed": fixed,
         "points": [[x, y] for x, y in zip(xs, ys)],
     }
-    lines = _pair_blocks(f"{args.axis},{args.quantity}", [((), xs, ys)])
+    lines = _pair_blocks(f"{args.axis},{args.quantity}", xs, [((), ys)])
     _emit(args, payload, lines)
     return EXIT_OK
 

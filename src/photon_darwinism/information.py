@@ -237,43 +237,50 @@ def _bisect_redundancy(t, alpha, delta, f_tol):
     return roots
 
 
-def redundancy_estimate(t_over_tauD: float, alpha: float, delta: float) -> float:
-    """Linear-in-time redundancy estimate alpha t / (tau_D ln(1/(2 delta ln 2)))."""
-    if not 0.0 < delta < MAX_DEFICIT:
-        raise ValueError(
-            f"delta must be in (0, 1/(2 ln 2) = {MAX_DEFICIT:.4f}), got {delta}"
-        )
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0.0 <= t_over_tauD < math.inf:
-        raise ValueError(
-            f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}")
-    if t_over_tauD < 10.0:
+def redundancy_estimate(t_over_tauD, alpha, delta):
+    """Linear-in-time redundancy estimate alpha t / (tau_D ln(1/(2 delta ln 2))).
+
+    Broadcasts over arrays of t_over_tauD, alpha and delta; scalar
+    arguments give a float. Times below 10 decoherence times get one
+    crossover warning per call.
+    """
+    delta = np.asarray(delta, dtype=float)
+    _require((0.0 < delta) & (delta < MAX_DEFICIT), delta,
+             f"delta must be in (0, 1/(2 ln 2) = {MAX_DEFICIT:.4f}), got {{}}")
+    alpha = np.asarray(alpha, dtype=float)
+    _require((0.0 < alpha) & (alpha <= 1.0), alpha,
+             "alpha must be in (0, 1], got {}")
+    t = _check_time(t_over_tauD)
+    early = t < 10.0
+    if early.any():
         warnings.warn(
             "redundancy estimate assumes t well beyond the decoherence time; "
-            f"t/tau_D = {t_over_tauD} is in the crossover regime", stacklevel=2
+            f"t/tau_D = {t[early].flat[0].item()} is in the crossover regime",
+            stacklevel=2
         )
-    return alpha * t_over_tauD / math.log(1.0 / (2.0 * delta * LN2))
+    return _result(alpha * t / _libm(math.log, 1.0 / (2.0 * delta * LN2)))
 
 
-def redundancy_lower_bound(t_over_tauD: float, delta: float) -> float:
+def redundancy_lower_bound(t_over_tauD, delta):
     """Conservative bound (t/tau_D) / ln(1/(delta - Gamma)), alpha = 1 form.
 
     Requires t > tau_D ln(2/delta) so that the bound's logarithm is
-    positive; earlier times carry no guarantee.
+    positive; earlier times carry no guarantee. Broadcasts over arrays of
+    t_over_tauD and delta; scalar arguments give a float.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0.0 <= t_over_tauD < math.inf:
+    delta = np.asarray(delta, dtype=float)
+    _require((0.0 < delta) & (delta < 1.0), delta,
+             "delta must be in (0, 1), got {}")
+    t, delta = np.broadcast_arrays(_check_time(t_over_tauD), delta)
+    edge = _libm(math.log, 2.0 / delta)
+    early = ~(t > edge)
+    if early.any():
         raise ValueError(
-            f"t_over_tauD must be finite and nonnegative, got {t_over_tauD}")
-    if t_over_tauD <= math.log(2.0 / delta):
-        raise ValueError(
-            f"bound needs t/tau_D > ln(2/delta) = {math.log(2.0 / delta):.4f}, "
-            f"got {t_over_tauD}"
+            f"bound needs t/tau_D > ln(2/delta) = {edge[early].flat[0]:.4f}, "
+            f"got {t[early].flat[0].item()}"
         )
-    gamma = math.exp(-t_over_tauD)
-    return t_over_tauD / math.log(1.0 / (delta - gamma))
+    gamma = _libm(math.exp, -t)
+    return _result(t / _libm(math.log, 1.0 / (delta - gamma)))
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,7 @@ class SkyRegion:
     def custom(cls, grid_u, grid_phi, mask) -> "SkyRegion":
         grid_u = np.asarray(grid_u, dtype=float)
         grid_phi = np.asarray(grid_phi, dtype=float)
+        _check_grid_axes(grid_u, grid_phi)
         mask = np.asarray(mask)
         if mask.shape != (grid_u.size, grid_phi.size):
             raise ValueError(
@@ -140,6 +141,16 @@ class SkyRegion:
     @property
     def solid_angle_sr(self) -> float:
         return solid_angle(self)
+
+
+def _check_grid_axes(u, phi) -> None:
+    """Reject grid cos(theta) values outside [-1, 1] and non-finite phi."""
+    bad_u = ~((-1.0 <= u) & (u <= 1.0))
+    if bad_u.any():
+        raise ValueError(f"grid cos(theta) must be in [-1, 1], got {u[bad_u][0]}")
+    bad_phi = ~np.isfinite(phi)
+    if bad_phi.any():
+        raise ValueError(f"grid phi must be finite, got {phi[bad_phi][0]}")
 
 
 def solid_angle(region: SkyRegion) -> float:
@@ -350,12 +361,22 @@ def load_indicator_grid(path) -> SkyRegion:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "#":
             raise ValueError(f"{path}: expected header '# rows cols'")
-        rows, cols = int(header[1]), int(header[2])
-        data = np.loadtxt(fh)
+        try:
+            rows, cols = int(header[1]), int(header[2])
+        except ValueError:
+            rows = cols = 0
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: header '# rows cols' needs positive "
+                             f"integers, got {' '.join(header)!r}")
+        data = np.loadtxt(fh, ndmin=2)
     if data.shape != (rows * cols, 3):
         raise ValueError(
             f"{path}: expected {rows * cols} grid rows, found {data.shape[0]}"
         )
+    try:
+        _check_grid_axes(data[:, 0], data[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     u = data[:, 0].reshape(rows, cols)
     phi = data[:, 1].reshape(rows, cols)
     val = data[:, 2].reshape(rows, cols)

@@ -9,6 +9,7 @@ f at 0 and 1, t from 1e-3 to 1e4) and on every redundancy outcome.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from photon_darwinism.information import (
     mutual_information,
     mutual_information_at_time,
     pip_curve,
+    redundancy_estimate,
     redundancy_exact,
+    redundancy_lower_bound,
     system_entropy,
 )
 from photon_darwinism.superpositions import mi_mway, mi_unbalanced
@@ -119,6 +122,15 @@ def ref_redundancy(t, alpha, delta, f_tol=1e-12):
         else:
             hi = mid
     return 2.0 / (lo + hi)
+
+
+def ref_redundancy_estimate(t_over_tauD, alpha, delta):
+    return alpha * t_over_tauD / math.log(1.0 / (2.0 * delta * LN2))
+
+
+def ref_redundancy_lower_bound(t_over_tauD, delta):
+    gamma = math.exp(-t_over_tauD)
+    return t_over_tauD / math.log(1.0 / (delta - gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +286,63 @@ def test_redundancy_with_no_live_lane():
     assert_bitwise(got, [math.nan, math.nan])
 
 
+# Each law takes one logarithm per delta (and per time for the bound),
+# so many deltas are needed to meet the inputs on which numpy's log and
+# the C library's differ.
+DELTAS = np.concatenate([
+    [1e-15, 1e-9, 0.01, 0.3, 0.72],
+    10.0 ** np.random.default_rng(9).uniform(-15.0, math.log10(0.72), 400),
+])
+
+
+def test_redundancy_estimate_matches_scalar_formula():
+    t = TIMES[:, None, None]
+    alpha = ALPHAS[1:][None, :, None]
+    delta = DELTAS[None, None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = redundancy_estimate(t, alpha, delta)
+    assert_bitwise(got, loop(ref_redundancy_estimate, t, alpha, delta))
+
+
+def test_redundancy_lower_bound_matches_scalar_formula():
+    # Only times past ln(2/delta) carry a bound; the smallest of them sit
+    # just above that edge, where delta - Gamma is smallest.
+    delta = DELTAS[:, None]
+    edge = np.log(2.0 / delta)
+    t = np.concatenate([np.nextafter(edge, np.inf), edge + 1e-9, edge + 1.0,
+                        np.broadcast_to(np.geomspace(40.0, 1e4, 9),
+                                        (delta.size, 9))], axis=1)
+    assert_bitwise(redundancy_lower_bound(t, delta),
+                   loop(ref_redundancy_lower_bound, t, delta))
+
+
+def test_redundancy_laws_match_scalar_formulas_lane_by_lane():
+    # numpy's log differs from the C library's on a few inputs in 10^4, so
+    # a long run of random lanes meets some of them.
+    rng = np.random.default_rng(10)
+    n = 20000
+    delta = 10.0 ** rng.uniform(-15.0, math.log10(0.72), n)
+    alpha = 10.0 ** rng.uniform(-8.0, 0.0, n)
+    t = np.log(2.0 / delta) + 10.0 ** rng.uniform(-6.0, 4.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = redundancy_estimate(t, alpha, delta)
+    assert_bitwise(got, loop(ref_redundancy_estimate, t, alpha, delta))
+    assert_bitwise(redundancy_lower_bound(t, delta),
+                   loop(ref_redundancy_lower_bound, t, delta))
+
+
+def test_redundancy_estimate_warns_once_per_call():
+    with pytest.warns(UserWarning) as record:
+        redundancy_estimate(np.array([20.0, 1.0, 5.0, 0.0]), 1.0, 0.01)
+    assert len(record) == 1
+    assert "t/tau_D = 1.0 is in the crossover regime" in str(record[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        redundancy_estimate(np.array([10.0, 400.0]), 1.0, 0.01)
+
+
 # ---------------------------------------------------------------------------
 # scalar calls keep their types
 
@@ -292,6 +361,8 @@ def test_scalar_calls_return_python_floats():
         mi_mway(0.3, 0.2, 3),
         redundancy_exact(None, 1.0, 0.01, t_over_tauD=100.0),
         redundancy_exact(0.0, 1.0, 0.01),
+        redundancy_estimate(100.0, 0.5, 0.01),
+        redundancy_lower_bound(100.0, 0.01),
     ]
     assert all(type(v) is float for v in values)
     assert redundancy_exact(None, 1.0, 0.01, t_over_tauD=1.0) is None
@@ -307,6 +378,8 @@ def test_array_calls_return_arrays():
                                       np.linspace(0, 1, 5)).shape == (4, 5)
     assert redundancy_exact(None, 1.0, 0.01,
                             t_over_tauD=np.array([100.0])).shape == (1,)
+    assert redundancy_estimate(np.array([100.0]), 1.0, 0.01).shape == (1,)
+    assert redundancy_lower_bound(np.array([100.0]), 0.01).shape == (1,)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -323,6 +396,20 @@ def test_array_calls_return_arrays():
     (lambda: redundancy_exact(None, np.array([1.0, 0.0]), 0.01,
                               t_over_tauD=10.0),
      "alpha must be in (0, 1], got 0.0"),
+    (lambda: redundancy_estimate(np.array([20.0, -1.0, math.inf]), 1.0, 0.01),
+     "t_over_tauD must be finite and nonnegative, got -1.0"),
+    (lambda: redundancy_estimate(20.0, np.array([0.5, 1.5]), 0.01),
+     "alpha must be in (0, 1], got 1.5"),
+    (lambda: redundancy_estimate(20.0, 1.0, np.array([0.1, 0.8, 0.0])),
+     "delta must be in (0, 1/(2 ln 2) = 0.7213), got 0.8"),
+    (lambda: redundancy_lower_bound(np.array([20.0, np.nan]), 0.01),
+     "t_over_tauD must be finite and nonnegative, got nan"),
+    (lambda: redundancy_lower_bound(20.0, np.array([0.01, 1.0])),
+     "delta must be in (0, 1), got 1.0"),
+    (lambda: redundancy_lower_bound(np.array([20.0, 3.0, 1.0]), 0.01),
+     "bound needs t/tau_D > ln(2/delta) = 5.2983, got 3.0"),
+    (lambda: redundancy_lower_bound(6.0, np.array([0.01, 1e-3])),
+     "bound needs t/tau_D > ln(2/delta) = 7.6009, got 6.0"),
 ])
 def test_array_errors_name_the_first_bad_value(call, message):
     with pytest.raises(ValueError) as info:

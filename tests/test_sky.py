@@ -77,6 +77,22 @@ class TestSolidAngle:
         with pytest.raises(ValueError):
             SkyRegion.custom(np.zeros(4), np.zeros(5), np.ones((5, 4)))
 
+    @pytest.mark.parametrize("u, phi, message", [
+        ([-1.5, 1.5], [1.0, 2.0], r"cos\(theta\) must be in \[-1, 1\], got -1.5"),
+        ([0.0, 1.0 + 1e-12], [1.0, 2.0], r"cos\(theta\) .* got 1.000000000001"),
+        ([math.nan, 0.5], [1.0, 2.0], r"cos\(theta\) .* got nan"),
+        ([0.0, 0.5], [1.0, math.inf], "phi must be finite, got inf"),
+        ([0.0, 0.5], [math.nan, 2.0], "phi must be finite, got nan"),
+    ], ids=["u-below", "u-above", "u-nan", "phi-inf", "phi-nan"])
+    def test_custom_grid_axes_are_checked(self, u, phi, message):
+        with pytest.raises(ValueError, match=message):
+            SkyRegion.custom(np.array(u), np.array(phi), np.ones((2, 2)))
+
+    def test_custom_grid_accepts_the_poles(self):
+        region = SkyRegion.custom(np.array([-1.0, 1.0]), np.array([0.0, 7.0]),
+                                  np.ones((2, 2)))
+        assert region.kind == "custom"
+
 
 def test_region_kind_is_validated():
     with pytest.raises(ValueError):
@@ -333,6 +349,58 @@ class TestIndicatorFiles:
         path.write_text("# 2 2\n0.5 1.0 1\n0.5 2.0 0\n")
         with pytest.raises(ValueError, match="grid rows"):
             load_indicator_grid(path)
+
+    def test_one_by_one_grid(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("# 1 1\n0.5 1.0 1\n")
+        region = load_indicator_grid(path)
+        assert region.grid_u.tolist() == [0.5]
+        assert region.grid_phi.tolist() == [1.0]
+        assert region.grid_mask.tolist() == [[True]]
+
+    @pytest.mark.parametrize("header", ["# 0 5", "# 2 0", "# -1 2", "# 2 x",
+                                        "# 1.5 2"])
+    def test_header_needs_positive_integers(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError) as info:
+            load_indicator_grid(path)
+        assert str(info.value) == (f"{path}: header '# rows cols' needs "
+                                   f"positive integers, got {header!r}")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1.5", "grid cos(theta) must be in [-1, 1], got 1.5"),
+        ("nan", "grid cos(theta) must be in [-1, 1], got nan"),
+    ], ids=["above", "nan"])
+    def test_cos_theta_is_checked_before_the_grid_shape(self, tmp_path, bad,
+                                                         message):
+        path = tmp_path / "u.txt"
+        path.write_text(f"# 2 2\n-0.5 1.0 1\n-0.5 2.0 1\n"
+                        f"{bad} 1.0 1\n{bad} 2.0 1\n")
+        with pytest.raises(ValueError) as info:
+            load_indicator_grid(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_non_finite_phi_is_named(self, tmp_path):
+        path = tmp_path / "phi.txt"
+        path.write_text("# 1 2\n0.0 1.0 1\n0.0 inf 1\n")
+        with pytest.raises(ValueError) as info:
+            load_indicator_grid(path)
+        assert str(info.value) == f"{path}: grid phi must be finite, got inf"
+
+    def test_rate_rejects_a_grid_beyond_the_poles(self, tmp_path, capsys):
+        grid = tmp_path / "wide.txt"
+        grid.write_text("# 2 2\n-1.5 1.0 1\n-1.5 2.0 1\n1.5 1.0 1\n"
+                        "1.5 2.0 1\n")
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("radius_m = 1e-6\npermittivity = 4.0\ndx_m = 1e-6\n"
+                       f"temperature_K = 2.725\nregion = custom:{grid}\n")
+        assert main(["rate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {cfg}: region: {grid}: grid cos(theta) must be "
+            "in [-1, 1], got -1.5\n")
 
     def test_non_binary_values(self, tmp_path):
         path = tmp_path / "frac.txt"
