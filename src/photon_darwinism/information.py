@@ -273,7 +273,7 @@ def redundancy_lower_bound(t_over_tauD, delta):
              "delta must be in (0, 1), got {}")
     t, delta = np.broadcast_arrays(_check_time(t_over_tauD), delta)
     edge = _libm(math.log, 2.0 / delta)
-    early = ~(t > edge)
+    early = t <= edge
     if early.any():
         raise ValueError(
             f"bound needs t/tau_D > ln(2/delta) = {edge[early].flat[0]:.4f}, "

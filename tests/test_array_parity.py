@@ -5,7 +5,9 @@ array code replaced, kept verbatim in operation order: one Python float
 at a time through ``math``. Every array call must equal a per-point loop
 over them bit for bit, including the sign of zero, on the domain edges
 (x at 0 and 1 and either side of the series cutover, alpha at 0 and 1,
-f at 0 and 1, t from 1e-3 to 1e4) and on every redundancy outcome.
+f at 0 and 1, t from 1e-3 to 1e4) and on every redundancy outcome. The
+redundancy estimate and lower bound are checked the same way against
+their scalar formulas.
 """
 
 import math

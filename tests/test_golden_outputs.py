@@ -7,9 +7,9 @@ mi_unbalanced, mi_mway and redundancy sweeps), the two closed-form disk
 sweeps and the oracle report (CSV, the full JSON report, and JSON with
 finite models up to the enumeration cap) are pinned byte for byte, as are
 two edges of JSON number text (a 300 K photon density that JSON prints
-positionally and a subnormal fragment fraction), so a
-refactor or speed-up of the sky quadrature, of the information layer, of
-the discrete oracle or of the output path cannot move a printed digit
+positionally and a subnormal fragment fraction), so a refactor or
+speed-up of the sky quadrature, of the information layer, of the
+discrete oracle or of the output path cannot move a printed digit
 unnoticed. The expected bytes live in golden/cli_outputs.json. After a
 deliberate change of output, rewrite that file with
 
