@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
 FULL_SPHERE = 4.0 * math.pi
 
 _UNIT_TOL = 1e-12
+# How far from unit length a caller's direction vector may be.
+_VECTOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class Direction:
     def from_vector(cls, v) -> "Direction":
         v = np.asarray(v, dtype=float)
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > _VECTOR_TOL:
             raise ValueError(f"direction vector is not unit length: |v| = {norm}")
         v = v / norm
         return cls(cos_theta=float(v[2]), phi=float(math.atan2(v[1], v[0])))
@@ -190,12 +193,24 @@ def _check_order(order: int) -> None:
         raise ValueError(f"quadrature order must be >= 2, got {order}")
 
 
+def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors on the (u, phi) product grid, shape (u.size, phi.size, 3).
+
+    The trig runs on the 1-d factors only; the grid is filled by
+    broadcasting them.
+    """
+    s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))[:, None]
+    pts = np.empty((u.size, phi.size, 3))
+    pts[:, :, 0] = s * np.cos(phi)
+    pts[:, :, 1] = s * np.sin(phi)
+    pts[:, :, 2] = u[:, None]
+    return pts
+
+
 def _panel(ulo: float, uhi: float, order: int, nphi: int):
     """Product nodes on a cos(theta) panel: (points (N,3), weights (N,)).
 
-    The Gauss-Legendre rule comes from a per-process cache, and the trig
-    runs on the 1-d factors only; the (order, nphi) node array is filled
-    by broadcasting them.
+    The Gauss-Legendre rule comes from a per-process cache.
     """
     x, w = _gauss_legendre(order)
     u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
@@ -203,12 +218,7 @@ def _panel(ulo: float, uhi: float, order: int, nphi: int):
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
     wphi = 2.0 * math.pi / nphi
     ww = np.repeat(wu, nphi) * wphi
-    s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))[:, None]
-    pts = np.empty((order, nphi, 3))
-    pts[:, :, 0] = s * np.cos(phi)
-    pts[:, :, 1] = s * np.sin(phi)
-    pts[:, :, 2] = u[:, None]
-    return pts.reshape(-1, 3), ww
+    return _product_points(u, phi).reshape(-1, 3), ww
 
 
 def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
@@ -221,7 +231,11 @@ def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
     for each order is computed once per process and reused.
     """
     _check_order(order)
-    edges = sorted({-1.0, 1.0, *(float(s) for s in split_cos)})
+    splits = [float(s) for s in split_cos]
+    for s in splits:
+        if not math.isfinite(s):
+            raise ValueError(f"split points must be finite, got {s}")
+    edges = sorted({-1.0, 1.0, *splits})
     if edges[0] < -1.0 or edges[-1] > 1.0:
         raise ValueError("split points must lie inside [-1, 1]")
     nphi = 2 * order
@@ -270,12 +284,10 @@ def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):
 
 
 def _custom_nodes(region: SkyRegion, inside: bool):
+    """Cell centers inside (or outside) the indicator, in row-major order."""
     du, dphi = _custom_cell_size(region)
-    uu, pp = np.meshgrid(region.grid_u, region.grid_phi, indexing="ij")
     mask = region.grid_mask if inside else ~region.grid_mask
-    uu, pp = uu[mask], pp[mask]
-    s = np.sqrt(np.clip(1.0 - uu**2, 0.0, None))
-    pts = np.stack([s * np.cos(pp), s * np.sin(pp), uu], axis=-1)
+    pts = _product_points(region.grid_u, region.grid_phi)[mask]
     ww = np.full(pts.shape[0], du * dphi)
     return pts, ww
 
@@ -326,27 +338,54 @@ class AngularMoments:
     s[k] holds the scalar integrals of a^k and t[k] the 3x3 tensor
     integrals of a^k n_i n_j, where a = n . axis, for k = 0, 1, 2. These
     six arrays are all that pair integrals of the g2 weight need, which
-    collapses the naive N^2 double sum to O(N) work.
+    collapses the naive N^2 double sum to O(N) work. Each t[k] is
+    symmetric: its six distinct entries are sums over the nodes in node
+    order, and the mirrored entries are copies.
     """
 
     s: np.ndarray   # shape (3,)
     t: np.ndarray   # shape (3, 3, 3)
 
 
+# The six distinct index pairs (i, j), i <= j, of the symmetric n_i n_j.
+_PAIR_I, _PAIR_J = np.triu_indices(3)
+
+
+def _unit_axis(axis) -> np.ndarray:
+    if isinstance(axis, Direction):
+        return axis.vector
+    av = np.asarray(axis, dtype=float)
+    if av.shape != (3,) or not np.isfinite(av).all():
+        raise ValueError(f"axis must be a finite 3-vector, got {axis!r}")
+    norm = float(np.linalg.norm(av))
+    if abs(norm - 1.0) > _VECTOR_TOL:
+        raise ValueError(f"axis is not unit length: |axis| = {norm}")
+    return av
+
+
 def angular_moments(points: np.ndarray, weights: np.ndarray,
                     axis=None) -> AngularMoments:
-    if axis is None:
-        a = points[:, 2]
-    else:
-        av = axis.vector if isinstance(axis, Direction) else np.asarray(axis, float)
-        a = points @ av
+    """AngularMoments of the nodes (points (N,3), weights (N,)).
+
+    axis defaults to z; a vector axis must be finite and unit length to
+    1e-6. Only the six distinct products n_i n_j are formed, as the
+    columns of one C-ordered (N, 6) array, and each moment is one einsum
+    over it. That reduction adds the products in node order, but its
+    rounding depends on the memory layout of its operand, so the layout
+    is part of the result: a transposed copy or a BLAS product changes
+    the last bits (and the printed closed_quadrature_gap).
+    """
+    a = points[:, 2] if axis is None else points @ _unit_axis(axis)
+    prods = np.empty((points.shape[0], 6))
+    for c, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J)):
+        np.multiply(points[:, i], points[:, j], out=prods[:, c])
     s = np.empty(3)
     t = np.empty((3, 3, 3))
-    outer = points[:, :, None] * points[:, None, :]
     for k in range(3):
         wk = weights * a**k
         s[k] = np.sum(wk)
-        t[k] = np.einsum("n,nij->ij", wk, outer)
+        t[k][_PAIR_I, _PAIR_J] = t[k][_PAIR_J, _PAIR_I] = np.einsum(
+            "n,nc->c", wk, prods)
     return AngularMoments(s=s, t=t)
 
 
@@ -368,7 +407,10 @@ def load_indicator_grid(path) -> SkyRegion:
         if rows < 1 or cols < 1:
             raise ValueError(f"{path}: header '# rows cols' needs positive "
                              f"integers, got {' '.join(header)!r}")
-        data = np.loadtxt(fh, ndmin=2)
+        with warnings.catch_warnings():
+            # A header-only file is reported below as a row-count error.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, ndmin=2)
     if data.shape != (rows * cols, 3):
         raise ValueError(
             f"{path}: expected {rows * cols} grid rows, found {data.shape[0]}"

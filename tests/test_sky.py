@@ -3,16 +3,22 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import photon_darwinism
 from photon_darwinism.cli import main
 from photon_darwinism.sky import (
     FULL_SPHERE,
     Direction,
     SkyRegion,
+    _custom_nodes,
     _gauss_legendre,
     _panel,
     angular_moments,
@@ -130,6 +136,12 @@ class TestIntegrateSphere:
             integrate_sphere(lambda d: 1.0, order=1)
         with pytest.raises(ValueError):
             integrate_sphere(lambda d: 1.0, split_cos=(1.5,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_split_point_is_named(self, bad):
+        with pytest.raises(ValueError,
+                           match=f"split points must be finite, got {bad}"):
+            integrate_sphere(lambda d: 1.0, order=4, split_cos=(0.5, bad))
 
 
 def _meshgrid_panel(ulo, uhi, order, nphi):
@@ -314,6 +326,130 @@ def test_angular_moments_match_direct_sums():
     assert mom_z.s[1] == pytest.approx(float(np.sum(ww * pts[:, 2])), rel=1e-13)
 
 
+@pytest.mark.parametrize("axis, message", [
+    ([math.nan, 0.0, 1.0], "axis must be a finite 3-vector"),
+    ([0.0, math.inf, 0.0], "axis must be a finite 3-vector"),
+    ([0.0, 1.0], "axis must be a finite 3-vector"),
+    ([0.0, 0.0, 2.0], r"axis is not unit length: \|axis\| = 2.0"),
+    ([0.0, 0.0, 1.0 + 2e-6], "axis is not unit length"),
+    ([0.0, 0.0, 0.0], r"axis is not unit length: \|axis\| = 0.0"),
+], ids=["nan", "inf", "two-d", "double", "just-over-tol", "zero"])
+def test_angular_moments_reject_a_bad_axis(axis, message):
+    pts, ww = region_nodes(SkyRegion.disk(0.5, 0.2), order=4)
+    with pytest.raises(ValueError, match=message):
+        angular_moments(pts, ww, axis=axis)
+
+
+def test_angular_moments_accept_an_axis_within_the_unit_tolerance():
+    pts, ww = region_nodes(SkyRegion.disk(0.5, 0.2), order=4)
+    axis = np.array([0.0, 0.0, 1.0 + 5e-7])
+    mom = angular_moments(pts, ww, axis=axis)
+    assert mom.s[1] == float(np.sum(ww * (pts @ axis)))
+
+
+def _outer_angular_moments(points, weights, axis=None):
+    """Reference moments: the full (N, 3, 3) outer product, by broadcasting."""
+    if axis is None:
+        a = points[:, 2]
+    else:
+        av = axis.vector if isinstance(axis, Direction) else np.asarray(axis, float)
+        a = points @ av
+    s = np.empty(3)
+    t = np.empty((3, 3, 3))
+    outer = points[:, :, None] * points[:, None, :]
+    for k in range(3):
+        wk = weights * a**k
+        s[k] = np.sum(wk)
+        t[k] = np.einsum("n,nij->ij", wk, outer)
+    return s, t
+
+
+def _meshgrid_custom_nodes(region, inside):
+    """Reference custom nodes: trig on the masked (rows, cols) meshgrid."""
+    u, phi = region.grid_u, region.grid_phi
+    du = (u[-1] - u[0]) / (u.size - 1) if u.size > 1 else 2.0
+    dphi = (phi[-1] - phi[0]) / (phi.size - 1) if phi.size > 1 else 2.0 * math.pi
+    uu, pp = np.meshgrid(u, phi, indexing="ij")
+    mask = region.grid_mask if inside else ~region.grid_mask
+    uu, pp = uu[mask], pp[mask]
+    s = np.sqrt(np.clip(1.0 - uu**2, 0.0, None))
+    pts = np.stack([s * np.cos(pp), s * np.sin(pp), uu], axis=-1)
+    return pts, np.full(pts.shape[0], du * dphi)
+
+
+def _custom_regions():
+    rng = np.random.default_rng(23)
+    rows, cols = 50, 100
+    u = -1.0 + (np.arange(rows) + 0.5) * (2.0 / rows)
+    phi = (np.arange(cols) + 0.5) * (2.0 * math.pi / cols)
+    poles = np.linspace(-1.0, 1.0, rows)
+    return {
+        "1x1-in": SkyRegion.custom([0.5], [1.0], [[1]]),
+        "1x1-out": SkyRegion.custom([-0.3], [4.0], [[0]]),
+        "50x100-random": SkyRegion.custom(u, phi, rng.random((rows, cols)) < 0.4),
+        "50x100-cap": SkyRegion.custom(
+            u, phi, (u > 0.7)[:, None] & np.ones(cols, dtype=bool)),
+        "50x100-poles": SkyRegion.custom(poles, phi,
+                                         rng.random((rows, cols)) < 0.6),
+    }
+
+
+def _assert_same_moments(pts, ww, axis=None):
+    mom = angular_moments(pts, ww, axis=axis)
+    ref_s, ref_t = _outer_angular_moments(pts, ww, axis=axis)
+    assert mom.s.tobytes() == ref_s.tobytes()
+    assert mom.t.tobytes() == ref_t.tobytes()
+
+
+class TestMomentParity:
+    """The six-product moments and the 1-d-trig custom nodes equal the
+    broadcast-outer and meshgrid constructions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("order", [2, 16, 64, 128])
+    @pytest.mark.parametrize("theta0, chi", [
+        (0.01, 0.0), (math.radians(30.0), math.radians(20.0)),
+        (1.0, 1.3), (math.pi / 2, math.pi / 2), (2.5, 2.9), (0.7, math.pi),
+    ])
+    @pytest.mark.parametrize("nodes", [region_nodes, complement_nodes])
+    def test_disk_caps_and_complements(self, nodes, theta0, chi, order):
+        pts, ww = nodes(SkyRegion.disk(theta0, chi), order)
+        _assert_same_moments(pts, ww)
+
+    @pytest.mark.parametrize("order", [2, 16, 64, 128])
+    def test_isotropic_sphere_and_its_empty_complement(self, order):
+        pts, ww = region_nodes(SkyRegion.isotropic(), order)
+        _assert_same_moments(pts, ww)
+        pts, ww = complement_nodes(SkyRegion.isotropic(), order)
+        assert pts.shape == (0, 3)
+        _assert_same_moments(pts, ww)
+        mom = angular_moments(pts, ww)
+        assert not mom.s.any() and not mom.t.any()
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    @pytest.mark.parametrize("name", list(_custom_regions()))
+    def test_custom_nodes_and_their_moments(self, name, inside):
+        region = _custom_regions()[name]
+        pts, ww = _custom_nodes(region, inside)
+        ref_pts, ref_ww = _meshgrid_custom_nodes(region, inside)
+        assert pts.shape == ref_pts.shape and ww.shape == ref_ww.shape
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert ww.tobytes() == ref_ww.tobytes()
+        _assert_same_moments(pts, ww)
+
+    @pytest.mark.parametrize("axis", [
+        Direction(0.6, 1.0), Direction(-1.0), Direction(0.0, 2.0),
+        np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+        Direction(-0.35, 4.1).vector,
+    ], ids=["dir", "south", "equator", "z", "x", "vector"])
+    @pytest.mark.parametrize("order", [2, 16, 64])
+    def test_axis_argument(self, order, axis):
+        for region in (SkyRegion.disk(0.8, 0.4), SkyRegion.isotropic()):
+            pts, ww = region_nodes(region, order)
+            _assert_same_moments(pts, ww, axis=axis)
+        _assert_same_moments(*_custom_nodes(_custom_regions()["50x100-random"],
+                                            True), axis=axis)
+
+
 class TestIndicatorFiles:
     @staticmethod
     def _write(path, rows, cols, mask):
@@ -401,6 +537,28 @@ class TestIndicatorFiles:
         assert captured.err == (
             f"config error: {cfg}: region: {grid}: grid cos(theta) must be "
             "in [-1, 1], got -1.5\n")
+
+    def test_header_only_file_prints_only_the_config_error(self, tmp_path):
+        # A fresh interpreter showing every warning, so a leaked numpy
+        # warning would reach stderr ahead of the error line.
+        grid = tmp_path / "empty.txt"
+        grid.write_text("# 1 1\n")
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("radius_m = 1e-6\npermittivity = 4.0\ndx_m = 1e-6\n"
+                       f"temperature_K = 2.725\nregion = custom:{grid}\n")
+        src = str(Path(photon_darwinism.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        result = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "photon_darwinism.cli",
+             "rate", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"config error: {cfg}: region: {grid}: expected 1 grid rows, "
+            "found 0\n")
 
     def test_non_binary_values(self, tmp_path):
         path = tmp_path / "frac.txt"
