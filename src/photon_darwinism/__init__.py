@@ -46,7 +46,6 @@ from .receptivity import (
     redundancy_rate,
 )
 from .information import (
-    InfoParams,
     PipCurve,
     fragment_entropy_change,
     mutual_information,
@@ -114,7 +113,6 @@ __all__ = [
     "alpha_disk",
     "redundancy_rate",
     "receptivity_result",
-    "InfoParams",
     "PipCurve",
     "system_entropy",
     "fragment_entropy_change",

@@ -500,11 +500,6 @@ def cmd_sweep(args) -> int:
 # wiring
 
 
-# --jobs is parsed so that existing command lines keep working. Every
-# command computes its points in one process: a process pool measured slower.
-_JOBS_HELP = "accepted and ignored; points are computed in this process"
-
-
 def _io_arguments(sub, default: str) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--format", choices=("csv", "json"), default=default,
@@ -551,8 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="fragment-fraction grid size (default 101)")
     pip.add_argument("--f-max", type=float, default=1.0)
     _order_argument(pip)
-    pip.add_argument("--jobs", type=_positive_int, default=1,
-                     help=_JOBS_HELP)
     _io_arguments(pip, "csv")
     pip.set_defaults(func=cmd_pip)
 
@@ -564,8 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--t-stop", type=float, default=1000.0)
     red.add_argument("--t-count", type=_positive_int, default=61)
     red.add_argument("--spacing", choices=("linear", "log"), default="log")
-    red.add_argument("--jobs", type=_positive_int, default=1,
-                     help=_JOBS_HELP)
     _io_arguments(red, "csv")
     red.set_defaults(func=cmd_redundancy)
 
@@ -596,8 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="linear")
     sweep.add_argument("--fix", action="append", metavar="KEY=VALUE",
                        help="override a fixed parameter (repeatable)")
-    sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help=_JOBS_HELP)
     _io_arguments(sweep, "csv")
     sweep.set_defaults(func=cmd_sweep)
 

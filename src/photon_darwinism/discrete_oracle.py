@@ -85,7 +85,6 @@ class DiscreteEnv:
 
     b: np.ndarray
     fN: int
-    V: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", _check_b(self.b))
@@ -207,10 +206,10 @@ def fragment_entropy_exact(values, multiplicities=None) -> Nats:
         mult = np.asarray(multiplicities, dtype=float)
         if mult.shape != values.shape:
             raise ValueError("values and multiplicities must align")
-    if np.any(values < -1e-12):
-        raise ValueError(f"negative eigenvalue {values.min()} in spectrum")
+    if not (values >= -1e-12).all():
+        raise ValueError(f"spectrum values must be nonnegative, got {values.min()}")
     total = float((values * mult).sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"spectrum sums to {total}, not 1")
     v = np.clip(values, 0.0, None)
     return float(-(mult * xlogx(v)).sum())
@@ -293,8 +292,8 @@ def discrete_gamma(s) -> float:
     s = np.asarray(s)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("need a nonempty list of diagonal overlaps")
-    if np.any(np.abs(s) > 1.0 + 1e-12):
-        raise ValueError("overlap magnitudes cannot exceed 1")
+    if not (np.abs(s) <= 1.0 + 1e-12).all():
+        raise ValueError(f"overlap magnitudes cannot exceed 1, got {np.abs(s).max()}")
     return float(abs(s.mean()) ** 2)
 
 
@@ -568,7 +567,7 @@ def oracle_battery(seed: int = 0) -> dict:
     y = BOLTZMANN * scn.temperature_K / (HBAR * SPEED_OF_LIGHT)
     mean_k6 = moment6 * y ** 6
     angular = integrate_sphere(
-        lambda d: 3.0 + 11.0 * d.cos_theta ** 2, order=16
+        lambda p: 3.0 + 11.0 * p[:, 2] ** 2, order=16
     ) / FULL_SPHERE
     density = photon_number_density(scn.temperature_K, FULL_SPHERE)
     assembled = (

@@ -35,7 +35,6 @@ from .entropy_kernels import (
 )
 
 __all__ = [
-    "InfoParams",
     "PipCurve",
     "system_entropy",
     "fragment_entropy_change",
@@ -58,27 +57,6 @@ def _check_time(t_over_tauD) -> np.ndarray:
     _require((0.0 <= t) & (t < math.inf), t,
              "t_over_tauD must be finite and nonnegative, got {}")
     return t
-
-
-@dataclass(frozen=True)
-class InfoParams:
-    """Dimensionless bundle feeding the information-theoretic operations."""
-
-    gamma: float
-    alpha: float
-    f: float
-    t_over_tauD: float | None = None
-
-    def __post_init__(self):
-        _check_unit("gamma", self.gamma)
-        _check_unit("alpha", self.alpha)
-        _check_unit("f", self.f)
-
-    @classmethod
-    def at_time(cls, t_over_tauD: float, alpha: float, f: float) -> "InfoParams":
-        _check_time(t_over_tauD)
-        return cls(gamma=math.exp(-t_over_tauD), alpha=alpha, f=f,
-                   t_over_tauD=t_over_tauD)
 
 
 def system_entropy(gamma) -> Nats:

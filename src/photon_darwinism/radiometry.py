@@ -57,15 +57,12 @@ class ScenarioError(ValueError):
     """Raised for malformed scenario configuration input."""
 
 
-def effective_radius(radius: float, permittivity: float,
-                     denominator_offset: float = 2.0) -> float:
+def effective_radius(radius: float, permittivity: float) -> float:
     """Scattering-effective radius of a dielectric sphere.
 
     The dipole polarizability contrast gives a_eff = a ((eps - 1)/(eps + 2))^(1/3),
-    the Clausius-Mossotti factor. A variant with (eps - 2) in the denominator
-    circulates in print; pass denominator_offset=-2.0 to evaluate it for
-    comparison. It is not the default because it is negative for eps < 2 and
-    disagrees with the standard polarizability.
+    the Clausius-Mossotti factor. The (eps - 2) denominator that circulates
+    in print is negative for eps < 2 and disagrees with that polarizability.
     """
     if not 0.0 <= radius < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
@@ -74,13 +71,7 @@ def effective_radius(radius: float, permittivity: float,
             "permittivity must be finite and exceed 1 for scattering contrast, "
             f"got {permittivity}"
         )
-    denom = permittivity + denominator_offset
-    if not denom > 0.0:
-        raise ValueError(
-            f"contrast denominator is not positive (eps = {permittivity}, "
-            f"offset = {denominator_offset})"
-        )
-    return radius * ((permittivity - 1.0) / denom) ** (1.0 / 3.0)
+    return radius * ((permittivity - 1.0) / (permittivity + 2.0)) ** (1.0 / 3.0)
 
 
 def _check_patch(temperature: float, omega: float) -> None:
@@ -218,6 +209,8 @@ def disk_rate(theta0: float, chi: float) -> float:
     """
     if not 0.0 <= theta0 <= math.pi:
         raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi}")
     ct = math.cos(theta0)
     cc2 = math.cos(chi) ** 2
     return (40.0 - ct * (51.0 - 33.0 * cc2) + ct**3 * (11.0 - 33.0 * cc2)) / 80.0

@@ -74,6 +74,13 @@ def _alpha_integrals(region: SkyRegion, order: int = 64):
     return numerator, denominator
 
 
+def _alpha_ratio(numerator: float, denominator: float) -> float:
+    """alpha from its integrals, clamped to [0, 1] against rounding."""
+    if denominator <= 0.0:
+        raise ArithmeticError("degenerate region: overlap integral vanished")
+    return min(1.0, max(0.0, numerator / denominator))
+
+
 def _alpha_limit(region: SkyRegion) -> float | None:
     """alpha where the ratio is undefined: 1 at zero measure, 0 at the full sky."""
     omega = solid_angle(region)
@@ -93,10 +100,7 @@ def alpha_numeric(region: SkyRegion, order: int = 64) -> float:
     limit = _alpha_limit(region)
     if limit is not None:
         return limit
-    numerator, denominator = _alpha_integrals(region, order)
-    if denominator <= 0.0:
-        raise ArithmeticError("degenerate region: overlap integral vanished")
-    return min(1.0, max(0.0, numerator / denominator))
+    return _alpha_ratio(*_alpha_integrals(region, order))
 
 
 def alpha_closed_form(region: SkyRegion) -> float | None:
@@ -123,6 +127,8 @@ def alpha_disk(theta0: float, chi: float) -> float:
     """
     if not 0.0 <= theta0 <= math.pi:
         raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi}")
     c = math.cos(theta0)
     k2 = math.cos(chi) ** 2
     numerator = (c + 1.0) * (
@@ -165,7 +171,7 @@ def receptivity_result(region: SkyRegion, order: int = 64,
     # At zero measure both integrals vanish identically.
     num, den = (0.0, 0.0) if alpha == 1.0 else _alpha_integrals(region, order)
     if alpha is None:
-        alpha = min(1.0, max(0.0, num / den))
+        alpha = _alpha_ratio(num, den)
     return ReceptivityResult(
         alpha=alpha,
         numerator=num,

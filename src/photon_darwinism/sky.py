@@ -29,7 +29,6 @@ __all__ = [
     "g2_weight",
     "region_nodes",
     "complement_nodes",
-    "sphere_nodes",
     "angular_moments",
     "load_indicator_grid",
 ]
@@ -138,6 +137,8 @@ class SkyRegion:
                 f"indicator shape {mask.shape} does not match grid "
                 f"({grid_u.size} x {grid_phi.size})"
             )
+        _check_grid_steps("cos(theta)", grid_u)
+        _check_grid_steps("phi", grid_phi)
         return cls(kind="custom", grid_u=grid_u, grid_phi=grid_phi,
                    grid_mask=mask.astype(bool))
 
@@ -154,6 +155,16 @@ def _check_grid_axes(u, phi) -> None:
     bad_phi = ~np.isfinite(phi)
     if bad_phi.any():
         raise ValueError(f"grid phi must be finite, got {phi[bad_phi][0]}")
+
+
+def _check_grid_steps(name: str, axis: np.ndarray) -> None:
+    """Every cell is priced at the mean step, so the centers must ascend in
+    steps equal to within 1e-3 of their mean (6-decimal text passes)."""
+    steps = np.diff(axis)
+    mean = steps.mean() if steps.size else 1.0
+    if not (mean > 0.0 and (np.abs(steps - mean) <= 1e-3 * mean).all()):
+        raise ValueError(f"grid {name} must ascend in equal steps, got steps "
+                         f"from {steps.min()} to {steps.max()}")
 
 
 def solid_angle(region: SkyRegion) -> float:
@@ -207,12 +218,13 @@ def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _panel(ulo: float, uhi: float, order: int, nphi: int):
+def _panel(ulo: float, uhi: float, order: int):
     """Product nodes on a cos(theta) panel: (points (N,3), weights (N,)).
 
-    The Gauss-Legendre rule comes from a per-process cache.
+    Gauss-Legendre in u from a per-process cache, 2*order uniform phi.
     """
     x, w = _gauss_legendre(order)
+    nphi = 2 * order
     u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
     wu = 0.5 * (uhi - ulo) * w
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
@@ -222,13 +234,15 @@ def _panel(ulo: float, uhi: float, order: int, nphi: int):
 
 
 def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
-    """Integrate f(Direction) over the sphere.
+    """Integrate f over the sphere.
 
-    split_cos lists cos(theta) values at which the domain is cut into
-    panels, so integrands that kink or jump at a parallel keep spectral
-    accuracy. The phi rule uses 2*order uniform points, exact for
-    trigonometric polynomials up to that degree. The Gauss-Legendre rule
-    for each order is computed once per process and reused.
+    f takes the (N, 3) array of unit vectors of one panel's nodes and
+    returns their N values; it is called once per panel. split_cos lists
+    cos(theta) values at which the domain is cut into panels, so
+    integrands that kink or jump at a parallel keep spectral accuracy.
+    The phi rule uses 2*order uniform points, exact for trigonometric
+    polynomials up to that degree. The Gauss-Legendre rule for each order
+    is computed once per process and reused.
     """
     _check_order(order)
     splits = [float(s) for s in split_cos]
@@ -238,18 +252,11 @@ def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
     edges = sorted({-1.0, 1.0, *splits})
     if edges[0] < -1.0 or edges[-1] > 1.0:
         raise ValueError("split points must lie inside [-1, 1]")
-    nphi = 2 * order
     total = 0.0
+    # The edges are distinct, so every panel has positive width.
     for ulo, uhi in zip(edges[:-1], edges[1:]):
-        if uhi - ulo <= 0:
-            continue
-        pts, ww = _panel(ulo, uhi, order, nphi)
-        vals = np.array([
-            f(Direction(cos_theta=float(p[2]),
-                        phi=float(math.atan2(p[1], p[0]))))
-            for p in pts
-        ])
-        total += float(np.sum(ww * vals))
+        pts, ww = _panel(ulo, uhi, order)
+        total += float(np.sum(ww * f(pts)))
     return total
 
 
@@ -273,11 +280,10 @@ def g2_weight(n_hat, m_hat, dx_hat) -> float:
 def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):
     """Nodes on a polar cap (cap=True) or its complement, rotated by chi."""
     u0 = math.cos(theta0)
-    nphi = 2 * order
     if cap:
-        pts, ww = _panel(u0, 1.0, order, nphi)
+        pts, ww = _panel(u0, 1.0, order)
     else:
-        pts, ww = _panel(-1.0, u0, order, nphi)
+        pts, ww = _panel(-1.0, u0, order)
     if chi != 0.0:
         pts = pts @ _rotation_about_y(chi).T
     return pts, ww
@@ -298,7 +304,7 @@ def region_nodes(region: SkyRegion, order: int = 64):
     if region.kind == "point":
         raise ValueError("a point region has zero measure; integrate nothing")
     if region.kind == "isotropic":
-        return _panel(-1.0, 1.0, order, 2 * order)
+        return _panel(-1.0, 1.0, order)
     if region.kind == "disk":
         return _disk_nodes(region.theta0, region.chi, order, cap=True)
     return _custom_nodes(region, inside=True)
@@ -308,7 +314,7 @@ def complement_nodes(region: SkyRegion, order: int = 64):
     """Quadrature nodes and weights covering the sky minus the region."""
     _check_order(order)
     if region.kind == "point":
-        return _panel(-1.0, 1.0, order, 2 * order)
+        return _panel(-1.0, 1.0, order)
     if region.kind == "isotropic":
         pts = np.empty((0, 3))
         return pts, np.empty(0)
@@ -317,26 +323,12 @@ def complement_nodes(region: SkyRegion, order: int = 64):
     return _custom_nodes(region, inside=False)
 
 
-def sphere_nodes(region: SkyRegion, order: int = 64):
-    """Full-sphere nodes using the same panel split as the region.
-
-    Sharing panels with region_nodes keeps differences of the two
-    integrals free of inconsistent quadrature error.
-    """
-    _check_order(order)
-    if region.kind in ("point", "isotropic"):
-        return _panel(-1.0, 1.0, order, 2 * order)
-    pa, wa = region_nodes(region, order)
-    pb, wb = complement_nodes(region, order)
-    return np.vstack([pa, pb]), np.concatenate([wa, wb])
-
-
 @dataclass(frozen=True)
 class AngularMoments:
-    """Moments of a weighted node set against a reference axis.
+    """Moments of a weighted node set against the separation axis z.
 
     s[k] holds the scalar integrals of a^k and t[k] the 3x3 tensor
-    integrals of a^k n_i n_j, where a = n . axis, for k = 0, 1, 2. These
+    integrals of a^k n_i n_j, where a = n_z, for k = 0, 1, 2. These
     six arrays are all that pair integrals of the g2 weight need, which
     collapses the naive N^2 double sum to O(N) work. Each t[k] is
     symmetric: its six distinct entries are sums over the nodes in node
@@ -351,31 +343,17 @@ class AngularMoments:
 _PAIR_I, _PAIR_J = np.triu_indices(3)
 
 
-def _unit_axis(axis) -> np.ndarray:
-    if isinstance(axis, Direction):
-        return axis.vector
-    av = np.asarray(axis, dtype=float)
-    if av.shape != (3,) or not np.isfinite(av).all():
-        raise ValueError(f"axis must be a finite 3-vector, got {axis!r}")
-    norm = float(np.linalg.norm(av))
-    if abs(norm - 1.0) > _VECTOR_TOL:
-        raise ValueError(f"axis is not unit length: |axis| = {norm}")
-    return av
-
-
-def angular_moments(points: np.ndarray, weights: np.ndarray,
-                    axis=None) -> AngularMoments:
+def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
     """AngularMoments of the nodes (points (N,3), weights (N,)).
 
-    axis defaults to z; a vector axis must be finite and unit length to
-    1e-6. Only the six distinct products n_i n_j are formed, as the
-    columns of one C-ordered (N, 6) array, and each moment is one einsum
-    over it. That reduction adds the products in node order, but its
-    rounding depends on the memory layout of its operand, so the layout
-    is part of the result: a transposed copy or a BLAS product changes
-    the last bits (and the printed closed_quadrature_gap).
+    Only the six distinct products n_i n_j are formed, as the columns of
+    one C-ordered (N, 6) array, and each moment is one einsum over it.
+    That reduction adds the products in node order, but its rounding
+    depends on the memory layout of its operand, so the layout is part of
+    the result: a transposed copy or a BLAS product changes the last bits
+    (and the printed closed_quadrature_gap).
     """
-    a = points[:, 2] if axis is None else points @ _unit_axis(axis)
+    a = points[:, 2]
     prods = np.empty((points.shape[0], 6))
     for c, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J)):
         np.multiply(points[:, i], points[:, j], out=prods[:, c])

@@ -51,7 +51,7 @@ def _check_probs(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size < 2:
         raise ValueError("need at least two branch probabilities")
-    if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-10:
+    if not ((probs >= 0.0).all() and abs(probs.sum() - 1.0) <= 1e-10):
         raise ValueError("branch probabilities must be nonnegative and sum to 1")
     return probs
 

@@ -154,13 +154,6 @@ class TestPip:
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["alpha"] == 0.25
 
-    def test_parallel_output_is_byte_identical(self, capsys):
-        argv = ["pip", "--times", "0,3,10", "--f-count", "11"]
-        assert main(argv) == EXIT_OK
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "2"]) == EXIT_OK
-        assert capsys.readouterr().out == serial
-
     def test_bad_inputs(self, capsys):
         assert main(["pip", "--times=-1,3"]) == EXIT_CONFIG
         assert main(["pip", "--times", "10", "--f-max", "0"]) == EXIT_CONFIG
@@ -358,16 +351,17 @@ class TestSweep:
         assert captured.err.startswith(f"error: {culprit}")
 
 
-def test_jobs_is_accepted_and_ignored(capsys):
-    argv = ["redundancy", "--t-start", "10", "--t-stop", "100",
-            "--t-count", "3"]
-    assert main(argv) == EXIT_OK
-    serial = capsys.readouterr().out
-    assert main(argv + ["--jobs", "4"]) == EXIT_OK
-    assert capsys.readouterr().out == serial
-    with pytest.raises(SystemExit):
-        main(argv + ["--jobs", "0"])
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    ["pip", "--times", "10"],
+    ["redundancy"],
+    ["sweep", "--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "1",
+     "--count", "3"],
+], ids=["pip", "redundancy", "sweep"])
+def test_jobs_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy_or_process_pool():

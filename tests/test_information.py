@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from photon_darwinism.entropy_kernels import LN2, h
 from photon_darwinism.information import (
     MAX_DEFICIT,
-    InfoParams,
     PipCurve,
     fragment_entropy_change,
     mutual_information,
@@ -254,20 +253,3 @@ class TestPipCurve:
         with pytest.raises(ValueError):
             pip_curve(0.5, 1.0, np.array([-0.1, 0.5]))
 
-
-class TestInfoParams:
-    def test_at_time(self):
-        p = InfoParams.at_time(3.0, 1.0, 0.2)
-        assert p.gamma == pytest.approx(math.exp(-3.0), rel=1e-15)
-        assert p.t_over_tauD == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InfoParams(1.5, 1.0, 0.2)
-        with pytest.raises(ValueError):
-            InfoParams(0.5, 1.0, -0.1)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
-    def test_bad_time_is_named(self, t):
-        with pytest.raises(ValueError, match="t_over_tauD"):
-            InfoParams.at_time(t, 1.0, 0.2)

@@ -28,7 +28,7 @@ from photon_darwinism.information import (
     redundancy_estimate,
     redundancy_lower_bound,
 )
-from photon_darwinism.receptivity import redundancy_rate
+from photon_darwinism.receptivity import alpha_disk, redundancy_rate
 from photon_darwinism.sky import FULL_SPHERE, Direction, SkyRegion
 
 CMB = 2.725
@@ -52,11 +52,6 @@ class TestEffectiveRadius:
         for eps in (1.5, 4.0, 11.68, 80.0):
             expected = 1e-6 * ((eps - 1.0) / (eps + 2.0)) ** (1.0 / 3.0)
             assert effective_radius(1e-6, eps) == pytest.approx(expected, rel=1e-14)
-
-    def test_denominator_offset_toggle(self):
-        # offset 0 reproduces the (eps - 1)/eps variant some tabulations use
-        got = effective_radius(1e-6, 4.0, denominator_offset=0.0)
-        assert got == pytest.approx(1e-6 * (3.0 / 4.0) ** (1.0 / 3.0), rel=1e-14)
 
     def test_unit_permittivity_rejected(self):
         with pytest.raises(ValueError):
@@ -172,6 +167,12 @@ class TestRates:
                               math.radians(180.0 - chi_deg))
                 assert a + b == pytest.approx(1.0, abs=1e-13)
 
+    def test_disk_rate_takes_any_finite_tilt(self):
+        # A chi sweep may leave [0, pi]; the form depends on cos^2(chi) only.
+        for chi in (-0.4, 4.0, 10.0):
+            assert disk_rate(1.0, chi) == pytest.approx(
+                disk_rate(1.0, abs(chi) % math.pi), rel=1e-12)
+
     def test_disk_rate_monotone_in_aperture(self):
         thetas = np.linspace(0.0, math.pi, 50)
         vals = [disk_rate(float(t), 0.7) for t in thetas]
@@ -272,12 +273,13 @@ NAN, INF = math.nan, math.inf
     (lambda: patch_irradiance(CMB, NAN), "solid angle out of range"),
     (lambda: effective_radius(NAN, 4.0), "radius must be finite"),
     (lambda: effective_radius(1e-6, NAN), "permittivity must be finite"),
-    (lambda: effective_radius(1e-6, 4.0, NAN), "denominator is not positive"),
+    (lambda: disk_rate(1.0, INF), "chi must be finite"),
+    (lambda: alpha_disk(1.0, NAN), "chi must be finite"),
 ], ids=["estimate-nan-t", "estimate-inf-t", "lower-bound-nan-t",
         "lower-bound-inf-t", "record-rate-nan", "record-rate-inf",
         "factor-nan-t", "factor-nan-rate", "density-nan-T",
         "irradiance-nan-T", "irradiance-nan-omega", "radius-nan",
-        "permittivity-nan", "offset-nan"])
+        "permittivity-nan", "disk-rate-inf-chi", "alpha-disk-nan-chi"])
 def test_scalar_functions_reject_non_finite_inputs_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()

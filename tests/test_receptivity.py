@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from photon_darwinism import receptivity
 from photon_darwinism.receptivity import (
     alpha_closed_form,
     alpha_disk,
@@ -57,6 +58,12 @@ class TestAlphaDisk:
                                math.radians(180.0 - chi_deg))
                 assert a == pytest.approx(b, rel=1e-12)
 
+    def test_any_finite_tilt_is_accepted(self):
+        # A chi sweep may leave [0, pi]; the form depends on cos^2(chi) only.
+        for chi in (-0.4, 4.0, 10.0):
+            assert alpha_disk(1.0, chi) == pytest.approx(
+                alpha_disk(1.0, abs(chi) % math.pi), rel=1e-12)
+
     def test_monotone_shrinks_with_aperture(self):
         vals = [alpha_disk(math.radians(t), 0.3) for t in np.linspace(1, 179, 90)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -85,7 +92,10 @@ class TestAlphaNumeric:
     def test_point_region_is_fully_receptive(self):
         assert alpha_numeric(SkyRegion.point()) == 1.0
 
-    def test_isotropic_region_has_nothing_left_to_learn(self):
+    def test_isotropic_region_has_nothing_left_to_learn(self, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("the full-sky limit needs no quadrature")
+        monkeypatch.setattr(receptivity, "region_nodes", no_nodes)
         assert alpha_numeric(SkyRegion.isotropic()) == 0.0
 
     def test_custom_half_sphere(self):
@@ -126,3 +136,13 @@ def test_redundancy_rate():
         redundancy_rate(1.5, 1.0)
     with pytest.raises(ValueError):
         redundancy_rate(0.5, -1.0)
+
+
+@pytest.mark.parametrize("alpha_of", [alpha_numeric, receptivity_result],
+                         ids=["alpha_numeric", "receptivity_result"])
+def test_degenerate_grid_raises_the_same_error_on_both_paths(alpha_of):
+    # One row of cells at the pole: every node has the same n_z, so the
+    # overlap integral vanishes although the grid has solid angle 2 sr.
+    region = SkyRegion.custom([1.0], [1.0, 2.0], [[1, 0]])
+    with pytest.raises(ArithmeticError, match="degenerate region"):
+        alpha_of(region)

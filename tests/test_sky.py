@@ -28,7 +28,6 @@ from photon_darwinism.sky import (
     load_indicator_grid,
     region_nodes,
     solid_angle,
-    sphere_nodes,
 )
 
 
@@ -99,6 +98,37 @@ class TestSolidAngle:
                                   np.ones((2, 2)))
         assert region.kind == "custom"
 
+    @pytest.mark.parametrize("u, phi, message", [
+        # Priced from its endpoints, this grid had solid angle -1.885 sr.
+        ([0.95, 0.85, 0.75], [0.5, 2.0, 3.5, 5.0],
+         r"grid cos\(theta\) must ascend in equal steps, got steps from "
+         r"-0.0999\d* to -0.0999"),
+        # ... and this one had du = 0.4 in every row.
+        ([0.1, 0.2, 0.9], [0.5, 2.0, 3.5, 5.0],
+         r"grid cos\(theta\) must ascend .* from 0.1\d* to 0.7\d*"),
+        ([0.5, 0.5, 0.5], [0.5, 2.0, 3.5, 5.0], r"cos\(theta\) .* from 0.0 to 0.0"),
+        ([0.1, 0.2, 0.3], [5.0, 3.5, 2.0, 0.5], "grid phi must ascend"),
+        ([0.1, 0.2, 0.3], [0.5, 2.0, 3.5, 5.1], "grid phi must ascend"),
+    ], ids=["u-descending", "u-uneven", "u-repeated", "phi-descending",
+            "phi-uneven"])
+    def test_custom_grid_axes_must_ascend_evenly(self, u, phi, message):
+        with pytest.raises(ValueError, match=message):
+            SkyRegion.custom(u, phi, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("rows, cols", [(200, 400), (1000, 2000)])
+    def test_custom_grid_accepts_centers_printed_to_six_decimals(self, rows,
+                                                                 cols):
+        u = np.round(-1.0 + (np.arange(rows) + 0.5) * (2.0 / rows), 6)
+        phi = np.round((np.arange(cols) + 0.5) * (2.0 * math.pi / cols), 6)
+        region = SkyRegion.custom(u, phi, np.ones((rows, cols)))
+        assert region.solid_angle_sr == pytest.approx(FULL_SPHERE, rel=1e-5)
+
+    def test_custom_grid_accepts_one_element_axes(self):
+        assert SkyRegion.custom([0.3], [2.0], [[1]]).solid_angle_sr == \
+            pytest.approx(FULL_SPHERE)
+        region = SkyRegion.custom([1.0], [1.0, 2.0], [[1, 0]])
+        assert region.solid_angle_sr == 2.0
+
 
 def test_region_kind_is_validated():
     with pytest.raises(ValueError):
@@ -109,39 +139,69 @@ def test_region_kind_is_validated():
         SkyRegion.disk(1.0, chi=4.0)
 
 
+def _ones(p):
+    return np.ones(len(p))
+
+
+def _direction_loop_integrate(f, order):
+    """Reference: the per-node loop that handed f one Direction at a time,
+    accumulated from 0.0 as it was."""
+    pts, ww = _panel(-1.0, 1.0, order)
+    vals = np.array([
+        f(Direction(cos_theta=float(p[2]), phi=float(math.atan2(p[1], p[0]))))
+        for p in pts
+    ])
+    return 0.0 + float(np.sum(ww * vals))
+
+
 class TestIntegrateSphere:
     def test_polynomial_moments(self):
-        assert integrate_sphere(lambda d: 1.0, order=8) == pytest.approx(
+        assert integrate_sphere(_ones, order=8) == pytest.approx(
             FULL_SPHERE, rel=1e-13
         )
-        assert integrate_sphere(lambda d: d.cos_theta**2, order=8) == pytest.approx(
+        assert integrate_sphere(lambda p: p[:, 2]**2, order=8) == pytest.approx(
             FULL_SPHERE / 3.0, rel=1e-13
         )
         # sin^2(theta) cos^2(phi) integrates to 4 pi / 3 as well
-        val = integrate_sphere(
-            lambda d: (1.0 - d.cos_theta**2) * math.cos(d.phi) ** 2, order=8
-        )
+        val = integrate_sphere(lambda p: p[:, 0]**2, order=8)
         assert val == pytest.approx(FULL_SPHERE / 3.0, rel=1e-13)
 
     def test_split_restores_accuracy_at_a_jump(self):
-        f = lambda d: 1.0 if d.cos_theta > 0.5 else 0.0
+        f = lambda p: np.where(p[:, 2] > 0.5, 1.0, 0.0)
         split = integrate_sphere(f, order=16, split_cos=(0.5,))
         assert split == pytest.approx(math.pi, rel=1e-14)
         # without the split the jump costs several digits
         naive = integrate_sphere(f, order=16)
         assert abs(naive - math.pi) > 1e-6
 
+    def test_integrand_is_called_once_per_panel_on_its_nodes(self):
+        shapes = []
+
+        def f(p):
+            shapes.append(p.shape)
+            return _ones(p)
+        integrate_sphere(f, order=4, split_cos=(-0.2, 0.5))
+        assert shapes == [(4 * 8, 3)] * 3
+
+    @pytest.mark.parametrize("order", [2, 8, 16, 64, 128])
+    def test_rate_integrand_matches_the_direction_loop(self, order):
+        # The oracle's rate_assembly integrand, in both calling conventions.
+        got = integrate_sphere(lambda p: 3.0 + 11.0 * p[:, 2] ** 2, order=order)
+        ref = _direction_loop_integrate(
+            lambda d: 3.0 + 11.0 * d.cos_theta ** 2, order)
+        assert got == ref
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            integrate_sphere(lambda d: 1.0, order=1)
+            integrate_sphere(_ones, order=1)
         with pytest.raises(ValueError):
-            integrate_sphere(lambda d: 1.0, split_cos=(1.5,))
+            integrate_sphere(_ones, split_cos=(1.5,))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_split_point_is_named(self, bad):
         with pytest.raises(ValueError,
                            match=f"split points must be finite, got {bad}"):
-            integrate_sphere(lambda d: 1.0, order=4, split_cos=(0.5, bad))
+            integrate_sphere(_ones, order=4, split_cos=(0.5, bad))
 
 
 def _meshgrid_panel(ulo, uhi, order, nphi):
@@ -178,7 +238,7 @@ class TestPanel:
     @pytest.mark.parametrize("ulo,uhi,order", _panel_cases())
     def test_matches_the_meshgrid_construction_bit_for_bit(self, ulo, uhi,
                                                            order):
-        pts, ww = _panel(ulo, uhi, order, 2 * order)
+        pts, ww = _panel(ulo, uhi, order)
         ref_pts, ref_ww = _meshgrid_panel(ulo, uhi, order, 2 * order)
         assert pts.shape == ref_pts.shape and ww.shape == ref_ww.shape
         assert pts.tobytes() == ref_pts.tobytes()
@@ -249,7 +309,8 @@ class TestG2Weight:
         # against the quadrature directly.
         n = Direction(c, 0.0)
         z = np.array([0.0, 0.0, 1.0])
-        val = integrate_sphere(lambda m: g2_weight(n, m, z), order=8)
+        val = integrate_sphere(
+            lambda p: np.array([g2_weight(n, m, z) for m in p]), order=8)
         assert val == pytest.approx(8.0 * math.pi / 15.0 * (3.0 + 11.0 * c * c),
                                     rel=1e-12)
 
@@ -273,11 +334,12 @@ class TestNodes:
         centroid /= np.linalg.norm(centroid)
         assert_allclose(centroid, [math.sin(chi), 0.0, math.cos(chi)], atol=1e-12)
 
-    def test_sphere_nodes_cover_four_pi(self):
-        for region in (SkyRegion.disk(1.1, 0.3), SkyRegion.isotropic(),
-                       SkyRegion.point()):
-            pts, ww = sphere_nodes(region, order=16)
-            assert ww.sum() == pytest.approx(FULL_SPHERE, rel=1e-13)
+    def test_region_and_complement_cover_four_pi(self):
+        for region in (SkyRegion.disk(1.1, 0.3), SkyRegion.isotropic()):
+            _, w_in = region_nodes(region, order=16)
+            _, w_out = complement_nodes(region, order=16)
+            assert w_in.sum() + w_out.sum() == pytest.approx(FULL_SPHERE,
+                                                             rel=1e-13)
 
     def test_point_region_has_no_interior_nodes(self):
         with pytest.raises(ValueError):
@@ -285,8 +347,7 @@ class TestNodes:
         _, ww = complement_nodes(SkyRegion.point(), order=16)
         assert ww.sum() == pytest.approx(FULL_SPHERE, rel=1e-13)
 
-    @pytest.mark.parametrize("nodes", [region_nodes, complement_nodes,
-                                       sphere_nodes])
+    @pytest.mark.parametrize("nodes", [region_nodes, complement_nodes])
     @pytest.mark.parametrize("region", [
         SkyRegion.disk(1.1, 0.3), SkyRegion.isotropic(), SkyRegion.point(),
     ], ids=["disk", "isotropic", "point"])
@@ -314,46 +375,17 @@ def test_angular_moments_match_direct_sums():
     pts = rng.normal(size=(40, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     ww = rng.random(40)
-    axis = Direction(0.6, 1.0)
-    mom = angular_moments(pts, ww, axis=axis)
-    a = pts @ axis.vector
+    mom = angular_moments(pts, ww)
+    a = pts[:, 2]
     for k in range(3):
         assert mom.s[k] == pytest.approx(float(np.sum(ww * a**k)), rel=1e-13)
         direct = np.einsum("n,ni,nj->ij", ww * a**k, pts, pts)
         assert_allclose(mom.t[k], direct, rtol=1e-12, atol=1e-14)
-    # default axis is z
-    mom_z = angular_moments(pts, ww)
-    assert mom_z.s[1] == pytest.approx(float(np.sum(ww * pts[:, 2])), rel=1e-13)
 
 
-@pytest.mark.parametrize("axis, message", [
-    ([math.nan, 0.0, 1.0], "axis must be a finite 3-vector"),
-    ([0.0, math.inf, 0.0], "axis must be a finite 3-vector"),
-    ([0.0, 1.0], "axis must be a finite 3-vector"),
-    ([0.0, 0.0, 2.0], r"axis is not unit length: \|axis\| = 2.0"),
-    ([0.0, 0.0, 1.0 + 2e-6], "axis is not unit length"),
-    ([0.0, 0.0, 0.0], r"axis is not unit length: \|axis\| = 0.0"),
-], ids=["nan", "inf", "two-d", "double", "just-over-tol", "zero"])
-def test_angular_moments_reject_a_bad_axis(axis, message):
-    pts, ww = region_nodes(SkyRegion.disk(0.5, 0.2), order=4)
-    with pytest.raises(ValueError, match=message):
-        angular_moments(pts, ww, axis=axis)
-
-
-def test_angular_moments_accept_an_axis_within_the_unit_tolerance():
-    pts, ww = region_nodes(SkyRegion.disk(0.5, 0.2), order=4)
-    axis = np.array([0.0, 0.0, 1.0 + 5e-7])
-    mom = angular_moments(pts, ww, axis=axis)
-    assert mom.s[1] == float(np.sum(ww * (pts @ axis)))
-
-
-def _outer_angular_moments(points, weights, axis=None):
+def _outer_angular_moments(points, weights):
     """Reference moments: the full (N, 3, 3) outer product, by broadcasting."""
-    if axis is None:
-        a = points[:, 2]
-    else:
-        av = axis.vector if isinstance(axis, Direction) else np.asarray(axis, float)
-        a = points @ av
+    a = points[:, 2]
     s = np.empty(3)
     t = np.empty((3, 3, 3))
     outer = points[:, :, None] * points[:, None, :]
@@ -394,9 +426,9 @@ def _custom_regions():
     }
 
 
-def _assert_same_moments(pts, ww, axis=None):
-    mom = angular_moments(pts, ww, axis=axis)
-    ref_s, ref_t = _outer_angular_moments(pts, ww, axis=axis)
+def _assert_same_moments(pts, ww):
+    mom = angular_moments(pts, ww)
+    ref_s, ref_t = _outer_angular_moments(pts, ww)
     assert mom.s.tobytes() == ref_s.tobytes()
     assert mom.t.tobytes() == ref_t.tobytes()
 
@@ -435,19 +467,6 @@ class TestMomentParity:
         assert pts.tobytes() == ref_pts.tobytes()
         assert ww.tobytes() == ref_ww.tobytes()
         _assert_same_moments(pts, ww)
-
-    @pytest.mark.parametrize("axis", [
-        Direction(0.6, 1.0), Direction(-1.0), Direction(0.0, 2.0),
-        np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
-        Direction(-0.35, 4.1).vector,
-    ], ids=["dir", "south", "equator", "z", "x", "vector"])
-    @pytest.mark.parametrize("order", [2, 16, 64])
-    def test_axis_argument(self, order, axis):
-        for region in (SkyRegion.disk(0.8, 0.4), SkyRegion.isotropic()):
-            pts, ww = region_nodes(region, order)
-            _assert_same_moments(pts, ww, axis=axis)
-        _assert_same_moments(*_custom_nodes(_custom_regions()["50x100-random"],
-                                            True), axis=axis)
 
 
 class TestIndicatorFiles:
@@ -537,6 +556,20 @@ class TestIndicatorFiles:
         assert captured.err == (
             f"config error: {cfg}: region: {grid}: grid cos(theta) must be "
             "in [-1, 1], got -1.5\n")
+
+    def test_rate_rejects_a_descending_grid(self, tmp_path, capsys):
+        grid = tmp_path / "down.txt"
+        grid.write_text("# 2 2\n0.5 1.0 1\n0.5 2.0 1\n-0.5 1.0 1\n"
+                        "-0.5 2.0 1\n")
+        cfg = tmp_path / "down.cfg"
+        cfg.write_text("radius_m = 1e-6\npermittivity = 4.0\ndx_m = 1e-6\n"
+                       f"temperature_K = 2.725\nregion = custom:{grid}\n")
+        assert main(["rate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {cfg}: region: grid cos(theta) must ascend in "
+            "equal steps, got steps from -1.0 to -1.0\n")
 
     def test_header_only_file_prints_only_the_config_error(self, tmp_path):
         # A fresh interpreter showing every warning, so a leaked numpy

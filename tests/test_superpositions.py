@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from photon_darwinism.discrete_oracle import discrete_gamma, fragment_entropy_exact
 from photon_darwinism.entropy_kernels import LN2, h, m_spectrum_entropy
 from photon_darwinism.information import mutual_information
 from photon_darwinism.superpositions import (
@@ -264,3 +265,24 @@ class TestIntervalBounds:
         asym = np.array([[1.0, 0.1], [0.2, 1.0]])
         with pytest.raises(ValueError):
             mi_interval_bounds(asym, probs, 0.2)
+
+
+NAN = math.nan
+_WEAK_PAIR = [[1.0, 1e-3], [1e-3, 1.0]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: max_entropy([NAN, NAN]), "branch probabilities must be nonnegative"),
+    (lambda: CatSpec(probs=[NAN, 0.5]), "branch probabilities must be nonnegative"),
+    (lambda: mi_interval_bounds(_WEAK_PAIR, [NAN, NAN], 0.2),
+     "branch probabilities must be nonnegative"),
+    (lambda: fragment_entropy_exact([NAN, 1.0]),
+     "spectrum values must be nonnegative, got nan"),
+    (lambda: fragment_entropy_exact([0.5, 0.5], [NAN, 1.0]),
+     "spectrum sums to nan, not 1"),
+    (lambda: discrete_gamma([NAN, 0.5]), "overlap magnitudes cannot exceed 1, got nan"),
+], ids=["max-entropy", "cat-spec", "interval-bounds", "spectrum-value",
+        "spectrum-multiplicity", "discrete-gamma"])
+def test_validators_reject_nan_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
