@@ -18,7 +18,6 @@ from .entropy_kernels import (
 )
 from .sky import (
     FULL_SPHERE,
-    Direction,
     SkyRegion,
     g2_weight,
     integrate_sphere,
@@ -91,7 +90,6 @@ __all__ = [
     "h_power_series",
     "binary_entropy_from_gap",
     "m_spectrum_entropy",
-    "Direction",
     "SkyRegion",
     "solid_angle",
     "integrate_sphere",

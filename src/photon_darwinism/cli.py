@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -207,12 +208,19 @@ def _comma_floats(text: str) -> list[float]:
 # rate / alpha: scenario-driven SI reports
 
 
+@contextlib.contextmanager
+def _region_errors(config):
+    """A library error about the scenario's region, as a config error."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ScenarioError(f"{config}: {exc}") from exc
+
+
 def cmd_rate(args) -> int:
     scenario = parse_scenario(args.config)
-    try:
+    with _region_errors(args.config):
         result = decoherence_rate(scenario, order=args.order)
-    except ValueError as exc:
-        raise ScenarioError(f"{args.config}: {exc}") from exc
     report = {
         "tau_D_inv_per_s": result.tau_D_inv,
         "ratio_to_isotropic": result.ratio,
@@ -231,16 +239,17 @@ def cmd_alpha(args) -> int:
     # A point has no quadrature, and no full-sky rate ratio: its rate
     # comes from an irradiance, when one is given.
     point = region.kind == "point"
-    closed = alpha_closed_form(region)
-    quad = None if point else alpha_numeric(region, order=args.order)
-    alpha = closed if closed is not None else quad
+    with _region_errors(args.config):
+        closed = alpha_closed_form(region)
+        quad = None if point else alpha_numeric(region, order=args.order)
+        alpha = closed if closed is not None else quad
 
-    tau_r_inv = tau_r_over_big = None
-    if not point or scenario.irradiance_W_m2 is not None:
-        result = decoherence_rate(scenario, order=args.order)
-        tau_r_inv = alpha * result.tau_D_inv
-        if not point:
-            tau_r_over_big = alpha * result.ratio
+        tau_r_inv = tau_r_over_big = None
+        if not point or scenario.irradiance_W_m2 is not None:
+            result = decoherence_rate(scenario, order=args.order)
+            tau_r_inv = alpha * result.tau_D_inv
+            if not point:
+                tau_r_over_big = alpha * result.ratio
     report = {
         "alpha": alpha,
         "alpha_closed_form": closed,
@@ -275,9 +284,10 @@ def cmd_pip(args) -> int:
         alpha = args.alpha
     elif args.config:
         region = parse_scenario(args.config).region
-        alpha = alpha_closed_form(region)
-        if alpha is None:
-            alpha = alpha_numeric(region, order=args.order)
+        with _region_errors(args.config):
+            alpha = alpha_closed_form(region)
+            if alpha is None:
+                alpha = alpha_numeric(region, order=args.order)
     else:
         alpha = 1.0
     if not 0.0 <= alpha <= 1.0:

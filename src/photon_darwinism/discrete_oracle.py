@@ -19,7 +19,7 @@ from itertools import chain, combinations_with_replacement
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .entropy_kernels import LN2, Nats, h, xlogx
+from .entropy_kernels import LN2, Nats, _check_unit, h, xlogx
 from .information import mutual_information
 from .radiometry import (
     BOLTZMANN,
@@ -32,7 +32,13 @@ from .radiometry import (
     photon_number_density,
 )
 from .sky import FULL_SPHERE, SkyRegion, integrate_sphere
-from .superpositions import CatSpec, mi_interval_bounds, mi_mway, mi_unbalanced
+from .superpositions import (
+    CatSpec,
+    _branch_matrix_mi,
+    mi_interval_bounds,
+    mi_mway,
+    mi_unbalanced,
+)
 
 __all__ = [
     "OracleCapError",
@@ -217,9 +223,9 @@ def fragment_entropy_exact(values, multiplicities=None) -> Nats:
 
 def fragment_entropy_change_exact(b, fN, cap: int = DEFAULT_CAP) -> Nats:
     """Entropy gained by the fragment over its no-scattering baseline."""
-    b = _check_b(b)
+    # fragment_eigenvalues checks b and fN.
     values, mults = fragment_eigenvalues(b, fN, cap)
-    return fragment_entropy_exact(values, mults) - _check_fn(fN) * math.log(b.size)
+    return fragment_entropy_exact(values, mults) - int(fN) * math.log(np.size(b))
 
 
 def fragment_entropy_change_series(b, fN, tol: float = 1e-17,
@@ -458,31 +464,14 @@ def planck_spectral_nodes(n: int = 32):
 def mi_exact_general(cat: CatSpec, f: float) -> Nats:
     """Mutual information of an arbitrary cat by direct diagonalization.
 
-    I(f) = E(f) + E(1) - E(1-f), with E(w) the entropy of the matrix
-    [sqrt(p_a p_b) Gamma_ab^(w/2)]: a fraction w of the photons applies
-    the amplitude-level factor Gamma^(1/2) to each branch pair. This is
-    the uniform oracle behind every closed-form mutual information here.
+    I(f) = E(f) + E(1) - E(1-f), with E(w) the entropy of the branch
+    matrix [sqrt(p_a p_b) Gamma_ab^(w/2)]. This is the uniform oracle
+    behind every closed-form mutual information here.
     """
     if cat.gamma is None:
         raise ValueError("CatSpec carries no pairwise factor matrix")
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f must be in [0, 1], got {f}")
-    amp = np.sqrt(cat.probs)
-    # E(w) at w = f, 1 and 1 - f, diagonalized in one stacked call.
-    ws = (f, 1.0, 1.0 - f)
-    rho = np.outer(amp, amp) * np.stack([cat.gamma ** (0.5 * w) for w in ws])
-    eigs = np.linalg.eigvalsh(rho)
-    lowest = eigs.min(axis=1)
-    for w, low in zip(ws, lowest):
-        if low < -1e-9:
-            raise ArithmeticError(
-                f"branch matrix at w = {w} is not positive semidefinite "
-                f"(min eigenvalue {low:.3e}); the factor matrix is "
-                "not realizable by photon overlaps"
-            )
-    e_f, e_whole, e_rest = (-float(row.sum())
-                            for row in xlogx(np.clip(eigs, 0.0, None)))
-    return e_f + e_whole - e_rest
+    _check_unit("f", f)
+    return _branch_matrix_mi(cat.probs, cat.gamma, f)
 
 
 def oracle_battery(seed: int = 0) -> dict:

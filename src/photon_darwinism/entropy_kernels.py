@@ -144,8 +144,7 @@ def h(x):
     x gives a float. Each element equals the scalar evaluation bit for
     bit, because log1p goes through ``math`` per element.
     """
-    x = np.asarray(x, dtype=float)
-    _require((0.0 <= x) & (x <= 1.0), x, "h argument must be in [0, 1], got {}")
+    x = _check_unit("h argument", x)
     # Terms shrink by at least a factor x < 1e-3, so a handful suffice for
     # full double precision; x = 0 sums to exactly 0. The series is cheap
     # next to a logarithm, so it runs on every lane and the closed form
@@ -163,14 +162,11 @@ def h(x):
 def binary_entropy_from_gap(x: float) -> Nats:
     """Entropy of the spectrum {(1+x)/2, (1-x)/2}.
 
-    Identically equal to ln 2 - h(x^2). The direct form is kept because
-    callers hand in an eigenvalue gap, not a squared coherence.
+    Identically equal to ln 2 - h(x^2): the two-branch m_spectrum_entropy,
+    for callers that hand in an eigenvalue gap, not a squared coherence.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"gap must be in [0, 1], got {x}")
-    p = 0.5 * (1.0 + x)
-    q = 0.5 * (1.0 - x)
-    return float(-(xlogx(p) + xlogx(q)))
+    _check_unit("gap", x)
+    return m_spectrum_entropy(x, 2)
 
 
 def m_spectrum_entropy(x, M):

@@ -59,6 +59,20 @@ def _check_time(t_over_tauD) -> np.ndarray:
     return t
 
 
+def _check_delta(delta) -> np.ndarray:
+    delta = np.asarray(delta, dtype=float)
+    _require((0.0 < delta) & (delta < 1.0), delta,
+             "delta must be in (0, 1), got {}")
+    return delta
+
+
+def _check_alpha(alpha) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=float)
+    _require((0.0 < alpha) & (alpha <= 1.0), alpha,
+             "alpha must be in (0, 1], got {}")
+    return alpha
+
+
 def system_entropy(gamma) -> Nats:
     """Entropy of the decohered pair state: ln 2 - h(Gamma)."""
     return _result(LN2 - h(_check_unit("gamma", gamma)))
@@ -156,12 +170,8 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
     """
     if not 0.0 < f_tol < math.inf:
         raise ValueError(f"f_tol must be finite and positive, got {f_tol}")
-    delta = np.asarray(delta, dtype=float)
-    _require((0.0 < delta) & (delta < 1.0), delta,
-             "delta must be in (0, 1), got {}")
-    alpha = np.asarray(alpha, dtype=float)
-    _require((0.0 < alpha) & (alpha <= 1.0), alpha,
-             "alpha must be in (0, 1], got {}")
+    delta = _check_delta(delta)
+    alpha = _check_alpha(alpha)
     if t_over_tauD is None:
         if gamma is None:
             raise ValueError("provide either gamma or t_over_tauD")
@@ -225,9 +235,7 @@ def redundancy_estimate(t_over_tauD, alpha, delta):
     delta = np.asarray(delta, dtype=float)
     _require((0.0 < delta) & (delta < MAX_DEFICIT), delta,
              f"delta must be in (0, 1/(2 ln 2) = {MAX_DEFICIT:.4f}), got {{}}")
-    alpha = np.asarray(alpha, dtype=float)
-    _require((0.0 < alpha) & (alpha <= 1.0), alpha,
-             "alpha must be in (0, 1], got {}")
+    alpha = _check_alpha(alpha)
     t = _check_time(t_over_tauD)
     early = t < 10.0
     if early.any():
@@ -246,9 +254,7 @@ def redundancy_lower_bound(t_over_tauD, delta):
     positive; earlier times carry no guarantee. Broadcasts over arrays of
     t_over_tauD and delta; scalar arguments give a float.
     """
-    delta = np.asarray(delta, dtype=float)
-    _require((0.0 < delta) & (delta < 1.0), delta,
-             "delta must be in (0, 1), got {}")
+    delta = _check_delta(delta)
     t, delta = np.broadcast_arrays(_check_time(t_over_tauD), delta)
     edge = _libm(math.log, 2.0 / delta)
     early = t <= edge
@@ -278,7 +284,5 @@ def pip_curve(gamma: float, alpha: float, f_grid) -> PipCurve:
         raise ValueError("f_grid must be a nonempty 1-d array")
     if np.any(np.diff(f_grid) < 0.0):
         raise ValueError("f_grid must be sorted ascending")
-    if f_grid[0] < 0.0 or f_grid[-1] > 1.0:
-        raise ValueError("fragment fractions must lie in [0, 1]")
     mi = mutual_information(gamma, alpha, f_grid)
     return PipCurve(f=f_grid, mi_nats=mi, gamma=gamma, alpha=alpha)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sky import SkyRegion, load_indicator_grid, region_nodes, solid_angle
+from .sky import FULL_SPHERE, SkyRegion, load_indicator_grid, region_nodes
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -79,7 +79,7 @@ def _check_patch(temperature: float, omega: float) -> None:
     if not 0.0 < temperature < math.inf:
         raise ValueError(
             f"temperature must be finite and positive, got {temperature}")
-    if not 0.0 <= omega <= 4.0 * math.pi + 1e-12:
+    if not 0.0 <= omega <= FULL_SPHERE + 1e-12:
         raise ValueError(f"solid angle out of range: {omega}")
 
 
@@ -186,9 +186,9 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
     big_rate = isotropic_rate(scenario)
     region = scenario.region
     if region.kind == "point":
-        tau = point_source_rate(scenario, math.acos(region.direction.cos_theta))
+        tau = point_source_rate(scenario, math.acos(region.cos_theta))
         return RateResult(tau_D_inv=tau, T_D_inv=big_rate, ratio=tau / big_rate)
-    if solid_angle(region) == 0.0:
+    if region.solid_angle_sr == 0.0:
         warnings.warn("region has zero solid angle; decoherence rate is 0",
                       stacklevel=2)
         return RateResult(tau_D_inv=0.0, T_D_inv=big_rate, ratio=0.0)
@@ -199,6 +199,14 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
     return RateResult(tau_D_inv=ratio * big_rate, T_D_inv=big_rate, ratio=ratio)
 
 
+def _check_cap(theta0: float, chi: float) -> None:
+    """Reject a cap half-angle outside [0, pi] and a non-finite tilt."""
+    if not 0.0 <= theta0 <= math.pi:
+        raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi}")
+
+
 def disk_rate(theta0: float, chi: float) -> float:
     """Closed-form disk decoherence rate in units of the full-sky rate.
 
@@ -207,10 +215,7 @@ def disk_rate(theta0: float, chi: float) -> float:
     Nondecreasing in theta0, equal to 1/2 at a hemisphere for every tilt,
     and summing to 1 with the complementary disk (pi - theta0, pi - chi).
     """
-    if not 0.0 <= theta0 <= math.pi:
-        raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
-    if not math.isfinite(chi):
-        raise ValueError(f"chi must be finite, got {chi}")
+    _check_cap(theta0, chi)
     ct = math.cos(theta0)
     cc2 = math.cos(chi) ** 2
     return (40.0 - ct * (51.0 - 33.0 * cc2) + ct**3 * (11.0 - 33.0 * cc2)) / 80.0
@@ -259,9 +264,7 @@ def _parse_region(value: str) -> SkyRegion:
         chi = math.radians(float(parts[2]))
         return SkyRegion.disk(theta0=theta0, chi=chi)
     if kind == "point" and len(parts) == 2:
-        theta = math.radians(float(parts[1]))
-        from .sky import Direction
-        return SkyRegion.point(Direction(cos_theta=math.cos(theta)))
+        return SkyRegion.point(math.cos(math.radians(float(parts[1]))))
     if kind == "custom" and len(parts) >= 2:
         return load_indicator_grid(":".join(parts[1:]))
     raise ValueError(

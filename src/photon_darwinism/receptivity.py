@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy_kernels import _check_unit
+from .radiometry import _check_cap
 from .sky import (
     FULL_SPHERE,
     AngularMoments,
@@ -125,10 +127,7 @@ def alpha_disk(theta0: float, chi: float) -> float:
 
     Equal to 1 at theta0 = 0 for every tilt and 0 at the full sphere.
     """
-    if not 0.0 <= theta0 <= math.pi:
-        raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
-    if not math.isfinite(chi):
-        raise ValueError(f"chi must be finite, got {chi}")
+    _check_cap(theta0, chi)
     c = math.cos(theta0)
     k2 = math.cos(chi) ** 2
     numerator = (c + 1.0) * (
@@ -145,8 +144,7 @@ def redundancy_rate(alpha: float, tau_D_inv: float) -> float:
     alpha * tau_D_inv: records cannot outpace decoherence, and vanish
     entirely when the environment has no receptivity.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_unit("alpha", alpha)
     if not 0.0 <= tau_D_inv < math.inf:
         raise ValueError(f"rate must be finite and nonnegative, got {tau_D_inv}")
     return alpha * tau_D_inv

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Direction",
     "SkyRegion",
     "solid_angle",
     "integrate_sphere",
@@ -35,52 +34,6 @@ __all__ = [
 
 FULL_SPHERE = 4.0 * math.pi
 
-_UNIT_TOL = 1e-12
-# How far from unit length a caller's direction vector may be.
-_VECTOR_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A point on the unit sphere, stored as (cos(theta), phi).
-
-    theta and phi are relative to the declared polar axis (the separation
-    axis unless stated otherwise).
-    """
-
-    cos_theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not -1.0 <= self.cos_theta <= 1.0:
-            raise ValueError(f"cos_theta out of range: {self.cos_theta}")
-
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > _VECTOR_TOL:
-            raise ValueError(f"direction vector is not unit length: |v| = {norm}")
-        v = v / norm
-        return cls(cos_theta=float(v[2]), phi=float(math.atan2(v[1], v[0])))
-
-    @property
-    def vector(self) -> np.ndarray:
-        s = math.sqrt(max(0.0, 1.0 - self.cos_theta**2))
-        v = np.array([
-            s * math.cos(self.phi),
-            s * math.sin(self.phi),
-            self.cos_theta,
-        ])
-        # The constructor range checks make this a soft invariant, but the
-        # trig roundtrip is worth pinning down.
-        assert abs(np.dot(v, v) - 1.0) < _UNIT_TOL
-        return v
-
-
-ZENITH = Direction(cos_theta=1.0, phi=0.0)
-
-
 def _rotation_about_y(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
@@ -90,17 +43,18 @@ def _rotation_about_y(angle: float) -> np.ndarray:
 class SkyRegion:
     """Illumination patch on the sky.
 
-    kind is one of "point", "disk", "isotropic", "custom". Disks are
-    polar caps theta <= theta0 about an axis tilted by chi from the
-    separation axis. Custom regions carry a 0/1 indicator sampled on a
-    rectangular (cos_theta, phi) grid of cell centers; their boundary is
-    resolved only to first order in the grid spacing.
+    kind is one of "point", "disk", "isotropic", "custom". A point lies
+    at angle acos(cos_theta) from the separation axis. Disks are polar
+    caps theta <= theta0 about an axis tilted by chi from the separation
+    axis. Custom regions carry a 0/1 indicator sampled on a rectangular
+    (cos_theta, phi) grid of cell centers; their boundary is resolved
+    only to first order in the grid spacing.
     """
 
     kind: str
     theta0: float = 0.0
     chi: float = 0.0
-    direction: Direction | None = None
+    cos_theta: float = 1.0
     grid_u: np.ndarray | None = field(default=None, repr=False)
     grid_phi: np.ndarray | None = field(default=None, repr=False)
     grid_mask: np.ndarray | None = field(default=None, repr=False)
@@ -108,6 +62,8 @@ class SkyRegion:
     def __post_init__(self):
         if self.kind not in ("point", "disk", "isotropic", "custom"):
             raise ValueError(f"unknown region kind: {self.kind!r}")
+        if self.kind == "point" and not -1.0 <= self.cos_theta <= 1.0:
+            raise ValueError(f"cos_theta out of range: {self.cos_theta}")
         if self.kind == "disk":
             if not 0.0 <= self.theta0 <= math.pi:
                 raise ValueError(f"theta0 must be in [0, pi], got {self.theta0}")
@@ -115,8 +71,8 @@ class SkyRegion:
                 raise ValueError(f"chi must be in [0, pi], got {self.chi}")
 
     @classmethod
-    def point(cls, direction: Direction = ZENITH) -> "SkyRegion":
-        return cls(kind="point", direction=direction)
+    def point(cls, cos_theta: float = 1.0) -> "SkyRegion":
+        return cls(kind="point", cos_theta=cos_theta)
 
     @classmethod
     def disk(cls, theta0: float, chi: float = 0.0) -> "SkyRegion":
@@ -265,12 +221,10 @@ def g2_weight(n_hat, m_hat, dx_hat) -> float:
 
     (1 + cos^2 theta_nm) (cos theta_dn - cos theta_dm)^2, where theta_nm
     is the angle between the two photon directions and theta_dn, theta_dm
-    their angles to the separation axis. Symmetric under n <-> m and zero
-    exactly when the two projections onto the separation axis coincide.
+    their angles to the separation axis, all unit vectors. Symmetric under
+    n <-> m and zero when the two projections onto that axis coincide.
     """
-    n = n_hat.vector if isinstance(n_hat, Direction) else np.asarray(n_hat, float)
-    m = m_hat.vector if isinstance(m_hat, Direction) else np.asarray(m_hat, float)
-    d = dx_hat.vector if isinstance(dx_hat, Direction) else np.asarray(dx_hat, float)
+    n, m, d = (np.asarray(v, dtype=float) for v in (n_hat, m_hat, dx_hat))
     cnm = float(np.dot(n, m))
     an = float(np.dot(n, d))
     am = float(np.dot(m, d))
@@ -395,13 +349,11 @@ def load_indicator_grid(path) -> SkyRegion:
         )
     try:
         _check_grid_axes(data[:, 0], data[:, 1])
+        u, phi, val = data.T.reshape(3, rows, cols)
+        if not (np.isclose(u, u[:, :1]).all() and np.isclose(phi, phi[:1]).all()):
+            raise ValueError("grid is not rectangular")
+        if not np.all((val == 0) | (val == 1)):
+            raise ValueError("indicator values must be 0 or 1")
+        return SkyRegion.custom(u[:, 0], phi[0, :], val)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    u = data[:, 0].reshape(rows, cols)
-    phi = data[:, 1].reshape(rows, cols)
-    val = data[:, 2].reshape(rows, cols)
-    if not (np.all(np.isclose(u, u[:, :1])) and np.all(np.isclose(phi, phi[:1, :]))):
-        raise ValueError(f"{path}: grid is not rectangular")
-    if not np.all((val == 0) | (val == 1)):
-        raise ValueError(f"{path}: indicator values must be 0 or 1")
-    return SkyRegion.custom(u[:, 0], phi[0, :], val)

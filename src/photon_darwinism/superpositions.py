@@ -188,25 +188,25 @@ def mi_mway_limit(gamma: float, f: float) -> float:
     )
 
 
-def _uniform_factor_mi(probs: np.ndarray, gammas, f: float) -> list:
-    """MI with every pairwise factor equal, for each factor in gammas.
-
-    Uniform weights route through the closed form, one call for all the
-    factors; otherwise the three small matrices [sqrt(p_a p_b) Gamma^(w/2)]
-    are diagonalized directly.
-    """
-    M = probs.size
-    if np.allclose(probs, 1.0 / M, atol=1e-12):
-        return mi_mway(np.array(gammas), f, M).tolist()
-
-    def E(gamma, w):
-        amp = np.sqrt(probs)
-        rho = np.outer(amp, amp) * gamma ** (0.5 * w)
-        np.fill_diagonal(rho, probs)
-        eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-        return float(-xlogx(eigs).sum())
-
-    return [E(gamma, f) + E(gamma, 1.0) - E(gamma, 1.0 - f) for gamma in gammas]
+def _branch_matrix_mi(probs: np.ndarray, gamma: np.ndarray, f) -> Nats:
+    """I(f) = E(f) + E(1) - E(1-f) from checked weights and factors, E(w)
+    being the entropy of the branch matrix [sqrt(p_a p_b) Gamma_ab^(w/2)]."""
+    amp = np.sqrt(probs)
+    # E(w) at w = f, 1 and 1 - f, diagonalized in one stacked call.
+    ws = (f, 1.0, 1.0 - f)
+    rho = np.outer(amp, amp) * np.stack([gamma ** (0.5 * w) for w in ws])
+    eigs = np.linalg.eigvalsh(rho)
+    lowest = eigs.min(axis=1)
+    for w, low in zip(ws, lowest):
+        if low < -1e-9:
+            raise ArithmeticError(
+                f"branch matrix at w = {w} is not positive semidefinite "
+                f"(min eigenvalue {low:.3e}); the factor matrix is "
+                "not realizable by photon overlaps"
+            )
+    e_f, e_whole, e_rest = (-float(row.sum())
+                            for row in xlogx(np.clip(eigs, 0.0, None)))
+    return e_f + e_whole - e_rest
 
 
 def mi_interval_bounds(gamma_matrix, probs, f: float) -> tuple[Nats, Nats]:
@@ -218,20 +218,20 @@ def mi_interval_bounds(gamma_matrix, probs, f: float) -> tuple[Nats, Nats]:
     them for f < 1/2 once every factor is small; a weakest factor above
     e^-5 is flagged because the ordering is then unverified.
     """
-    gamma_matrix = _check_factor_matrix(gamma_matrix)
-    probs = _check_probs(probs)
-    if gamma_matrix.shape[0] != probs.size:
-        raise ValueError("factor matrix and probabilities disagree on M")
+    cat = CatSpec(probs=probs, gamma=gamma_matrix)
     _check_unit("f", f)
-    M = probs.size
+    M = cat.M
     off = ~np.eye(M, dtype=bool)
-    gamma_weak = float(gamma_matrix[off].max())
-    gamma_strong = float(gamma_matrix[off].min())
+    gamma_weak = float(cat.gamma[off].max())
+    gamma_strong = float(cat.gamma[off].min())
     if gamma_weak > BOUND_VALIDITY_GAMMA:
         warnings.warn(
             f"weakest pair factor {gamma_weak:.3e} exceeds e^-5; the "
             "surrogates are not guaranteed to bracket the exact value",
             stacklevel=2,
         )
-    mi_weak, mi_strong = _uniform_factor_mi(probs, (gamma_weak, gamma_strong), f)
-    return mi_weak, mi_strong
+    # Uniform weights have a closed form; others diagonalize each surrogate.
+    if np.allclose(cat.probs, 1.0 / M, atol=1e-12):
+        return tuple(mi_mway(np.array((gamma_weak, gamma_strong)), f, M).tolist())
+    return tuple(_branch_matrix_mi(cat.probs, np.where(off, gamma, 1.0), f)
+                 for gamma in (gamma_weak, gamma_strong))

@@ -412,6 +412,24 @@ def test_array_calls_return_arrays():
      "bound needs t/tau_D > ln(2/delta) = 5.2983, got 3.0"),
     (lambda: redundancy_lower_bound(6.0, np.array([0.01, 1e-3])),
      "bound needs t/tau_D > ln(2/delta) = 7.6009, got 6.0"),
+    (lambda: h(np.array([0.5, np.nan])),
+     "h argument must be in [0, 1], got nan"),
+    (lambda: redundancy_exact(None, 1.0, np.array([0.01, 1.5]),
+                              t_over_tauD=10.0),
+     "delta must be in (0, 1), got 1.5"),
+    (lambda: redundancy_exact(np.array([0.5, 0.5]), 1.0,
+                              np.array([np.nan, 0.01])),
+     "delta must be in (0, 1), got nan"),
+    (lambda: redundancy_exact(0.5, np.array([1.0, np.nan]), 0.01),
+     "alpha must be in (0, 1], got nan"),
+    (lambda: redundancy_estimate(20.0, np.array([0.5, -0.5]), 0.01),
+     "alpha must be in (0, 1], got -0.5"),
+    (lambda: redundancy_lower_bound(20.0, np.array([0.01, np.nan])),
+     "delta must be in (0, 1), got nan"),
+    (lambda: pip_curve(0.5, 1.0, np.array([-0.1, 0.5])),
+     "f must be in [0, 1], got -0.1"),
+    (lambda: pip_curve(0.5, 1.0, np.array([0.5, 1.5])),
+     "f must be in [0, 1], got 1.5"),
 ])
 def test_array_errors_name_the_first_bad_value(call, message):
     with pytest.raises(ValueError) as info:

@@ -451,6 +451,24 @@ def test_scenario_values_out_of_domain_are_named(command, extra, key,
     assert f"config error: {path}: {name} must be finite and above" in captured.err
 
 
+@pytest.mark.parametrize("command", ["alpha", "pip"])
+def test_degenerate_custom_region_is_a_config_error(command, tmp_path, capsys):
+    # Every lit cell sits at the pole, so the receptivity's overlap
+    # integral vanishes; this ended in a traceback with exit 1.
+    grid = tmp_path / "pole.txt"
+    grid.write_text("# 1 2\n1.0 1.0 1\n1.0 2.0 0\n")
+    path = tmp_path / "pole.cfg"
+    path.write_text(BASE_CFG + f"region = custom:{grid}\n")
+    argv = [command, "--config", str(path)]
+    if command == "pip":
+        argv += ["--times", "1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: {path}: degenerate region: "
+                            "overlap integral vanished\n")
+
+
 @pytest.mark.parametrize("command", ["rate", "alpha", "pip"])
 @pytest.mark.parametrize("order", ["1", "0", "1025", "5000"])
 def test_order_outside_its_range_is_a_config_error(command, order,

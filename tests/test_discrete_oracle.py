@@ -86,6 +86,19 @@ class TestFragmentSpectrum:
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
             fragment_entropy_change_exact([bad], 1)
 
+    @pytest.mark.parametrize("call", [fragment_eigenvalues,
+                                      fragment_entropy_change_exact])
+    def test_inputs_are_checked_once_by_name(self, call):
+        # The entropy change leaves both checks to fragment_eigenvalues.
+        with pytest.raises(ValueError) as info:
+            call([-1.5], 1)
+        assert str(info.value) == "perturbation eigenvalues need 1 + b >= 0"
+        with pytest.raises(ValueError) as info:
+            call([-0.01], 0)
+        assert str(info.value) == ("photon count fN must be a positive "
+                                   "integer, got 0")
+        call([-0.01, -0.02], np.int64(2))  # a numpy integer count passes
+
 
 class TestFragmentEntropy:
     def test_uniform_spectrum(self):
@@ -331,8 +344,10 @@ class TestExactGeneralMi:
     def test_fragment_fraction_validated(self):
         gm = np.array([[1.0, 0.1], [0.1, 1.0]])
         cat = CatSpec(probs=(0.5, 0.5), gamma=gm)
-        with pytest.raises(ValueError):
-            mi_exact_general(cat, 1.5)
+        for bad in (1.5, -0.25, math.nan):
+            with pytest.raises(ValueError) as info:
+                mi_exact_general(cat, bad)
+            assert str(info.value) == f"f must be in [0, 1], got {bad}"
 
     def test_inconsistent_overlaps_are_caught(self):
         # Overlap magnitudes with no realizable set of states: two strong

@@ -120,11 +120,11 @@ def test_binary_entropy_from_gap_identity_with_h():
         )
 
 
-def test_binary_entropy_rejects_bad_gap():
-    with pytest.raises(ValueError):
-        binary_entropy_from_gap(-0.1)
-    with pytest.raises(ValueError):
-        binary_entropy_from_gap(1.5)
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+def test_binary_entropy_rejects_bad_gap(bad):
+    with pytest.raises(ValueError) as info:
+        binary_entropy_from_gap(bad)
+    assert str(info.value) == f"gap must be in [0, 1], got {bad}"
 
 
 def test_m_spectrum_entropy_reduces_to_binary():

@@ -29,7 +29,7 @@ from photon_darwinism.information import (
     redundancy_lower_bound,
 )
 from photon_darwinism.receptivity import alpha_disk, redundancy_rate
-from photon_darwinism.sky import FULL_SPHERE, Direction, SkyRegion
+from photon_darwinism.sky import FULL_SPHERE, SkyRegion
 
 CMB = 2.725
 
@@ -202,10 +202,10 @@ class TestRates:
 
     @pytest.mark.parametrize("theta_deg", [0.0, 45.0, 90.0, 150.0])
     def test_point_region_with_irradiance_is_a_point_source(self, theta_deg):
-        region = SkyRegion.point(Direction(math.cos(math.radians(theta_deg))))
+        region = SkyRegion.point(math.cos(math.radians(theta_deg)))
         scn = _scenario(region=region, irradiance_W_m2=1e-5)
         result = decoherence_rate(scn)
-        tau = point_source_rate(scn, math.acos(region.direction.cos_theta))
+        tau = point_source_rate(scn, math.acos(region.cos_theta))
         assert result.tau_D_inv == tau
         assert result.T_D_inv == isotropic_rate(scn)
         assert result.ratio == tau / result.T_D_inv
@@ -275,14 +275,35 @@ NAN, INF = math.nan, math.inf
     (lambda: effective_radius(1e-6, NAN), "permittivity must be finite"),
     (lambda: disk_rate(1.0, INF), "chi must be finite"),
     (lambda: alpha_disk(1.0, NAN), "chi must be finite"),
+    (lambda: redundancy_rate(NAN, 1.0), r"alpha must be in \[0, 1\], got nan"),
+    (lambda: disk_rate(NAN, 0.0), r"theta0 must be in \[0, pi\], got nan"),
+    (lambda: alpha_disk(NAN, 0.0), r"theta0 must be in \[0, pi\], got nan"),
+    (lambda: photon_number_density(CMB, NAN), "solid angle out of range: nan"),
+    (lambda: SkyRegion.point(NAN), "cos_theta out of range: nan"),
 ], ids=["estimate-nan-t", "estimate-inf-t", "lower-bound-nan-t",
         "lower-bound-inf-t", "record-rate-nan", "record-rate-inf",
         "factor-nan-t", "factor-nan-rate", "density-nan-T",
         "irradiance-nan-T", "irradiance-nan-omega", "radius-nan",
-        "permittivity-nan", "disk-rate-inf-chi", "alpha-disk-nan-chi"])
+        "permittivity-nan", "disk-rate-inf-chi", "alpha-disk-nan-chi",
+        "record-rate-nan-alpha", "disk-rate-nan-theta0",
+        "alpha-disk-nan-theta0", "density-nan-omega", "point-nan-cosine"])
 def test_scalar_functions_reject_non_finite_inputs_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: disk_rate(4.0, 0.0), "theta0 must be in [0, pi], got 4.0"),
+    (lambda: alpha_disk(-0.1, 0.0), "theta0 must be in [0, pi], got -0.1"),
+    (lambda: redundancy_rate(-0.5, 1.0), "alpha must be in [0, 1], got -0.5"),
+    (lambda: patch_irradiance(CMB, 13.0), "solid angle out of range: 13.0"),
+    (lambda: photon_number_density(CMB, -1.0), "solid angle out of range: -1.0"),
+], ids=["disk-rate-theta0", "alpha-disk-theta0", "record-rate-alpha",
+        "irradiance-omega", "density-omega"])
+def test_scalar_functions_reject_out_of_range_inputs_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestParseScenario:
@@ -309,7 +330,7 @@ class TestParseScenario:
         path.write_text(self.BASE + "region = point:45\nirradiance_W_m2 = 1e-5\n")
         scn = parse_scenario(path)
         assert scn.region.kind == "point"
-        assert scn.region.direction.cos_theta == pytest.approx(
+        assert scn.region.cos_theta == pytest.approx(
             math.cos(math.radians(45.0)), rel=1e-12
         )
         assert scn.irradiance_W_m2 == 1e-5

@@ -132,7 +132,7 @@ class TestReceptivityResult:
 
 def test_redundancy_rate():
     assert redundancy_rate(0.5, 4.0) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got 1.5$"):
         redundancy_rate(1.5, 1.0)
     with pytest.raises(ValueError):
         redundancy_rate(0.5, -1.0)

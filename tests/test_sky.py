@@ -16,7 +16,6 @@ import photon_darwinism
 from photon_darwinism.cli import main
 from photon_darwinism.sky import (
     FULL_SPHERE,
-    Direction,
     SkyRegion,
     _custom_nodes,
     _gauss_legendre,
@@ -33,27 +32,20 @@ from photon_darwinism.sky import (
 
 def _random_direction(rng):
     v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return Direction.from_vector(v)
+    return v / np.linalg.norm(v)
 
 
-class TestDirection:
-    def test_vector_roundtrip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            d = _random_direction(rng)
-            back = Direction.from_vector(d.vector)
-            assert back.cos_theta == pytest.approx(d.cos_theta, abs=1e-12)
-            # phi is only defined mod 2 pi and undefined at the poles
-            assert math.cos(back.phi - d.phi) == pytest.approx(1.0, abs=1e-9)
+class TestPointRegion:
+    def test_stores_the_cosine(self):
+        assert SkyRegion.point().cos_theta == 1.0
+        assert SkyRegion.point(-0.25).cos_theta == -0.25
+        assert SkyRegion.point(cos_theta=-1.0).kind == "point"
 
-    def test_rejects_out_of_range_cosine(self):
-        with pytest.raises(ValueError):
-            Direction(1.2)
-
-    def test_rejects_non_unit_vector(self):
-        with pytest.raises(ValueError):
-            Direction.from_vector([0.0, 0.0, 2.0])
+    @pytest.mark.parametrize("bad", [1.2, -1.0 - 1e-15, math.nan])
+    def test_rejects_out_of_range_cosine(self, bad):
+        with pytest.raises(ValueError) as info:
+            SkyRegion.point(bad)
+        assert str(info.value) == f"cos_theta out of range: {bad}"
 
 
 class TestSolidAngle:
@@ -144,14 +136,16 @@ def _ones(p):
 
 
 def _direction_loop_integrate(f, order):
-    """Reference: the per-node loop that handed f one Direction at a time,
-    accumulated from 0.0 as it was."""
+    """Reference: the per-node loop that handed f one direction at a time,
+    each rebuilt from (cos_theta, phi) by the trig of the former
+    Direction.vector, accumulated from 0.0 as it was."""
     pts, ww = _panel(-1.0, 1.0, order)
-    vals = np.array([
-        f(Direction(cos_theta=float(p[2]), phi=float(math.atan2(p[1], p[0]))))
-        for p in pts
-    ])
-    return 0.0 + float(np.sum(ww * vals))
+    vals = []
+    for p in pts:
+        c, phi = float(p[2]), float(math.atan2(p[1], p[0]))
+        s = math.sqrt(max(0.0, 1.0 - c**2))
+        vals.append(f(np.array([s * math.cos(phi), s * math.sin(phi), c])))
+    return 0.0 + float(np.sum(ww * np.array(vals)))
 
 
 class TestIntegrateSphere:
@@ -187,8 +181,7 @@ class TestIntegrateSphere:
     def test_rate_integrand_matches_the_direction_loop(self, order):
         # The oracle's rate_assembly integrand, in both calling conventions.
         got = integrate_sphere(lambda p: 3.0 + 11.0 * p[:, 2] ** 2, order=order)
-        ref = _direction_loop_integrate(
-            lambda d: 3.0 + 11.0 * d.cos_theta ** 2, order)
+        ref = _direction_loop_integrate(lambda v: 3.0 + 11.0 * v[2] ** 2, order)
         assert got == ref
 
     def test_order_validation(self):
@@ -294,12 +287,14 @@ class TestG2Weight:
         z = np.array([0.0, 0.0, 1.0])
         assert g2_weight(z, -z, z) == pytest.approx(8.0, rel=1e-15)
 
-    def test_accepts_directions_and_vectors(self):
-        n = Direction(0.2, 1.0)
-        m = Direction(-0.7, 2.5)
-        z = np.array([0.0, 0.0, 1.0])
-        assert g2_weight(n, m, z) == pytest.approx(
-            g2_weight(n.vector, m.vector, z), rel=1e-14
+    def test_matches_the_polar_angle_form(self):
+        (c1, p1), (c2, p2) = (0.2, 1.0), (-0.7, 2.5)
+        s1, s2 = math.sqrt(1.0 - c1 * c1), math.sqrt(1.0 - c2 * c2)
+        n = [s1 * math.cos(p1), s1 * math.sin(p1), c1]
+        m = (s2 * math.cos(p2), s2 * math.sin(p2), c2)
+        cnm = s1 * s2 * math.cos(p1 - p2) + c1 * c2
+        assert g2_weight(n, m, [0.0, 0.0, 1.0]) == pytest.approx(
+            (1.0 + cnm * cnm) * (c1 - c2) ** 2, rel=1e-14
         )
 
     @pytest.mark.parametrize("c", [0.0, 0.3, 1.0 / math.sqrt(2.0), 1.0])
@@ -307,7 +302,7 @@ class TestG2Weight:
         # Integrating the weight over one photon direction gives
         # (8 pi / 15) (3 + 11 cos^2 theta) for the other; checked here
         # against the quadrature directly.
-        n = Direction(c, 0.0)
+        n = np.array([math.sqrt(1.0 - c * c), 0.0, c])
         z = np.array([0.0, 0.0, 1.0])
         val = integrate_sphere(
             lambda p: np.array([g2_weight(n, m, z) for m in p]), order=8)
@@ -568,7 +563,7 @@ class TestIndicatorFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"config error: {cfg}: region: grid cos(theta) must ascend in "
+            f"config error: {cfg}: region: {grid}: grid cos(theta) must ascend in "
             "equal steps, got steps from -1.0 to -1.0\n")
 
     def test_header_only_file_prints_only_the_config_error(self, tmp_path):

@@ -6,8 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from photon_darwinism.discrete_oracle import discrete_gamma, fragment_entropy_exact
-from photon_darwinism.entropy_kernels import LN2, h, m_spectrum_entropy
+from photon_darwinism.discrete_oracle import (
+    discrete_gamma,
+    fragment_entropy_exact,
+    mi_exact_general,
+)
+from photon_darwinism.entropy_kernels import (
+    LN2,
+    binary_entropy_from_gap,
+    h,
+    m_spectrum_entropy,
+)
 from photon_darwinism.information import mutual_information
 from photon_darwinism.superpositions import (
     BOUND_VALIDITY_GAMMA,
@@ -260,11 +269,17 @@ class TestIntervalBounds:
 
     def test_matrix_validation(self):
         probs = np.array([0.6, 0.4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="factor matrix must be square"):
             mi_interval_bounds(np.ones((2, 3)), probs, 0.2)
         asym = np.array([[1.0, 0.1], [0.2, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="factor matrix must be symmetric"):
             mi_interval_bounds(asym, probs, 0.2)
+        # The weights and the matrix are checked by CatSpec, in that order.
+        with pytest.raises(ValueError,
+                           match="factor matrix is 2x2 but there are 3 branches"):
+            mi_interval_bounds(np.eye(2), np.full(3, 1.0 / 3.0), 0.2)
+        with pytest.raises(ValueError, match="branch probabilities must be"):
+            mi_interval_bounds(asym, [0.7, 0.7], 0.2)
 
 
 NAN = math.nan
@@ -281,8 +296,14 @@ _WEAK_PAIR = [[1.0, 1e-3], [1e-3, 1.0]]
     (lambda: fragment_entropy_exact([0.5, 0.5], [NAN, 1.0]),
      "spectrum sums to nan, not 1"),
     (lambda: discrete_gamma([NAN, 0.5]), "overlap magnitudes cannot exceed 1, got nan"),
+    (lambda: mi_interval_bounds(_WEAK_PAIR, [0.5, 0.5], NAN),
+     r"^f must be in \[0, 1\], got nan$"),
+    (lambda: mi_exact_general(CatSpec([0.5, 0.5], _WEAK_PAIR), NAN),
+     r"^f must be in \[0, 1\], got nan$"),
+    (lambda: binary_entropy_from_gap(NAN), r"^gap must be in \[0, 1\], got nan$"),
 ], ids=["max-entropy", "cat-spec", "interval-bounds", "spectrum-value",
-        "spectrum-multiplicity", "discrete-gamma"])
+        "spectrum-multiplicity", "discrete-gamma", "interval-bounds-f",
+        "exact-general-f", "binary-gap"])
 def test_validators_reject_nan_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
