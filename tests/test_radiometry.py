@@ -279,14 +279,13 @@ NAN, INF = math.nan, math.inf
     (lambda: disk_rate(NAN, 0.0), r"theta0 must be in \[0, pi\], got nan"),
     (lambda: alpha_disk(NAN, 0.0), r"theta0 must be in \[0, pi\], got nan"),
     (lambda: photon_number_density(CMB, NAN), "solid angle out of range: nan"),
-    (lambda: SkyRegion.point(NAN), "cos_theta out of range: nan"),
 ], ids=["estimate-nan-t", "estimate-inf-t", "lower-bound-nan-t",
         "lower-bound-inf-t", "record-rate-nan", "record-rate-inf",
         "factor-nan-t", "factor-nan-rate", "density-nan-T",
         "irradiance-nan-T", "irradiance-nan-omega", "radius-nan",
         "permittivity-nan", "disk-rate-inf-chi", "alpha-disk-nan-chi",
         "record-rate-nan-alpha", "disk-rate-nan-theta0",
-        "alpha-disk-nan-theta0", "density-nan-omega", "point-nan-cosine"])
+        "alpha-disk-nan-theta0", "density-nan-omega"])
 def test_scalar_functions_reject_non_finite_inputs_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
