@@ -33,10 +33,12 @@ def _libm(fn, *args) -> np.ndarray:
     """A ``math`` function applied element by element, with broadcasting.
 
     numpy's exp, log, log1p and power differ from the C library's in the
-    last bit on a few percent of inputs, so every transcendental call in
-    the package goes through here: an array result then equals a loop of
-    scalar calls bit for bit, on every host. Arithmetic stays in numpy,
-    whose + - * / and sqrt are correctly rounded.
+    last bit on a few percent of inputs, so the information kernels (h,
+    the mutual informations, redundancy) send them through here: an array
+    result then equals a loop of scalar calls bit for bit, on every host.
+    Arithmetic stays in numpy, whose + - * / and sqrt are correctly
+    rounded. The grid trig, the Planck nodes, the moment series and the
+    branch-matrix powers use numpy's own functions.
     """
     arrays = [np.asarray(a, dtype=float) for a in args]
     shape = arrays[0].shape if len(arrays) == 1 else np.broadcast(*arrays).shape

@@ -207,6 +207,12 @@ def _check_cap(theta0: float, chi: float) -> None:
         raise ValueError(f"chi must be finite, got {chi}")
 
 
+def _check_rate(tau_D_inv: float) -> None:
+    """Reject a decoherence rate that is negative or not finite."""
+    if not 0.0 <= tau_D_inv < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {tau_D_inv}")
+
+
 def disk_rate(theta0: float, chi: float) -> float:
     """Closed-form disk decoherence rate in units of the full-sky rate.
 
@@ -245,8 +251,7 @@ def decoherence_factor(t: float, tau_D_inv: float) -> float:
     """Remaining squared coherence exp(-t * rate) after time t seconds."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"elapsed time must be finite and nonnegative, got {t}")
-    if not 0.0 <= tau_D_inv < math.inf:
-        raise ValueError(f"rate must be finite and nonnegative, got {tau_D_inv}")
+    _check_rate(tau_D_inv)
     return math.exp(-t * tau_D_inv)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy_kernels import _check_unit
-from .radiometry import _check_cap
+from .radiometry import _check_cap, _check_rate
 from .sky import (
     FULL_SPHERE,
     AngularMoments,
@@ -145,8 +145,7 @@ def redundancy_rate(alpha: float, tau_D_inv: float) -> float:
     entirely when the environment has no receptivity.
     """
     _check_unit("alpha", alpha)
-    if not 0.0 <= tau_D_inv < math.inf:
-        raise ValueError(f"rate must be finite and nonnegative, got {tau_D_inv}")
+    _check_rate(tau_D_inv)
     return alpha * tau_D_inv
 
 

@@ -321,6 +321,20 @@ def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
     return AngularMoments(s=s, t=t)
 
 
+def _bad_line(path) -> str | None:
+    """Error text naming a grid file's first data line not of 3 numbers."""
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            fields = line.partition("#")[0].split()
+            try:
+                if n == 1 or not fields or len(list(map(float, fields))) == 3:
+                    continue
+            except ValueError:
+                pass
+            return (f"{path}: line {n}: expected three numbers "
+                    f"'cos_theta phi value', got '{line.strip()}'")
+
+
 def load_indicator_grid(path) -> SkyRegion:
     """Read a custom region from a plain-text indicator file.
 
@@ -342,11 +356,13 @@ def load_indicator_grid(path) -> SkyRegion:
         with warnings.catch_warnings():
             # A header-only file is reported below as a row-count error.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, ndmin=2)
+            try:
+                data = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(_bad_line(path) or f"{path}: {exc}") from exc
     if data.shape != (rows * cols, 3):
-        raise ValueError(
-            f"{path}: expected {rows * cols} grid rows, found {data.shape[0]}"
-        )
+        raise ValueError(_bad_line(path) or f"{path}: expected {rows * cols} "
+                         f"grid rows, found {data.shape[0]}")
     try:
         _check_grid_axes(data[:, 0], data[:, 1])
         u, phi, val = data.T.reshape(3, rows, cols)

@@ -58,17 +58,17 @@ def _check_probs(probs) -> np.ndarray:
 
 def _check_factor_matrix(gamma) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
+    if gamma.ndim < 2 or gamma.shape[-1] != gamma.shape[-2]:
         raise ValueError("factor matrix must be square")
     # np.allclose(gamma, gamma.T, atol=1e-12) written out: each entry lies
     # within 1e-12 + 1e-5 |m| of its finite mirror m, or equals it, so equal
     # infinities count as close and NaN never does.
-    mirror = gamma.T
+    mirror = gamma.swapaxes(-1, -2)
     with np.errstate(invalid="ignore"):
         near = np.abs(gamma - mirror) <= 1e-12 + 1e-5 * np.abs(mirror)
     if not (near & np.isfinite(mirror) | (gamma == mirror)).all():
         raise ValueError("factor matrix must be symmetric")
-    if np.any(np.abs(np.diag(gamma) - 1.0) > 1e-12):
+    if np.any(np.abs(gamma.diagonal(axis1=-2, axis2=-1) - 1.0) > 1e-12):
         raise ValueError("factor matrix must have a unit diagonal")
     if np.any(gamma < 0.0) or np.any(gamma > 1.0 + 1e-12):
         raise ValueError("pairwise factors must lie in [0, 1]")
@@ -81,8 +81,9 @@ class CatSpec:
 
     gamma[a, b] is the decoherence factor of the branch pair (a, b) after
     the full photon environment has acted; the diagonal is one by
-    definition. A None matrix means the factors are uniform and supplied
-    separately to whichever closed form consumes the spec.
+    definition; a stack (..., M, M) holds one matrix per cat. A None matrix
+    means the factors are uniform and supplied separately to whichever
+    closed form consumes the spec.
     """
 
     probs: np.ndarray
@@ -93,9 +94,9 @@ class CatSpec:
         object.__setattr__(self, "probs", probs)
         if self.gamma is not None:
             gamma = _check_factor_matrix(self.gamma)
-            if gamma.shape[0] != probs.size:
+            if gamma.shape[-1] != probs.size:
                 raise ValueError(
-                    f"factor matrix is {gamma.shape[0]}x{gamma.shape[0]} "
+                    f"factor matrix is {gamma.shape[-1]}x{gamma.shape[-1]} "
                     f"but there are {probs.size} branches"
                 )
             object.__setattr__(self, "gamma", gamma)
@@ -189,49 +190,56 @@ def mi_mway_limit(gamma: float, f: float) -> float:
 
 
 def _branch_matrix_mi(probs: np.ndarray, gamma: np.ndarray, f) -> Nats:
-    """I(f) = E(f) + E(1) - E(1-f) from checked weights and factors, E(w)
-    being the entropy of the branch matrix [sqrt(p_a p_b) Gamma_ab^(w/2)]."""
-    amp = np.sqrt(probs)
-    # E(w) at w = f, 1 and 1 - f, diagonalized in one stacked call.
-    ws = (f, 1.0, 1.0 - f)
-    rho = np.outer(amp, amp) * np.stack([gamma ** (0.5 * w) for w in ws])
+    """I(f) = E(f) + E(1) - E(1-f), E(w) being the entropy of the branch
+    matrix [sqrt(p_a p_b) Gamma_ab^(w/2)], from checked weights, factors
+    (..., M, M) and an f broadcast against their leading axes."""
+    amp, M = np.sqrt(probs), probs.size
+    lead = np.broadcast_shapes(gamma.shape[:-2], np.shape(f))
+    gammas = np.broadcast_to(gamma, lead + (M, M)).reshape(-1, M, M)
+    ws = [(fi, 1.0, 1.0 - fi)
+          for fi in np.broadcast_to(f, lead).ravel().tolist()]
+    # E(w) at w = f, 1 and 1 - f, diagonalized in one stacked call; each
+    # power keeps the Python-float exponent of a single-matrix call.
+    rho = np.outer(amp, amp) * np.array(
+        [[g ** (0.5 * w) for w in row] for g, row in zip(gammas, ws)])
     eigs = np.linalg.eigvalsh(rho)
-    lowest = eigs.min(axis=1)
-    for w, low in zip(ws, lowest):
-        if low < -1e-9:
-            raise ArithmeticError(
-                f"branch matrix at w = {w} is not positive semidefinite "
-                f"(min eigenvalue {low:.3e}); the factor matrix is "
-                "not realizable by photon overlaps"
-            )
-    e_f, e_whole, e_rest = (-float(row.sum())
-                            for row in xlogx(np.clip(eigs, 0.0, None)))
-    return e_f + e_whole - e_rest
+    lowest = eigs.min(axis=-1)
+    for i, k in np.argwhere(lowest < -1e-9)[:1]:
+        raise ArithmeticError(
+            f"branch matrix at w = {ws[i][k]} is not positive semidefinite "
+            f"(min eigenvalue {lowest[i, k]:.3e}); the factor matrix is "
+            "not realizable by photon overlaps"
+        )
+    e_f, e_whole, e_rest = np.moveaxis(
+        -xlogx(np.clip(eigs, 0.0, None)).sum(axis=-1), -1, 0)
+    return _result((e_f + e_whole - e_rest).reshape(lead))
 
 
-def mi_interval_bounds(gamma_matrix, probs, f: float) -> tuple[Nats, Nats]:
+def mi_interval_bounds(gamma_matrix, probs, f) -> tuple[Nats, Nats]:
     """Bracket the unequal-factor MI by its weak and strong surrogates.
 
     Returns (mi_weak, mi_strong): the mutual information recomputed with
     every pairwise factor set to the largest (weakest decoherence) and
     smallest (strongest) off-diagonal entry. The exact value lies between
     them for f < 1/2 once every factor is small; a weakest factor above
-    e^-5 is flagged because the ordering is then unverified.
+    e^-5 is flagged because the ordering is then unverified. A stack
+    (..., M, M), f broadcast against its leading axes, gives two arrays.
     """
     cat = CatSpec(probs=probs, gamma=gamma_matrix)
     _check_unit("f", f)
     M = cat.M
     off = ~np.eye(M, dtype=bool)
-    gamma_weak = float(cat.gamma[off].max())
-    gamma_strong = float(cat.gamma[off].min())
-    if gamma_weak > BOUND_VALIDITY_GAMMA:
+    gamma_weak = cat.gamma[..., off].max(axis=-1)
+    gamma_strong = cat.gamma[..., off].min(axis=-1)
+    if (gamma_weak > BOUND_VALIDITY_GAMMA).any():
         warnings.warn(
-            f"weakest pair factor {gamma_weak:.3e} exceeds e^-5; the "
+            f"weakest pair factor {gamma_weak.max():.3e} exceeds e^-5; the "
             "surrogates are not guaranteed to bracket the exact value",
             stacklevel=2,
         )
+    pair = np.stack(np.broadcast_arrays(gamma_weak, gamma_strong, f)[:2])
     # Uniform weights have a closed form; others diagonalize each surrogate.
     if np.allclose(cat.probs, 1.0 / M, atol=1e-12):
-        return tuple(mi_mway(np.array((gamma_weak, gamma_strong)), f, M).tolist())
-    return tuple(_branch_matrix_mi(cat.probs, np.where(off, gamma, 1.0), f)
-                 for gamma in (gamma_weak, gamma_strong))
+        return tuple(map(_result, mi_mway(pair, f, M)))
+    surrogates = np.where(off, pair[..., None, None], 1.0)
+    return tuple(map(_result, _branch_matrix_mi(cat.probs, surrogates, f)))

@@ -4,12 +4,16 @@ The reference functions below are the earlier implementations, kept
 verbatim in operation order: the probability grid built from three full
 D_S x D_S temporaries, the fragment spectrum enumerated one multiset at a
 time with Python-integer factorials, the general-cat mutual information
-with one diagonalization per reduced state, and the factor-matrix check
-through np.allclose. Every current result must equal them bit for bit,
-and every rejection must raise the same exception with the same message.
+with one diagonalization per reduced state, the factor-matrix check
+through np.allclose, the battery's interval-bound trials as one loop
+iteration per trial, and the fragment entropy with one logarithm per
+eigenvalue. Every current result must equal them bit for bit, and every
+rejection must raise the same exception with the same message. Stacked
+general-cat calls must equal a loop of single-matrix calls the same way.
 """
 
 import math
+import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,12 +22,18 @@ import pytest
 from photon_darwinism.discrete_oracle import (
     discrete_alpha,
     fragment_eigenvalues,
+    fragment_entropy_exact,
     mi_exact_general,
+    oracle_battery,
     scattering_probability_grid,
 )
 from photon_darwinism.entropy_kernels import xlogx
 from photon_darwinism.sky import FULL_SPHERE
-from photon_darwinism.superpositions import CatSpec, _check_factor_matrix
+from photon_darwinism.superpositions import (
+    CatSpec,
+    _check_factor_matrix,
+    mi_interval_bounds,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -108,6 +118,39 @@ def ref_check_factor_matrix(gamma):
     if np.any(gamma < 0.0) or np.any(gamma > 1.0 + 1e-12):
         raise ValueError("pairwise factors must lie in [0, 1]")
     return gamma
+
+
+def ref_interval_trials(rng):
+    """(violations, worst_margin) of the battery's 100 interval-bound
+    trials, one loop iteration per trial."""
+    trials = 100
+    violations = 0
+    worst_margin = math.inf
+    for _ in range(trials):
+        log_g = rng.uniform(-8.0, -5.0, size=3)
+        gm = np.ones((3, 3))
+        gm[0, 1] = gm[1, 0] = math.exp(log_g[0])
+        gm[0, 2] = gm[2, 0] = math.exp(log_g[1])
+        gm[1, 2] = gm[2, 1] = math.exp(log_g[2])
+        f_trial = rng.uniform(0.01, 0.49)
+        probs = np.full(3, 1.0 / 3.0)
+        low, high = mi_interval_bounds(gm, probs, f_trial)
+        exact_mi = mi_exact_general(CatSpec(probs=probs, gamma=gm), f_trial)
+        margin = min(exact_mi - low, high - exact_mi)
+        worst_margin = min(worst_margin, margin)
+        if not (low - 1e-12 <= exact_mi <= high + 1e-12):
+            violations += 1
+    return violations, float(worst_margin)
+
+
+def ref_fragment_entropy_exact(values, multiplicities=None):
+    values = np.asarray(values, dtype=float)
+    if multiplicities is None:
+        mult = np.ones_like(values)
+    else:
+        mult = np.asarray(multiplicities, dtype=float)
+    v = np.clip(values, 0.0, None)
+    return float(-(mult * xlogx(v)).sum())
 
 
 def _outcome(fn, *args, **kwargs):
@@ -300,3 +343,140 @@ def test_factor_matrix_check_matches_the_reference(name):
         assert _same_bits(new[1], ref[1])
     else:
         assert new[1] == ref[1]
+
+
+# ---------------------------------------------------------------------------
+# stacked general cats and the battery's interval-bound trials
+
+
+def _loop_outcome(fn, calls):
+    """The outcome of the first failing call, or ("ok", list of results)."""
+    results = []
+    for args in calls:
+        out = _outcome(fn, *args)
+        if out[0] != "ok":
+            return out
+        results.append(out[1])
+    return "ok", results
+
+
+def _bounds(gamma, probs, f):
+    with warnings.catch_warnings():
+        # Gaussian cats often have a weakest factor above e^-5.
+        warnings.simplefilter("ignore", UserWarning)
+        return mi_interval_bounds(gamma, probs, f)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_battery_interval_trials_match_the_per_trial_loop(seed):
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.001, 0.05, size=5)  # the battery's spectrum draw
+    violations, worst_margin = ref_interval_trials(rng)
+    entry = oracle_battery(seed)["checks"][-1]
+    assert entry["name"] == "interval_bound_trials"
+    assert entry["trials"] == 100
+    assert type(entry["violations"]) is int
+    assert entry["violations"] == violations
+    assert type(entry["worst_margin"]) is float
+    assert _same_bits(entry["worst_margin"], worst_margin)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+@pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+@pytest.mark.parametrize("f_kind", ["scalar", "per_matrix", "per_column"])
+def test_stacked_cats_match_single_matrix_calls(M, weights, f_kind):
+    rng = np.random.default_rng([M, len(weights), len(f_kind)])
+    probs = (np.full(M, 1.0 / M) if weights == "uniform"
+             else rng.dirichlet(np.ones(M)))
+    gms = np.stack([_gaussian_cat(rng, M).gamma
+                    for _ in range(24)]).reshape(4, 6, M, M)
+    f = {"scalar": 0.3,
+         "per_matrix": rng.uniform(0.0, 1.0, size=(4, 6)),
+         "per_column": rng.uniform(0.0, 1.0, size=6)}[f_kind]
+    fs = np.broadcast_to(f, (4, 6))
+    exact = mi_exact_general(CatSpec(probs=probs, gamma=gms), f)
+    weak, strong = _bounds(gms, probs, f)
+    for i, j in np.ndindex(4, 6):
+        cat = CatSpec(probs=probs, gamma=gms[i, j])
+        one = mi_exact_general(cat, float(fs[i, j]))
+        one_weak, one_strong = _bounds(gms[i, j], probs, float(fs[i, j]))
+        assert type(one) is type(one_weak) is type(one_strong) is float
+        assert _same_bits(exact[i, j], one)
+        assert _same_bits(weak[i, j], one_weak)
+        assert _same_bits(strong[i, j], one_strong)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+def test_one_matrix_with_an_array_f_matches_single_calls(weights):
+    rng = np.random.default_rng(len(weights))
+    cat = _gaussian_cat(rng, 4)
+    probs = np.full(4, 0.25) if weights == "uniform" else cat.probs
+    cat = CatSpec(probs=probs, gamma=cat.gamma)
+    fs = rng.uniform(0.0, 1.0, size=(2, 5))
+    exact = mi_exact_general(cat, fs)
+    weak, strong = _bounds(cat.gamma, probs, fs)
+    for i, j in np.ndindex(2, 5):
+        one_weak, one_strong = _bounds(cat.gamma, probs, float(fs[i, j]))
+        assert _same_bits(exact[i, j], mi_exact_general(cat, float(fs[i, j])))
+        assert _same_bits(weak[i, j], one_weak)
+        assert _same_bits(strong[i, j], one_strong)
+
+
+def test_stacked_psd_error_is_the_loops_first():
+    tiny = math.exp(-8.0)
+    bad = np.array([[1.0, 0.99, tiny],
+                    [0.99, 1.0, 0.99],
+                    [tiny, 0.99, 1.0]])
+    good = np.full((3, 3), tiny)
+    np.fill_diagonal(good, 1.0)
+    probs = np.full(3, 1.0 / 3.0)
+    gms = np.stack([good, bad, good, bad])
+    fs = [0.2, 0.0, 0.4, 0.9]
+    new = _outcome(mi_exact_general, CatSpec(probs=probs, gamma=gms),
+                   np.array(fs))
+    assert new[0] is ArithmeticError
+    assert new == _loop_outcome(
+        mi_exact_general,
+        [(CatSpec(probs=probs, gamma=g), f) for g, f in zip(gms, fs)])
+
+
+def _valid_factors(M):
+    gm = np.full((M, M), math.exp(-6.0))
+    np.fill_diagonal(gm, 1.0)
+    return gm
+
+
+@pytest.mark.parametrize("case", ["not_square", "asymmetric", "m_mismatch"])
+def test_stacked_input_errors_are_the_loops_first(case):
+    probs = np.full(3, 1.0 / 3.0)
+    if case == "not_square":
+        gms = np.ones((4, 3, 2))
+    elif case == "asymmetric":
+        gms = np.stack([_valid_factors(3)] * 4)
+        gms[2, 0, 1] = 0.2
+    else:
+        gms = np.stack([_valid_factors(2)] * 4)
+    calls = [(g, probs, 0.3) for g in gms]
+    for fn in (lambda g, p, f: CatSpec(probs=p, gamma=g), mi_interval_bounds):
+        new = _outcome(fn, gms, probs, 0.3)
+        assert new[0] is ValueError
+        assert new == _loop_outcome(fn, calls)
+
+
+# ---------------------------------------------------------------------------
+# fragment entropy
+
+
+@pytest.mark.parametrize("D,fN,uniform", [(8, 6, True), (8, 6, False),
+                                          (3, 2, False), (5, 3, True),
+                                          (1, 1, False), (2, 23, False)])
+def test_fragment_entropy_matches_per_element_xlogx(D, fN, uniform):
+    rng = np.random.default_rng([D, fN, uniform])
+    b = (np.full(D, -0.002) if uniform
+         else rng.uniform(-0.9, 0.0, size=D))
+    values, mults = fragment_eigenvalues(b, fN)
+    assert _same_bits(fragment_entropy_exact(values, mults),
+                      ref_fragment_entropy_exact(values, mults))
+    spread = values * mults
+    assert _same_bits(fragment_entropy_exact(spread),
+                      ref_fragment_entropy_exact(spread))

@@ -588,6 +588,25 @@ class TestIndicatorFiles:
             f"config error: {cfg}: region: {grid}: expected 1 grid rows, "
             "found 0\n")
 
+    @pytest.mark.parametrize("text, line, got", [
+        ("# 1 2\n1.0 abc 0\n1.0 2.0 0\n", 2, "1.0 abc 0"),
+        ("# 1 2\n1.0 1.0 0\n# a comment\n\n1.0 2.0\n", 5, "1.0 2.0"),
+        ("# 1 2\n1.0 1.0\n1.0 2.0\n", 2, "1.0 1.0"),
+    ], ids=["not-a-number", "short-row", "two-columns"])
+    def test_rate_names_the_first_bad_grid_line(self, tmp_path, capsys,
+                                                text, line, got):
+        grid = tmp_path / "bad.txt"
+        grid.write_text(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("radius_m = 1e-6\npermittivity = 4.0\ndx_m = 1e-6\n"
+                       f"temperature_K = 2.725\nregion = custom:{grid}\n")
+        assert main(["rate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {cfg}: region: {grid}: line {line}: expected "
+            f"three numbers 'cos_theta phi value', got '{got}'\n")
+
     def test_non_binary_values(self, tmp_path):
         path = tmp_path / "frac.txt"
         lines = ["# 1 2", "0.0 1.0 0.5", "0.0 2.0 1"]
