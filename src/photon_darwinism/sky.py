@@ -322,7 +322,7 @@ def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
 
 
 def _bad_line(path) -> str | None:
-    """Error text naming a grid file's first data line not of 3 numbers."""
+    """Error naming the first grid line that is not 3 numbers, or None."""
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             fields = line.partition("#")[0].split()
