@@ -335,7 +335,8 @@ class DirectionalGrid:
 
     prob[n, m] is |U_nm|^2 for the single-photon map between bins; rows
     sum to one by unitary completion of the diagonal. mask marks the bins
-    inside the illuminated region.
+    inside the illuminated region. prob is a view with a padded row stride,
+    not C-contiguous; np.ascontiguousarray gives a compact copy.
     """
 
     points: np.ndarray
@@ -364,10 +365,12 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     complete each row to one. An even n_theta puts the equator on a bin
     edge, so a half-sphere region is represented without straddling bins.
 
-    The D_S x D_S matrix (D_S = n_theta n_phi) is built in place in one
-    buffer, so peak memory is about prob.nbytes = 8 D_S^2 bytes: 32 MB at
-    32 x 64 bins. The (cos theta_n - cos theta_m)^2 factor depends only on
-    the two theta rows and is applied from an n_theta x n_theta table.
+    The D_S x D_S matrix (D_S = n_theta n_phi) is built in place as the
+    first D_S columns of one zeroed D_S x (D_S + 8) buffer, so peak memory
+    is about prob.nbytes = 8 D_S^2 bytes: 32 MB at 32 x 64 bins. prob is a
+    view with a padded row stride, not C-contiguous; np.ascontiguousarray
+    gives a compact copy. The (cos theta_n - cos theta_m)^2 factor
+    depends only on the two theta rows and is applied ring by ring.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least 2 bins per axis")
@@ -385,15 +388,26 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
     delta_omega = FULL_SPHERE / (n_theta * n_phi)
 
-    # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2, in place.
-    # points @ points.T is one symmetric product, so both triangles agree.
-    prob = points @ points.T
-    np.square(prob, out=prob)
-    prob += 1.0
-    prob *= coupling * delta_omega
+    # points @ points.T is one symmetric product (syrk), so both triangles
+    # agree. numpy copies one triangle down the columns, and at a power-of-
+    # two row stride (16 KB at 32 x 64) every write of that copy hits the
+    # same few cache sets; one cache line of pad per row breaks the stride.
+    # The pad starts at zero: the passes below run over whole padded rows.
+    D_S = points.shape[0]
+    buf = np.zeros((D_S, D_S + 8))
+    prob = buf[:, :D_S]
+    np.matmul(points, points.T, out=prob)
+    # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2, in place,
+    # one theta ring of n_phi rows at a time, while it is in cache.
     gap = (u[:, None] - u[None, :]) ** 2
-    by_theta = prob.reshape(n_theta, n_phi, n_theta, n_phi)
-    by_theta *= gap[:, None, :, None]
+    factor = np.ones_like(buf[0])
+    for i in range(n_theta):
+        rows = buf[i * n_phi:(i + 1) * n_phi]
+        np.square(rows, out=rows)
+        rows += 1.0
+        rows *= coupling * delta_omega
+        factor[:D_S] = np.repeat(gap[i], n_phi)
+        rows *= factor
     np.fill_diagonal(prob, 0.0)
     leak = prob.sum(axis=1)
     if leak.max() >= 1.0:
@@ -426,6 +440,12 @@ def discrete_alpha(grid, mask=None) -> float:
         if mask is None:
             raise ValueError("a raw probability matrix needs an explicit mask")
     mask = np.asarray(mask, dtype=bool)
+    if prob.ndim != 2 or prob.shape[0] != prob.shape[1]:
+        raise ValueError(
+            f"probability matrix must be square 2-d, got shape {prob.shape}")
+    if mask.shape != prob.shape[:1]:
+        raise ValueError("mask must be 1-d with one flag per direction bin "
+                         f"({prob.shape[0]}), got shape {mask.shape}")
     D_B = int(mask.sum())
     if D_B == 0:
         raise ValueError("region mask selects no direction bins")

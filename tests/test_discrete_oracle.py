@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -298,6 +299,33 @@ class TestDiscreteAlpha:
             grid = scattering_probability_grid(n_theta, 2 * n_theta, math.pi / 2.0)
             errs.append(abs(discrete_alpha(grid) - target))
         assert errs[1] < 0.6 * errs[0]
+
+    # Each of these once returned 0.0 (mask.all() held) or raised numpy's
+    # "boolean index did not match" IndexError.
+    @pytest.mark.parametrize("shape", [(5,), (40,), (32, 1), (1, 32), ()])
+    @pytest.mark.parametrize("fill", [True, False])
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_mask_of_the_wrong_shape_is_named(self, shape, fill, raw):
+        grid = scattering_probability_grid(8, 4, math.pi / 2.0)
+        mask = np.full(shape, fill)
+        if not fill and mask.size:
+            mask.flat[0] = True
+        with pytest.raises(ValueError, match=re.escape(
+                "mask must be 1-d with one flag per direction bin (32), "
+                f"got shape {shape}")):
+            discrete_alpha(grid.prob if raw else grid, mask)
+
+    @pytest.mark.parametrize("take", [
+        lambda p: p[:, :10], lambda p: p[:10], lambda p: p[0],
+        lambda p: p[None], lambda p: p.T[:, :31]],
+        ids=["ten_columns", "ten_rows", "one_row", "stacked", "transposed"])
+    def test_probability_matrix_that_is_not_square_is_named(self, take):
+        grid = scattering_probability_grid(8, 4, math.pi / 2.0)
+        prob = take(grid.prob)
+        with pytest.raises(ValueError, match=re.escape(
+                "probability matrix must be square 2-d, "
+                f"got shape {prob.shape}")):
+            discrete_alpha(prob, np.ones(32, bool))
 
 
 def test_planck_spectral_nodes_reproduce_zeta_moments():

@@ -200,6 +200,27 @@ def test_grid_and_alpha_match_the_reference_over_regions(n_theta, n_phi,
         assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
 
 
+# D_S = 32, 288, 1152 (not multiples of 512) and 1024, 2048 (multiples),
+# where an unpadded row stride is a power of two.
+@pytest.mark.parametrize("n_theta,n_phi", [(4, 8), (12, 24), (24, 48),
+                                           (16, 64), (32, 64)])
+def test_padded_grid_matches_the_reference_off_axis(n_theta, n_phi):
+    grid = scattering_probability_grid(n_theta, n_phi, math.pi / 2.0, 0.7)
+    points, mask, prob = ref_grid(n_theta, n_phi, math.pi / 2.0, 0.7)
+    assert _same_bits(grid.mask, mask)
+    assert _same_bits(grid.prob, prob)
+    assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(3, 5), (8, 16), (32, 64)])
+def test_padded_view_reduces_like_a_compact_copy(n_theta, n_phi):
+    grid = scattering_probability_grid(n_theta, n_phi, 1.1, 0.7)
+    compact = np.ascontiguousarray(grid.prob)
+    assert grid.prob.shape == (grid.D_S, grid.D_S)
+    assert _same_bits(grid.prob.sum(axis=1), compact.sum(axis=1))
+    assert _same_bits(discrete_alpha(grid), discrete_alpha(compact, grid.mask))
+
+
 def test_grid_leak_error_matches_the_reference():
     new = _outcome(scattering_probability_grid, 8, 16, 1.0, coupling=2.0)
     assert new[0] is ValueError
