@@ -417,8 +417,7 @@ _SWEEP_TABLE = {
     "mi_mway": {"axes": ("t_over_tauD", "f", "M"),
                 "fixed": {"t_over_tauD": 10.0, "f": 0.2, "M": 3.0},
                 "evaluate": lambda p: mi_mway(
-                    _libm(math.exp, -p["t_over_tauD"]), p["f"],
-                    np.rint(p["M"]))},
+                    _libm(math.exp, -p["t_over_tauD"]), p["f"], p["M"])},
     "redundancy": {"axes": ("t_over_tauD", "delta"),
                    "fixed": {"t_over_tauD": 100.0, "delta": 0.01, "alpha": 1.0},
                    "evaluate": lambda p: redundancy_exact(

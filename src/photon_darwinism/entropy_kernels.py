@@ -18,6 +18,15 @@ import math
 
 import numpy as np
 
+__all__ = [
+    "LN2",
+    "h",
+    "h_power_series",
+    "binary_entropy_from_gap",
+    "m_spectrum_entropy",
+    "xlogx",
+]
+
 # Information measured in natural-log units. Plain floats throughout; the
 # alias only documents intent in signatures.
 Nats = float

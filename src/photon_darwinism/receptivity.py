@@ -27,6 +27,7 @@ from .sky import (
     FULL_SPHERE,
     AngularMoments,
     SkyRegion,
+    _custom_cell_size,
     angular_moments,
     complement_nodes,
     region_nodes,
@@ -73,6 +74,13 @@ def _alpha_integrals(region: SkyRegion, order: int = 64):
     # The complement pairing is recovered by subtraction, an exact algebraic
     # identity, which pins alpha inside [0, 1] up to rounding.
     numerator = denominator - _pair_integral(mom_b, mom_b)
+    if denominator > 0.0 and region.kind == "custom":
+        # The rest of the sky is only the grid's own cells outside the mask.
+        spans = np.multiply(region.grid_mask.shape, _custom_cell_size(region))
+        if not np.allclose(spans, (2.0, 2.0 * math.pi), rtol=1e-3, atol=0.0):
+            raise ValueError(
+                f"custom grid spans {spans[0]:g} in cos(theta) and {spans[1]:g} "
+                "in phi; alpha needs a grid that tiles the sphere (2 and 2 pi)")
     return numerator, denominator
 
 

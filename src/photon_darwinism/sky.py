@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FULL_SPHERE",
     "SkyRegion",
     "solid_angle",
     "integrate_sphere",
     "g2_weight",
     "region_nodes",
     "complement_nodes",
+    "AngularMoments",
     "angular_moments",
     "load_indicator_grid",
 ]

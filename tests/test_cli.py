@@ -341,6 +341,9 @@ class TestSweep:
           "--start", "-1000", "--stop", "1"], "--axis t_over_tauD at -1000:"),
         (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
           "--stop", "1", "--fix", "M=1"], "--fix M=1:"),
+        (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
+          "--stop", "1", "--fix", "M=2.5"],
+         "--fix M=2.5: branch count must be an integer >= 2, got 2.5"),
         (["--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "1",
           "--fix", "t_over_tauD=5", "--fix", "alpha=2"], "--fix alpha=2:"),
     ])
@@ -467,6 +470,34 @@ def test_degenerate_custom_region_is_a_config_error(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"config error: {path}: degenerate region: "
                             "overlap integral vanished\n")
+
+
+@pytest.mark.parametrize("command,code", [
+    ("alpha", EXIT_CONFIG), ("pip", EXIT_CONFIG), ("rate", EXIT_OK)])
+def test_grid_that_does_not_tile_the_sphere(command, code, tmp_path, capsys):
+    # A fully lit 3 x 4 band over cos(theta) in [0.7, 1] leaves no cells for
+    # the rest of the sky, so alpha refuses it; this printed alpha = 0. The
+    # rate needs no complement and still prices the band.
+    grid = tmp_path / "band.txt"
+    grid.write_text("# 3 4\n" + "".join(
+        f"{u} {(j + 0.5) * math.pi / 2.0:.6f} 1\n"
+        for u in (0.75, 0.85, 0.95) for j in range(4)))
+    path = tmp_path / "band.cfg"
+    path.write_text(BASE_CFG + f"region = custom:{grid}\n")
+    argv = [command, "--config", str(path)]
+    if command == "pip":
+        argv += ["--times", "1"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert captured.err == ""
+        assert json.loads(captured.out)["ratio_to_isotropic"] > 0.0
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {path}: custom grid spans 0.3 in cos(theta) and "
+            "6.28319 in phi; alpha needs a grid that tiles the sphere "
+            "(2 and 2 pi)\n")
 
 
 @pytest.mark.parametrize("command", ["rate", "alpha", "pip"])

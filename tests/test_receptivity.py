@@ -1,6 +1,7 @@
 """Tests for the receptivity fraction alpha and its closed disk form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,4 +146,28 @@ def test_degenerate_grid_raises_the_same_error_on_both_paths(alpha_of):
     # overlap integral vanishes although the grid has solid angle 2 sr.
     region = SkyRegion.custom([1.0], [1.0, 2.0], [[1, 0]])
     with pytest.raises(ArithmeticError, match="degenerate region"):
+        alpha_of(region)
+
+
+# A fully lit 3 x 4 band over cos(theta) in [0.7, 1]: the grid has no cells
+# outside its mask, so it cannot stand for the rest of the sky.
+BAND = SkyRegion.custom([0.75, 0.85, 0.95],
+                        (np.arange(4) + 0.5) * (math.pi / 2.0),
+                        np.ones((3, 4), dtype=bool))
+# A full sky of rows but only the azimuths in [0, pi], lit at the top.
+HALF_PHI = SkyRegion.custom(-1.0 + (np.arange(4) + 0.5) * 0.5,
+                            (np.arange(4) + 0.5) * (math.pi / 4.0),
+                            (np.arange(4) == 3)[:, None] & np.ones(4, bool))
+
+
+@pytest.mark.parametrize("alpha_of", [alpha_numeric, receptivity_result],
+                         ids=["alpha_numeric", "receptivity_result"])
+@pytest.mark.parametrize("region,spans", [
+    (BAND, "0.3 in cos(theta) and 6.28319 in phi"),
+    (HALF_PHI, "2 in cos(theta) and 3.14159 in phi"),
+], ids=["band", "half-phi"])
+def test_grid_that_does_not_tile_the_sphere_raises(alpha_of, region, spans):
+    with pytest.raises(ValueError, match=(
+            rf"^custom grid spans {re.escape(spans)}; alpha needs a grid "
+            r"that tiles the sphere \(2 and 2 pi\)$")):
         alpha_of(region)
