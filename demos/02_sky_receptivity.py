@@ -16,7 +16,7 @@ from photon_darwinism import (
     alpha_disk,
     alpha_numeric,
     disk_rate,
-    receptivity_result,
+    redundancy_rate,
 )
 
 print("== receptivity of polar caps (closed form) ==")
@@ -62,9 +62,9 @@ u = -1.0 + (np.arange(rows) + 0.5) * (2.0 / rows)
 phi = (np.arange(cols) + 0.5) * (2.0 * math.pi / cols)
 mask = (np.abs(u) > 0.8)[:, None] & np.ones(cols, dtype=bool)
 caps = SkyRegion.custom(u, phi, mask)
-result = receptivity_result(caps, tau_D_inv=1.0)
+alpha = alpha_numeric(caps)
 print("== custom region: two antipodal caps (|cos theta| > 0.8) ==")
 print(f"solid angle  {caps.solid_angle_sr:.4f} sr "
       f"({caps.solid_angle_sr / (4 * math.pi):.1%} of the sky)")
-print(f"alpha        {result.alpha:.4f}")
-print(f"tau_R^-1     {result.tau_R_inv:.4f} (in units of tau_D^-1)")
+print(f"alpha        {alpha:.4f}")
+print(f"tau_R^-1     {redundancy_rate(alpha, 1.0):.4f} (in units of tau_D^-1)")

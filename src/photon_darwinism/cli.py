@@ -33,6 +33,7 @@ from .discrete_oracle import (
 from .entropy_kernels import _libm
 from .information import (
     MAX_DEFICIT,
+    _check_time,
     mutual_information_at_time,
     redundancy_estimate,
     redundancy_exact,
@@ -413,11 +414,13 @@ _SWEEP_TABLE = {
     "mi_unbalanced": {"axes": ("t_over_tauD", "f", "mu"),
                       "fixed": {"t_over_tauD": 10.0, "f": 0.2, "mu": 0.5},
                       "evaluate": lambda p: mi_unbalanced(
-                          _libm(math.exp, -p["t_over_tauD"]), p["f"], p["mu"])},
+                          _libm(math.exp, -_check_time(p["t_over_tauD"])),
+                          p["f"], p["mu"])},
     "mi_mway": {"axes": ("t_over_tauD", "f", "M"),
                 "fixed": {"t_over_tauD": 10.0, "f": 0.2, "M": 3.0},
                 "evaluate": lambda p: mi_mway(
-                    _libm(math.exp, -p["t_over_tauD"]), p["f"], p["M"])},
+                    _libm(math.exp, -_check_time(p["t_over_tauD"])),
+                    p["f"], p["M"])},
     "redundancy": {"axes": ("t_over_tauD", "delta"),
                    "fixed": {"t_over_tauD": 100.0, "delta": 0.01, "alpha": 1.0},
                    "evaluate": lambda p: redundancy_exact(
@@ -437,7 +440,7 @@ def _sweep_fault(quantity, axis, values, fixed, exc) -> str:
     for value in values.tolist():
         try:
             spec["evaluate"]({**fixed, axis: value})
-        except (ValueError, OverflowError) as point_exc:
+        except ValueError as point_exc:
             exc = point_exc
             break
     defaults = spec["fixed"]
@@ -446,7 +449,7 @@ def _sweep_fault(quantity, axis, values, fixed, exc) -> str:
             continue
         try:
             spec["evaluate"]({**defaults, key: fixed[key]})
-        except (ValueError, OverflowError) as fix_exc:
+        except ValueError as fix_exc:
             return f"--fix {key}={_fmt(fixed[key])}: {fix_exc}"
     return f"--axis {axis} at {_fmt(value)}: {exc}"
 
@@ -488,7 +491,7 @@ def cmd_sweep(args) -> int:
 
     try:
         results = spec["evaluate"]({**fixed, args.axis: values})
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise CliError(_sweep_fault(args.quantity, args.axis, values,
                                     fixed, exc)) from exc
     xs = values.tolist()

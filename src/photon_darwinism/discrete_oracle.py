@@ -312,10 +312,13 @@ def matrix_element_diag(k: float, theta: float, scenario: Scenario,
     polarizability volume squared over the box volume, times the photon's
     k^6 and the elapsed path ct. Valid while the deficit is small.
     """
-    if k < 0.0 or t < 0.0:
-        raise ValueError("wavenumber and time must be nonnegative")
-    if V <= 0.0:
-        raise ValueError("box volume must be positive")
+    for name, value in (("k", k), ("t", t)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not 0.0 < V < math.inf:
+        raise ValueError(f"V must be finite and positive, got {V}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     deficit = (
         (2.0 * math.pi / 15.0)
         * (3.0 + 11.0 * math.cos(theta) ** 2)

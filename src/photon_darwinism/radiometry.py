@@ -239,6 +239,8 @@ def point_source_rate(scenario: Scenario, theta: float) -> float:
     irradiance = scenario.irradiance_W_m2
     if irradiance is None or irradiance <= 0.0:
         raise ValueError("point_source_rate needs a positive irradiance_W_m2")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     y = BOLTZMANN * scenario.temperature_K / (HBAR * SPEED_OF_LIGHT)
     prefactor = (4.0 * math.pi / 15.0) * _FACTORIAL_8 * ZETA_9 / (6.0 * ZETA_4)
     angular = 3.0 + 11.0 * math.cos(theta) ** 2

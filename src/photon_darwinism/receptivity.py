@@ -17,7 +17,6 @@ cost is linear in the node count instead of quadratic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +34,10 @@ from .sky import (
 )
 
 __all__ = [
-    "ReceptivityResult",
     "alpha_closed_form",
     "alpha_numeric",
     "alpha_disk",
     "redundancy_rate",
-    "receptivity_result",
 ]
 
 
@@ -60,35 +57,15 @@ def _pair_integral(a: AngularMoments, b: AngularMoments) -> float:
     return float(scalar + tensor)
 
 
-def _merged(a: AngularMoments, b: AngularMoments) -> AngularMoments:
-    return AngularMoments(s=a.s + b.s, t=a.t + b.t)
-
-
 def _alpha_integrals(region: SkyRegion, order: int = 64):
     """(numerator, denominator) of the receptivity ratio by quadrature."""
-    pts_b, w_b = region_nodes(region, order)
-    pts_c, w_c = complement_nodes(region, order)
-    mom_b = angular_moments(pts_b, w_b)
-    mom_s = _merged(mom_b, angular_moments(pts_c, w_c))
-    denominator = _pair_integral(mom_b, mom_s)
+    mom_b = angular_moments(*region_nodes(region, order))
+    mom_c = angular_moments(*complement_nodes(region, order))
+    denominator = _pair_integral(
+        mom_b, AngularMoments(s=mom_b.s + mom_c.s, t=mom_b.t + mom_c.t))
     # The complement pairing is recovered by subtraction, an exact algebraic
     # identity, which pins alpha inside [0, 1] up to rounding.
-    numerator = denominator - _pair_integral(mom_b, mom_b)
-    if denominator > 0.0 and region.kind == "custom":
-        # The rest of the sky is only the grid's own cells outside the mask.
-        spans = np.multiply(region.grid_mask.shape, _custom_cell_size(region))
-        if not np.allclose(spans, (2.0, 2.0 * math.pi), rtol=1e-3, atol=0.0):
-            raise ValueError(
-                f"custom grid spans {spans[0]:g} in cos(theta) and {spans[1]:g} "
-                "in phi; alpha needs a grid that tiles the sphere (2 and 2 pi)")
-    return numerator, denominator
-
-
-def _alpha_ratio(numerator: float, denominator: float) -> float:
-    """alpha from its integrals, clamped to [0, 1] against rounding."""
-    if denominator <= 0.0:
-        raise ArithmeticError("degenerate region: overlap integral vanished")
-    return min(1.0, max(0.0, numerator / denominator))
+    return denominator - _pair_integral(mom_b, mom_b), denominator
 
 
 def _alpha_limit(region: SkyRegion) -> float | None:
@@ -96,7 +73,8 @@ def _alpha_limit(region: SkyRegion) -> float | None:
     omega = solid_angle(region)
     if region.kind == "point" or omega == 0.0:
         return 1.0
-    if region.kind == "isotropic" or omega >= FULL_SPHERE - 1e-12:
+    if region.kind == "isotropic" or (
+            region.kind == "disk" and omega >= FULL_SPHERE - 1e-12):
         return 0.0
     return None
 
@@ -104,13 +82,24 @@ def _alpha_limit(region: SkyRegion) -> float | None:
 def alpha_numeric(region: SkyRegion, order: int = 64) -> float:
     """Receptivity of a sky region, by product quadrature.
 
-    The zero-measure and full-sphere limits do not admit the ratio
-    directly and return their analytic values 1 and 0.
+    In order: the zero-measure and full-sky limits (1 and 0), the integrals,
+    the tiling rule, the degenerate region and the ratio, clamped to [0, 1]
+    against rounding. A custom grid reaches 0 only through its integrals.
     """
     limit = _alpha_limit(region)
     if limit is not None:
         return limit
-    return _alpha_ratio(*_alpha_integrals(region, order))
+    numerator, denominator = _alpha_integrals(region, order)
+    if denominator > 0.0 and region.kind == "custom":
+        # The rest of the sky is only the grid's own cells outside the mask.
+        spans = np.multiply(region.grid_mask.shape, _custom_cell_size(region))
+        if not np.allclose(spans, (2.0, 2.0 * math.pi), rtol=1e-3, atol=0.0):
+            raise ValueError(
+                f"custom grid spans {spans[0]:g} in cos(theta) and {spans[1]:g} "
+                "in phi; alpha needs a grid that tiles the sphere (2 and 2 pi)")
+    if denominator <= 0.0:
+        raise ArithmeticError("degenerate region: overlap integral vanished")
+    return min(1.0, max(0.0, numerator / denominator))
 
 
 def alpha_closed_form(region: SkyRegion) -> float | None:
@@ -155,32 +144,3 @@ def redundancy_rate(alpha: float, tau_D_inv: float) -> float:
     _check_unit("alpha", alpha)
     _check_rate(tau_D_inv)
     return alpha * tau_D_inv
-
-
-@dataclass(frozen=True)
-class ReceptivityResult:
-    """Receptivity with diagnostics and the derived record rate."""
-
-    alpha: float
-    numerator: float
-    denominator: float
-    tau_R_inv: float | None = None       # 1/s, when an SI rate was supplied
-    tau_R_over_TD: float | None = None   # record rate in full-sky rate units
-
-
-def receptivity_result(region: SkyRegion, order: int = 64,
-                       tau_D_inv: float | None = None,
-                       rate_ratio: float | None = None) -> ReceptivityResult:
-    """Bundle alpha with its integrals and, if rates are given, tau_R."""
-    alpha = _alpha_limit(region)
-    # At zero measure both integrals vanish identically.
-    num, den = (0.0, 0.0) if alpha == 1.0 else _alpha_integrals(region, order)
-    if alpha is None:
-        alpha = _alpha_ratio(num, den)
-    return ReceptivityResult(
-        alpha=alpha,
-        numerator=num,
-        denominator=den,
-        tau_R_inv=None if tau_D_inv is None else redundancy_rate(alpha, tau_D_inv),
-        tau_R_over_TD=None if rate_ratio is None else alpha * rate_ratio,
-    )

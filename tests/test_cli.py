@@ -344,6 +344,20 @@ class TestSweep:
         (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
           "--stop", "1", "--fix", "M=2.5"],
          "--fix M=2.5: branch count must be an integer >= 2, got 2.5"),
+        # The two cat sweeps checked no time before exp(-t), so a negative
+        # one blamed gamma = exp(1) or raised "math range error".
+        (["--quantity", "mi_unbalanced", "--axis", "t_over_tauD",
+          "--start", "-1", "--stop", "1"], "--axis t_over_tauD at -1: "
+         "t_over_tauD must be finite and nonnegative, got -1.0\n"),
+        (["--quantity", "mi_mway", "--axis", "t_over_tauD",
+          "--start", "-1000", "--stop", "1"], "--axis t_over_tauD at -1000: "
+         "t_over_tauD must be finite and nonnegative, got -1000.0\n"),
+        (["--quantity", "mi_unbalanced", "--axis", "f", "--start", "0",
+          "--stop", "1", "--fix", "t_over_tauD=-2"], "--fix t_over_tauD=-2: "
+         "t_over_tauD must be finite and nonnegative, got -2.0\n"),
+        (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
+          "--stop", "1", "--fix", "t_over_tauD=-2"], "--fix t_over_tauD=-2: "
+         "t_over_tauD must be finite and nonnegative, got -2.0\n"),
         (["--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "1",
           "--fix", "t_over_tauD=5", "--fix", "alpha=2"], "--fix alpha=2:"),
     ])
@@ -498,6 +512,31 @@ def test_grid_that_does_not_tile_the_sphere(command, code, tmp_path, capsys):
             f"config error: {path}: custom grid spans 0.3 in cos(theta) and "
             "6.28319 in phi; alpha needs a grid that tiles the sphere "
             "(2 and 2 pi)\n")
+
+
+@pytest.mark.parametrize("command,code", [
+    ("alpha", EXIT_CONFIG), ("pip", EXIT_CONFIG), ("rate", EXIT_OK)])
+def test_grid_larger_than_the_sphere(command, code, tmp_path, capsys):
+    # A fully lit 2 x 4 grid at u = -1, 1 prices 24 sr, more than the
+    # sphere; alpha took it for the full sky and printed alpha = 0.
+    grid = tmp_path / "over.txt"
+    grid.write_text("# 2 4\n" + "".join(
+        f"{u} {phi} 1\n" for u in (-1.0, 1.0) for phi in (0.5, 2.0, 3.5, 5.0)))
+    path = tmp_path / "over.cfg"
+    path.write_text(BASE_CFG + f"region = custom:{grid}\n")
+    argv = [command, "--config", str(path)]
+    if command == "pip":
+        argv += ["--times", "1"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert captured.err == ""
+        assert json.loads(captured.out)["ratio_to_isotropic"] > 0.0
+    else:
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {path}: custom grid spans 4 in cos(theta) and "
+            "6 in phi; alpha needs a grid that tiles the sphere (2 and 2 pi)\n")
 
 
 @pytest.mark.parametrize("command", ["rate", "alpha", "pip"])

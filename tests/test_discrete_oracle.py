@@ -239,6 +239,25 @@ class TestMatrixElement:
         d2 = 1.0 - matrix_element_diag(1e6, 0.3, scn, V=2.0, t=4.0)
         assert d2 == pytest.approx(2.0 * d1, rel=1e-9)
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("k", math.nan, "k must be finite and nonnegative, got nan"),
+        ("k", -1.0, "k must be finite and nonnegative, got -1.0"),
+        ("k", math.inf, "k must be finite and nonnegative, got inf"),
+        ("theta", math.nan, "theta must be finite, got nan"),
+        ("theta", math.inf, "theta must be finite, got inf"),
+        ("V", math.nan, "V must be finite and positive, got nan"),
+        ("V", 0.0, "V must be finite and positive, got 0.0"),
+        ("V", math.inf, "V must be finite and positive, got inf"),
+        ("t", math.nan, "t must be finite and nonnegative, got nan"),
+        ("t", -1.0, "t must be finite and nonnegative, got -1.0"),
+    ])
+    def test_bad_argument_is_named(self, name, value, message):
+        # A NaN k, theta or V returned NaN instead of raising.
+        args = {"k": 1e6, "theta": 0.3, "V": 1.0, "t": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matrix_element_diag(args["k"], args["theta"], self._scenario(),
+                                V=args["V"], t=args["t"])
+
 
 class TestDirectionalGrid:
     def test_rows_are_normalized(self):

@@ -35,9 +35,7 @@ def test_package_all_names_are_bound():
     "name", sorted(set(photon_darwinism.__all__) - {"__version__"}))
 def test_package_name_is_its_module_object(name):
     obj = getattr(photon_darwinism, name)
-    # entropy_kernels keeps no __all__, so its names are found by binding.
-    homes = ([m for m in MODULES.values() if name in getattr(m, "__all__", ())]
-             or [m for m in MODULES.values() if name in vars(m)])
+    homes = [m for m in MODULES.values() if name in getattr(m, "__all__", ())]
     assert homes, f"{name} comes from no module"
     assert all(vars(m)[name] is obj for m in homes)
 
@@ -45,7 +43,8 @@ def test_package_name_is_its_module_object(name):
 LAYERS = ("entropy_kernels", "sky", "radiometry", "receptivity", "information",
           "superpositions", "discrete_oracle")
 
-# The package's names before the module lists became its one declaration.
+# The package's names before the module lists became its one declaration,
+# less receptivity_result, which was removed later.
 EARLIER_NAMES = (
     "LN2 FULL_SPHERE h h_power_series binary_entropy_from_gap "
     "m_spectrum_entropy SkyRegion solid_angle integrate_sphere g2_weight "
@@ -53,7 +52,7 @@ EARLIER_NAMES = (
     "effective_radius photon_number_density patch_irradiance isotropic_rate "
     "decoherence_rate disk_rate point_source_rate decoherence_factor "
     "alpha_closed_form alpha_numeric alpha_disk redundancy_rate "
-    "receptivity_result PipCurve system_entropy fragment_entropy_change "
+    "PipCurve system_entropy fragment_entropy_change "
     "mutual_information mutual_information_at_time mutual_information_approx "
     "redundancy_exact redundancy_estimate redundancy_lower_bound pip_curve "
     "CatSpec max_entropy mi_unbalanced mi_unbalanced_limit mi_mway "

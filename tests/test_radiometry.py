@@ -228,6 +228,13 @@ class TestPointSource:
         with pytest.raises(ValueError, match="irradiance"):
             point_source_rate(self._point_scenario(None), 0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_named(self, theta):
+        # NaN gave a NaN rate and inf "math domain error".
+        with pytest.raises(ValueError,
+                           match=rf"^theta must be finite, got {theta}$"):
+            point_source_rate(self._point_scenario(1e-5), theta)
+
     def test_pole_to_equator_ratio(self):
         scn = self._point_scenario(1e-5)
         ratio = point_source_rate(scn, 0.0) / point_source_rate(scn, math.pi / 2.0)

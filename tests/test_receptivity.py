@@ -11,7 +11,6 @@ from photon_darwinism.receptivity import (
     alpha_closed_form,
     alpha_disk,
     alpha_numeric,
-    receptivity_result,
     redundancy_rate,
 )
 from photon_darwinism.sky import SkyRegion
@@ -109,28 +108,6 @@ class TestAlphaNumeric:
         assert alpha_numeric(region) == pytest.approx(1135.0 / 1280.0, abs=2e-4)
 
 
-class TestReceptivityResult:
-    def test_wiring(self):
-        region = SkyRegion.disk(math.pi / 3.0)
-        res = receptivity_result(region, tau_D_inv=2.0, rate_ratio=0.353125)
-        assert res.alpha == pytest.approx(alpha_numeric(region), rel=1e-14)
-        assert res.tau_R_inv == pytest.approx(res.alpha * 2.0, rel=1e-14)
-        assert res.tau_R_over_TD == pytest.approx(res.alpha * 0.353125, rel=1e-14)
-        assert res.numerator <= res.denominator
-
-    def test_rates_optional(self):
-        res = receptivity_result(SkyRegion.disk(1.0))
-        assert res.tau_R_inv is None
-        assert res.tau_R_over_TD is None
-
-    def test_point_region_has_degenerate_integrals(self):
-        res = receptivity_result(SkyRegion.point(), tau_D_inv=3.0)
-        assert res.alpha == 1.0
-        assert res.numerator == 0.0
-        assert res.denominator == 0.0
-        assert res.tau_R_inv == pytest.approx(3.0)
-
-
 def test_redundancy_rate():
     assert redundancy_rate(0.5, 4.0) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got 1.5$"):
@@ -139,14 +116,12 @@ def test_redundancy_rate():
         redundancy_rate(0.5, -1.0)
 
 
-@pytest.mark.parametrize("alpha_of", [alpha_numeric, receptivity_result],
-                         ids=["alpha_numeric", "receptivity_result"])
-def test_degenerate_grid_raises_the_same_error_on_both_paths(alpha_of):
+def test_degenerate_grid_raises():
     # One row of cells at the pole: every node has the same n_z, so the
     # overlap integral vanishes although the grid has solid angle 2 sr.
     region = SkyRegion.custom([1.0], [1.0, 2.0], [[1, 0]])
     with pytest.raises(ArithmeticError, match="degenerate region"):
-        alpha_of(region)
+        alpha_numeric(region)
 
 
 # A fully lit 3 x 4 band over cos(theta) in [0.7, 1]: the grid has no cells
@@ -158,16 +133,31 @@ BAND = SkyRegion.custom([0.75, 0.85, 0.95],
 HALF_PHI = SkyRegion.custom(-1.0 + (np.arange(4) + 0.5) * 0.5,
                             (np.arange(4) + 0.5) * (math.pi / 4.0),
                             (np.arange(4) == 3)[:, None] & np.ones(4, bool))
+# A fully lit 2 x 4 grid at u = -1, 1 that prices 24 sr, more than the
+# sphere; it was taken for the full sky and given alpha = 0.
+OVER_SPHERE = SkyRegion.custom([-1.0, 1.0], [0.5, 2.0, 3.5, 5.0],
+                               np.ones((2, 4), dtype=bool))
 
 
-@pytest.mark.parametrize("alpha_of", [alpha_numeric, receptivity_result],
-                         ids=["alpha_numeric", "receptivity_result"])
 @pytest.mark.parametrize("region,spans", [
     (BAND, "0.3 in cos(theta) and 6.28319 in phi"),
     (HALF_PHI, "2 in cos(theta) and 3.14159 in phi"),
-], ids=["band", "half-phi"])
-def test_grid_that_does_not_tile_the_sphere_raises(alpha_of, region, spans):
+    (OVER_SPHERE, "4 in cos(theta) and 6 in phi"),
+], ids=["band", "half-phi", "over-sphere"])
+def test_grid_that_does_not_tile_the_sphere_raises(region, spans):
     with pytest.raises(ValueError, match=(
             rf"^custom grid spans {re.escape(spans)}; alpha needs a grid "
             r"that tiles the sphere \(2 and 2 pi\)$")):
-        alpha_of(region)
+        alpha_numeric(region)
+
+
+@pytest.mark.parametrize("decimals", [None, 6], ids=["exact", "6-decimal"])
+def test_fully_lit_grid_that_tiles_the_sphere_is_not_receptive(decimals):
+    # No full-sky limit applies to a custom grid: its complement moments are
+    # zeros, so the numerator is exactly 0 and the grid passes the tiling rule.
+    u = -1.0 + (np.arange(40) + 0.5) * (2.0 / 40)
+    phi = (np.arange(80) + 0.5) * (2.0 * math.pi / 80)
+    if decimals is not None:
+        u, phi = np.round(u, decimals), np.round(phi, decimals)
+    region = SkyRegion.custom(u, phi, np.ones((40, 80), dtype=bool))
+    assert alpha_numeric(region) == 0.0
