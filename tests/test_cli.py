@@ -486,43 +486,30 @@ def test_degenerate_custom_region_is_a_config_error(command, tmp_path, capsys):
                             "overlap integral vanished\n")
 
 
-@pytest.mark.parametrize("command,code", [
-    ("alpha", EXIT_CONFIG), ("pip", EXIT_CONFIG), ("rate", EXIT_OK)])
-def test_grid_that_does_not_tile_the_sphere(command, code, tmp_path, capsys):
-    # A fully lit 3 x 4 band over cos(theta) in [0.7, 1] leaves no cells for
-    # the rest of the sky, so alpha refuses it; this printed alpha = 0. The
-    # rate needs no complement and still prices the band.
-    grid = tmp_path / "band.txt"
-    grid.write_text("# 3 4\n" + "".join(
+# A fully lit 3 x 4 band over cos(theta) in [0.7, 1] leaves no cells for the
+# rest of the sky, and a fully lit 2 x 4 grid at u = -1, 1 prices 24 sr, more
+# than the sphere; alpha printed 0 for both. The rate needs no complement and
+# still prices them.
+NON_TILING_GRIDS = {
+    "band": ("# 3 4\n" + "".join(
         f"{u} {(j + 0.5) * math.pi / 2.0:.6f} 1\n"
-        for u in (0.75, 0.85, 0.95) for j in range(4)))
-    path = tmp_path / "band.cfg"
-    path.write_text(BASE_CFG + f"region = custom:{grid}\n")
-    argv = [command, "--config", str(path)]
-    if command == "pip":
-        argv += ["--times", "1"]
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    if code == EXIT_OK:
-        assert captured.err == ""
-        assert json.loads(captured.out)["ratio_to_isotropic"] > 0.0
-    else:
-        assert captured.out == ""
-        assert captured.err == (
-            f"config error: {path}: custom grid spans 0.3 in cos(theta) and "
-            "6.28319 in phi; alpha needs a grid that tiles the sphere "
-            "(2 and 2 pi)\n")
+        for u in (0.75, 0.85, 0.95) for j in range(4)),
+        "0.3 in cos(theta) and 6.28319 in phi"),
+    "over-sphere": ("# 2 4\n" + "".join(
+        f"{u} {phi} 1\n" for u in (-1.0, 1.0) for phi in (0.5, 2.0, 3.5, 5.0)),
+        "4 in cos(theta) and 6 in phi"),
+}
 
 
+@pytest.mark.parametrize("grid_name", sorted(NON_TILING_GRIDS))
 @pytest.mark.parametrize("command,code", [
     ("alpha", EXIT_CONFIG), ("pip", EXIT_CONFIG), ("rate", EXIT_OK)])
-def test_grid_larger_than_the_sphere(command, code, tmp_path, capsys):
-    # A fully lit 2 x 4 grid at u = -1, 1 prices 24 sr, more than the
-    # sphere; alpha took it for the full sky and printed alpha = 0.
-    grid = tmp_path / "over.txt"
-    grid.write_text("# 2 4\n" + "".join(
-        f"{u} {phi} 1\n" for u in (-1.0, 1.0) for phi in (0.5, 2.0, 3.5, 5.0)))
-    path = tmp_path / "over.cfg"
+def test_grid_that_does_not_tile_the_sphere(command, code, grid_name,
+                                            tmp_path, capsys):
+    text, spans = NON_TILING_GRIDS[grid_name]
+    grid = tmp_path / "grid.txt"
+    grid.write_text(text)
+    path = tmp_path / "grid.cfg"
     path.write_text(BASE_CFG + f"region = custom:{grid}\n")
     argv = [command, "--config", str(path)]
     if command == "pip":
@@ -535,8 +522,8 @@ def test_grid_larger_than_the_sphere(command, code, tmp_path, capsys):
     else:
         assert captured.out == ""
         assert captured.err == (
-            f"config error: {path}: custom grid spans 4 in cos(theta) and "
-            "6 in phi; alpha needs a grid that tiles the sphere (2 and 2 pi)\n")
+            f"config error: {path}: custom grid spans {spans}; alpha needs "
+            "a grid that tiles the sphere (2 and 2 pi)\n")
 
 
 @pytest.mark.parametrize("command", ["rate", "alpha", "pip"])
