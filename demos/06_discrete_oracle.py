@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from photon_darwinism import (
-    DiscreteEnv,
     alpha_disk,
     analytic_entropy_change,
     discrete_alpha,
@@ -26,11 +25,11 @@ from photon_darwinism import (
 from photon_darwinism.discrete_oracle import entropy_error_halving
 from photon_darwinism.radiometry import ZETA_3, ZETA_9
 
-env = DiscreteEnv(b=np.array([-0.01, -0.02, -0.04]), fN=2)
-values, mult = env.spectrum()
-print(f"== fragment spectrum: D_B = {env.D_B}, fN = {env.fN} ==")
+b, fN = np.array([-0.01, -0.02, -0.04]), 2
+values, mult = fragment_eigenvalues(b, fN)
+print(f"== fragment spectrum: D_B = {b.size}, fN = {fN} ==")
 print(f"distinct eigenvalue groups: {values.size}, "
-      f"total dimension {int(mult.sum())} = 2 * {env.D_B}**{env.fN}")
+      f"total dimension {int(mult.sum())} = 2 * {b.size}**{fN}")
 print("  eigenvalue      multiplicity")
 for v, m in zip(values, mult):
     print(f"  {v:+.10f}   {int(m)}")

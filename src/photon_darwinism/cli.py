@@ -605,20 +605,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ScenarioError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OracleCapError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    # A library warning that the filters let through is shown as one line.
+    # The filters stay as they are, but catch_warnings resets which warnings
+    # count as already shown, so each call prints its own.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ScenarioError, OSError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OracleCapError as exc:
+            print(f"cap exceeded: {exc}", file=sys.stderr)
+            return EXIT_CAP
 
 
 if __name__ == "__main__":

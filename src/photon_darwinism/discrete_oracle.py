@@ -12,7 +12,6 @@ cross-examination into one seeded, JSON-serializable report.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
 
@@ -42,7 +41,6 @@ from .superpositions import (
 
 __all__ = [
     "OracleCapError",
-    "DiscreteEnv",
     "DirectionalGrid",
     "fragment_eigenvalues",
     "fragment_entropy_exact",
@@ -83,36 +81,6 @@ def _check_fn(fN) -> int:
     if not isinstance(fN, (int, np.integer)) or fN < 1:
         raise ValueError(f"photon count fN must be a positive integer, got {fN}")
     return int(fN)
-
-
-@dataclass(frozen=True)
-class DiscreteEnv:
-    """Finite model: per-photon perturbation eigenvalues and photon count."""
-
-    b: np.ndarray
-    fN: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _check_b(self.b))
-        object.__setattr__(self, "fN", _check_fn(self.fN))
-        if np.max(np.abs(self.b)) > 0.3:
-            warnings.warn(
-                "perturbation eigenvalues are not small; first-order "
-                "comparisons will be unreliable", stacklevel=2
-            )
-
-    @property
-    def D_B(self) -> int:
-        return self.b.size
-
-    def spectrum(self, cap: int = DEFAULT_CAP):
-        return fragment_eigenvalues(self.b, self.fN, cap)
-
-    def entropy_change(self, cap: int = DEFAULT_CAP) -> Nats:
-        return fragment_entropy_change_exact(self.b, self.fN, cap)
-
-    def entropy_change_analytic(self) -> Nats:
-        return analytic_entropy_change(self.b, self.fN)
 
 
 def _largest_multiplicity(D: int, fN: int) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sky import FULL_SPHERE, SkyRegion, load_indicator_grid, region_nodes
+from .sky import (FULL_SPHERE, SkyRegion, _check_cap, load_indicator_grid,
+                  region_nodes)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -145,7 +146,7 @@ class Scenario:
                 "thermal wavelength %.3g m is not large compared to the sphere "
                 "(%.3g m) or the separation (%.3g m); dipole-regime formulas "
                 "are being extrapolated" % (lam, self.radius_m, self.dx_m),
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -181,30 +182,27 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
     over the patch, by quadrature, theta measured from the separation axis,
     normalized so that the isotropic region returns the full-sky rate
     exactly. A point region carries no solid angle and is priced by
-    point_source_rate from the scenario's irradiance.
+    point_source_rate from the scenario's irradiance. A region that prices
+    more than the sphere, which only a custom grid can, is an error.
     """
     big_rate = isotropic_rate(scenario)
     region = scenario.region
     if region.kind == "point":
         tau = point_source_rate(scenario, math.acos(region.cos_theta))
         return RateResult(tau_D_inv=tau, T_D_inv=big_rate, ratio=tau / big_rate)
-    if region.solid_angle_sr == 0.0:
+    omega = region.solid_angle_sr
+    if omega == 0.0:
         warnings.warn("region has zero solid angle; decoherence rate is 0",
                       stacklevel=2)
         return RateResult(tau_D_inv=0.0, T_D_inv=big_rate, ratio=0.0)
+    if omega > FULL_SPHERE * (1.0 + 1e-3):
+        raise ValueError(f"custom grid prices {omega:g} sr, more than the "
+                         "sphere (4 pi)")
     pts, ww = region_nodes(region, order)
     # integral over the region of (3 + 11 cos^2 theta) d_Omega
     patch_integral = float(np.sum(ww * (3.0 + 11.0 * pts[:, 2] ** 2)))
     ratio = patch_integral * 3.0 / (80.0 * math.pi)
     return RateResult(tau_D_inv=ratio * big_rate, T_D_inv=big_rate, ratio=ratio)
-
-
-def _check_cap(theta0: float, chi: float) -> None:
-    """Reject a cap half-angle outside [0, pi] and a non-finite tilt."""
-    if not 0.0 <= theta0 <= math.pi:
-        raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
-    if not math.isfinite(chi):
-        raise ValueError(f"chi must be finite, got {chi}")
 
 
 def _check_rate(tau_D_inv: float) -> None:
@@ -310,16 +308,13 @@ def parse_scenario(path) -> Scenario:
     except (ValueError, OSError) as exc:
         raise ScenarioError(f"{path}: region: {exc}") from exc
     kwargs = {}
-    for key in ("radius_m", "permittivity", "dx_m", "temperature_K"):
-        try:
-            kwargs[key] = float(values[key])
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {key}: {exc}") from exc
-    if "irradiance_W_m2" in values:
-        try:
-            kwargs["irradiance_W_m2"] = float(values["irradiance_W_m2"])
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: irradiance_W_m2: {exc}") from exc
+    # Every key but the region holds a number.
+    for key in _REQUIRED_KEYS[:-1] + _OPTIONAL_KEYS:
+        if key in values:
+            try:
+                kwargs[key] = float(values[key])
+            except ValueError as exc:
+                raise ScenarioError(f"{path}: {key}: {exc}") from exc
     try:
         return Scenario(region=region, **kwargs)
     except ScenarioError as exc:

@@ -21,11 +21,12 @@ import math
 import numpy as np
 
 from .entropy_kernels import _check_unit
-from .radiometry import _check_cap, _check_rate
+from .radiometry import _check_rate
 from .sky import (
     FULL_SPHERE,
     AngularMoments,
     SkyRegion,
+    _check_cap,
     _custom_cell_size,
     angular_moments,
     complement_nodes,
@@ -71,10 +72,9 @@ def _alpha_integrals(region: SkyRegion, order: int = 64):
 def _alpha_limit(region: SkyRegion) -> float | None:
     """alpha where the ratio is undefined: 1 at zero measure, 0 at the full sky."""
     omega = solid_angle(region)
-    if region.kind == "point" or omega == 0.0:
+    if omega == 0.0:
         return 1.0
-    if region.kind == "isotropic" or (
-            region.kind == "disk" and omega >= FULL_SPHERE - 1e-12):
+    if region.kind == "disk" and omega >= FULL_SPHERE - 1e-12:
         return 0.0
     return None
 
@@ -103,8 +103,8 @@ def alpha_numeric(region: SkyRegion, order: int = 64) -> float:
 
 
 def alpha_closed_form(region: SkyRegion) -> float | None:
-    """Receptivity without quadrature: alpha_disk for a disk, 1 for a point,
-    0 for the full sky, and None for a custom grid (see alpha_numeric)."""
+    """Receptivity without quadrature: alpha_disk for a disk (0 for the full
+    sky), 1 for a point, and None for a custom grid (see alpha_numeric)."""
     if region.kind == "disk":
         return alpha_disk(region.theta0, region.chi)
     if region.kind == "custom":

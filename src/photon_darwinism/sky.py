@@ -45,12 +45,13 @@ def _rotation_about_y(angle: float) -> np.ndarray:
 class SkyRegion:
     """Illumination patch on the sky.
 
-    kind is one of "point", "disk", "isotropic", "custom". A point lies
-    at angle acos(cos_theta) from the separation axis. Disks are polar
-    caps theta <= theta0 about an axis tilted by chi from the separation
-    axis. Custom regions carry a 0/1 indicator sampled on a rectangular
-    (cos_theta, phi) grid of cell centers; their boundary is resolved
-    only to first order in the grid spacing.
+    kind is one of "point", "disk", "custom". A point lies at angle
+    acos(cos_theta) from the separation axis. Disks are polar caps
+    theta <= theta0 about an axis tilted by chi from the separation axis;
+    the isotropic sky is the disk of half-angle pi. Custom regions carry
+    a 0/1 indicator sampled on a rectangular (cos_theta, phi) grid of
+    cell centers; their boundary is resolved only to first order in the
+    grid spacing.
     """
 
     kind: str
@@ -62,13 +63,12 @@ class SkyRegion:
     grid_mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("point", "disk", "isotropic", "custom"):
+        if self.kind not in ("point", "disk", "custom"):
             raise ValueError(f"unknown region kind: {self.kind!r}")
         if self.kind == "point" and not -1.0 <= self.cos_theta <= 1.0:
             raise ValueError(f"cos_theta out of range: {self.cos_theta}")
         if self.kind == "disk":
-            if not 0.0 <= self.theta0 <= math.pi:
-                raise ValueError(f"theta0 must be in [0, pi], got {self.theta0}")
+            _check_cap(self.theta0, self.chi)
             if not 0.0 <= self.chi <= math.pi:
                 raise ValueError(f"chi must be in [0, pi], got {self.chi}")
 
@@ -82,7 +82,7 @@ class SkyRegion:
 
     @classmethod
     def isotropic(cls) -> "SkyRegion":
-        return cls(kind="isotropic")
+        return cls.disk(math.pi)
 
     @classmethod
     def custom(cls, grid_u, grid_phi, mask) -> "SkyRegion":
@@ -103,6 +103,14 @@ class SkyRegion:
     @property
     def solid_angle_sr(self) -> float:
         return solid_angle(self)
+
+
+def _check_cap(theta0: float, chi: float) -> None:
+    """Reject a cap half-angle outside [0, pi] and a non-finite tilt."""
+    if not 0.0 <= theta0 <= math.pi:
+        raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
+    if not math.isfinite(chi):
+        raise ValueError(f"chi must be finite, got {chi}")
 
 
 def _check_grid_axes(u, phi) -> None:
@@ -129,8 +137,6 @@ def solid_angle(region: SkyRegion) -> float:
     """Solid angle of the region in steradians."""
     if region.kind == "point":
         return 0.0
-    if region.kind == "isotropic":
-        return FULL_SPHERE
     if region.kind == "disk":
         return 2.0 * math.pi * (1.0 - math.cos(region.theta0))
     # Custom: Riemann sum of the indicator over its own grid cells.
@@ -234,12 +240,13 @@ def g2_weight(n_hat, m_hat, dx_hat) -> float:
 
 
 def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):
-    """Nodes on a polar cap (cap=True) or its complement, rotated by chi."""
+    """Nodes on a polar cap (cap=True) or its complement, rotated by chi;
+    none where that panel has zero width."""
     u0 = math.cos(theta0)
-    if cap:
-        pts, ww = _panel(u0, 1.0, order)
-    else:
-        pts, ww = _panel(-1.0, u0, order)
+    ulo, uhi = (u0, 1.0) if cap else (-1.0, u0)
+    if ulo == uhi:
+        return np.empty((0, 3)), np.empty(0)
+    pts, ww = _panel(ulo, uhi, order)
     if chi != 0.0:
         pts = pts @ _rotation_about_y(chi).T
     return pts, ww
@@ -259,8 +266,6 @@ def region_nodes(region: SkyRegion, order: int = 64):
     _check_order(order)
     if region.kind == "point":
         raise ValueError("a point region has zero measure; integrate nothing")
-    if region.kind == "isotropic":
-        return _panel(-1.0, 1.0, order)
     if region.kind == "disk":
         return _disk_nodes(region.theta0, region.chi, order, cap=True)
     return _custom_nodes(region, inside=True)
@@ -271,9 +276,6 @@ def complement_nodes(region: SkyRegion, order: int = 64):
     _check_order(order)
     if region.kind == "point":
         return _panel(-1.0, 1.0, order)
-    if region.kind == "isotropic":
-        pts = np.empty((0, 3))
-        return pts, np.empty(0)
     if region.kind == "disk":
         return _disk_nodes(region.theta0, region.chi, order, cap=False)
     return _custom_nodes(region, inside=False)

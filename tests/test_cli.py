@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -489,7 +490,8 @@ def test_degenerate_custom_region_is_a_config_error(command, tmp_path, capsys):
 # A fully lit 3 x 4 band over cos(theta) in [0.7, 1] leaves no cells for the
 # rest of the sky, and a fully lit 2 x 4 grid at u = -1, 1 prices 24 sr, more
 # than the sphere; alpha printed 0 for both. The rate needs no complement and
-# still prices them.
+# still prices the band, but refuses the grid that prices more than the sphere
+# (it printed ratio_to_isotropic 4.01).
 NON_TILING_GRIDS = {
     "band": ("# 3 4\n" + "".join(
         f"{u} {(j + 0.5) * math.pi / 2.0:.6f} 1\n"
@@ -514,9 +516,14 @@ def test_grid_that_does_not_tile_the_sphere(command, code, grid_name,
     argv = [command, "--config", str(path)]
     if command == "pip":
         argv += ["--times", "1"]
-    assert main(argv) == code
+    over = command == "rate" and grid_name == "over-sphere"
+    assert main(argv) == (EXIT_CONFIG if over else code)
     captured = capsys.readouterr()
-    if code == EXIT_OK:
+    if over:
+        assert captured.out == ""
+        assert captured.err == (f"config error: {path}: custom grid prices "
+                                "24 sr, more than the sphere (4 pi)\n")
+    elif code == EXIT_OK:
         assert captured.err == ""
         assert json.loads(captured.out)["ratio_to_isotropic"] > 0.0
     else:
@@ -524,6 +531,58 @@ def test_grid_that_does_not_tile_the_sphere(command, code, grid_name,
         assert captured.err == (
             f"config error: {path}: custom grid spans {spans}; alpha needs "
             "a grid that tiles the sphere (2 and 2 pi)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["rate", "--order", order] for order in ("16", "64", "128")),
+    *(["alpha", "--order", order] for order in ("16", "64", "128")),
+    ["pip", "--times", "0.5,3", "--f-count", "6"],
+], ids=["rate-16", "rate-64", "rate-128", "alpha-16", "alpha-64", "alpha-128",
+        "pip"])
+def test_isotropic_sky_prints_the_bytes_of_the_180_degree_disk(argv, tmp_path,
+                                                                capsys):
+    printed = []
+    for region in ("isotropic", "disk:180:0"):
+        path = tmp_path / "sky.cfg"
+        path.write_text(BASE_CFG + f"region = {region}\n")
+        assert main([*argv, "--config", str(path)]) == EXIT_OK
+        printed.append(capsys.readouterr())
+    assert printed[0].out != "" and printed[0].err == ""
+    assert printed[0] == printed[1]
+
+
+# A warning used to reach stderr in Python's own format: the file and line
+# that raised it ("<string>:9" for the dataclass-generated __init__), then
+# that line's source.
+@pytest.mark.filterwarnings("default")
+@pytest.mark.parametrize("scenario, message", [
+    (BASE_CFG + "region = disk:0:30\n",
+     "region has zero solid angle; decoherence rate is 0"),
+    (BASE_CFG.replace("1e-6", "1e-3", 1).replace("2.725", "300")
+     + "region = isotropic\n",
+     "thermal wavelength 4.8e-05 m is not large compared to the sphere "
+     "(0.001 m) or the separation (1e-06 m); dipole-regime formulas are "
+     "being extrapolated"),
+], ids=["zero-solid-angle", "dipole-regime"])
+def test_library_warnings_are_one_line_on_stderr(scenario, message, tmp_path,
+                                                 capsys):
+    path = tmp_path / "warn.cfg"
+    path.write_text(scenario)
+    shown = warnings.showwarning
+    # A second call in the same process prints the warning again.
+    for _ in range(2):
+        assert main(["rate", "--config", str(path)]) == EXIT_OK
+        assert warnings.showwarning is shown
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {message}\n"
+        assert json.loads(captured.out)["T_D_inv_per_s"] > 0.0
+
+
+def test_warning_filters_still_apply_inside_main(tmp_path):
+    path = tmp_path / "zero.cfg"
+    path.write_text(BASE_CFG + "region = disk:0:30\n")
+    with pytest.raises(UserWarning, match="zero solid angle"):
+        main(["rate", "--config", str(path)])
 
 
 @pytest.mark.parametrize("command", ["rate", "alpha", "pip"])

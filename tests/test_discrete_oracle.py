@@ -12,7 +12,6 @@ import pytest
 from photon_darwinism.discrete_oracle import (
     DEFAULT_CAP,
     DirectionalGrid,
-    DiscreteEnv,
     OracleCapError,
     analytic_entropy_change,
     discrete_alpha,
@@ -180,30 +179,6 @@ class TestEntropyChange:
         assert entropy_error_halving(-0.004, 4, 3) == pytest.approx(
             entropy_error_halving(-0.004, 8, 3), rel=1e-9
         )
-
-
-class TestDiscreteEnv:
-    def test_delegation(self):
-        env = DiscreteEnv(b=(-0.01, -0.02), fN=2)
-        assert env.D_B == 2
-        vals, mults = env.spectrum()
-        ref_vals, ref_mults = fragment_eigenvalues([-0.01, -0.02], 2)
-        assert np.allclose(vals, ref_vals)
-        assert np.array_equal(mults, ref_mults)
-        assert env.entropy_change() == pytest.approx(
-            fragment_entropy_change_exact([-0.01, -0.02], 2), rel=1e-14
-        )
-        assert env.entropy_change_analytic() == pytest.approx(
-            analytic_entropy_change([-0.01, -0.02], 2), rel=1e-14
-        )
-
-    def test_warns_outside_perturbative_regime(self):
-        with pytest.warns(UserWarning):
-            DiscreteEnv(b=(-0.5,), fN=1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteEnv(b=(-0.01,), fN=0)
 
 
 def test_discrete_gamma():

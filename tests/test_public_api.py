@@ -44,7 +44,7 @@ LAYERS = ("entropy_kernels", "sky", "radiometry", "receptivity", "information",
           "superpositions", "discrete_oracle")
 
 # The package's names before the module lists became its one declaration,
-# less receptivity_result, which was removed later.
+# less receptivity_result and DiscreteEnv, which were removed later.
 EARLIER_NAMES = (
     "LN2 FULL_SPHERE h h_power_series binary_entropy_from_gap "
     "m_spectrum_entropy SkyRegion solid_angle integrate_sphere g2_weight "
@@ -56,7 +56,7 @@ EARLIER_NAMES = (
     "mutual_information mutual_information_at_time mutual_information_approx "
     "redundancy_exact redundancy_estimate redundancy_lower_bound pip_curve "
     "CatSpec max_entropy mi_unbalanced mi_unbalanced_limit mi_mway "
-    "mi_mway_limit mi_interval_bounds DiscreteEnv OracleCapError "
+    "mi_mway_limit mi_interval_bounds OracleCapError "
     "fragment_eigenvalues fragment_entropy_exact fragment_entropy_change_exact "
     "fragment_entropy_change_series analytic_entropy_change discrete_gamma "
     "discrete_alpha scattering_probability_grid planck_spectral_nodes "

@@ -128,6 +128,12 @@ class TestScenario:
         with pytest.warns(UserWarning, match="thermal wavelength"):
             _scenario(radius_m=1e-3, temperature_K=300.0)
 
+    def test_dipole_warning_names_the_line_that_built_the_scenario(self):
+        # One level less named the dataclass-generated __init__, "<string>".
+        with pytest.warns(UserWarning, match="thermal wavelength") as record:
+            _scenario(radius_m=1e-3, temperature_K=300.0)
+        assert record[0].filename == __file__
+
     def test_cold_small_scenario_is_quiet(self):
         import warnings
 
@@ -218,6 +224,25 @@ class TestRates:
             result = decoherence_rate(_scenario(region=region))
         assert result.tau_D_inv == 0.0
         assert result.ratio == 0.0
+
+    def test_custom_grid_over_the_sphere_is_not_priced(self):
+        # A fully lit 2 x 4 grid at u = -1, 1 prices 24 sr; its ratio read 4.01.
+        region = SkyRegion.custom([-1.0, 1.0], [0.5, 2.0, 3.5, 5.0],
+                                  np.ones((2, 4)))
+        with pytest.raises(ValueError) as info:
+            decoherence_rate(_scenario(region=region))
+        assert str(info.value) == ("custom grid prices 24 sr, more than the "
+                                   "sphere (4 pi)")
+
+    @pytest.mark.parametrize("rows, cols", [(7, 14), (30, 60)])
+    def test_fully_lit_grid_at_six_decimals_is_priced(self, rows, cols):
+        # Rounded centers price a little over the sphere; that is allowed.
+        u = np.round(-1.0 + (np.arange(rows) + 0.5) * (2.0 / rows), 6)
+        phi = np.round((np.arange(cols) + 0.5) * (2.0 * math.pi / cols), 6)
+        region = SkyRegion.custom(u, phi, np.ones((rows, cols)))
+        assert region.solid_angle_sr > FULL_SPHERE
+        ratio = decoherence_rate(_scenario(region=region)).ratio
+        assert ratio == pytest.approx(1.0, rel=0.02)
 
 
 class TestPointSource:
@@ -344,7 +369,7 @@ class TestParseScenario:
     def test_isotropic_region(self, tmp_path):
         path = tmp_path / "iso.cfg"
         path.write_text(self.BASE + "region = isotropic\n")
-        assert parse_scenario(path).region.kind == "isotropic"
+        assert parse_scenario(path).region == SkyRegion.isotropic()
 
     def test_custom_region_file(self, tmp_path):
         grid = tmp_path / "patch.txt"

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import photon_darwinism
 from photon_darwinism.cli import main
+from photon_darwinism.receptivity import alpha_disk
 from photon_darwinism.sky import (
     FULL_SPHERE,
     SkyRegion,
@@ -129,6 +130,24 @@ def test_region_kind_is_validated():
         SkyRegion.disk(-0.1)
     with pytest.raises(ValueError):
         SkyRegion.disk(1.0, chi=4.0)
+
+
+def test_the_isotropic_sky_is_the_half_angle_pi_disk():
+    assert SkyRegion.isotropic() == SkyRegion.disk(math.pi)
+    # "isotropic" names a constructor and a scenario spelling, not a kind.
+    with pytest.raises(ValueError, match="unknown region kind: 'isotropic'"):
+        SkyRegion(kind="isotropic")
+
+
+@pytest.mark.parametrize("theta0, chi", [
+    (0.3, math.nan), (0.3, math.inf), (math.nan, 0.0), (4.0, 0.0), (-0.1, 0.0),
+])
+def test_a_disk_names_a_bad_cap_as_its_closed_form_does(theta0, chi):
+    with pytest.raises(ValueError) as region_info:
+        SkyRegion.disk(theta0, chi)
+    with pytest.raises(ValueError) as closed_info:
+        alpha_disk(theta0, chi)
+    assert str(region_info.value) == str(closed_info.value)
 
 
 def _ones(p):
@@ -451,6 +470,13 @@ class TestMomentParity:
         _assert_same_moments(pts, ww)
         mom = angular_moments(pts, ww)
         assert not mom.s.any() and not mom.t.any()
+
+    @pytest.mark.parametrize("order", [2, 16, 64])
+    def test_zero_angle_cap_has_no_nodes(self, order):
+        pts, ww = region_nodes(SkyRegion.disk(0.0, 0.4), order)
+        assert pts.shape == (0, 3) and ww.shape == (0,)
+        _, ww = complement_nodes(SkyRegion.disk(0.0), order)
+        assert ww.sum() == pytest.approx(FULL_SPHERE, rel=1e-13)
 
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     @pytest.mark.parametrize("name", list(_custom_regions()))
