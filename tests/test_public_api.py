@@ -44,7 +44,7 @@ LAYERS = ("entropy_kernels", "sky", "radiometry", "receptivity", "information",
           "superpositions", "discrete_oracle")
 
 # The package's names before the module lists became its one declaration,
-# less receptivity_result and DiscreteEnv, which were removed later.
+# less the two removed since (receptivity_result and the finite-model class).
 EARLIER_NAMES = (
     "LN2 FULL_SPHERE h h_power_series binary_entropy_from_gap "
     "m_spectrum_entropy SkyRegion solid_angle integrate_sphere g2_weight "

@@ -473,8 +473,9 @@ class TestMomentParity:
 
     @pytest.mark.parametrize("order", [2, 16, 64])
     def test_zero_angle_cap_has_no_nodes(self, order):
-        pts, ww = region_nodes(SkyRegion.disk(0.0, 0.4), order)
-        assert pts.shape == (0, 3) and ww.shape == (0,)
+        for chi in (0.0, 0.4):
+            pts, ww = region_nodes(SkyRegion.disk(0.0, chi), order)
+            assert pts.shape == (0, 3) and ww.shape == (0,)
         _, ww = complement_nodes(SkyRegion.disk(0.0), order)
         assert ww.sum() == pytest.approx(FULL_SPHERE, rel=1e-13)
 
