@@ -300,19 +300,17 @@ def matrix_element_diag(k: float, theta: float, scenario: Scenario,
     return 1.0 - deficit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionalGrid:
-    """Direction bins with pairwise scattering probabilities.
-
-    prob[n, m] is |U_nm|^2 for the single-photon map between bins; rows
-    sum to one by unitary completion of the diagonal. mask marks the bins
-    inside the illuminated region. prob is a view with a padded row stride,
-    not C-contiguous; np.ascontiguousarray gives a compact copy.
-    """
+    """Direction bins, in theta rings of n_phi, with pairwise scattering
+    probabilities P_nm = |U_nm|^2 of the single-photon map. leak[n] =
+    sum_{m != n} P_nm; mask marks the bins inside the illuminated region.
+    No D_S x D_S matrix is kept: P_nm is recomputed a ring at a time."""
 
     points: np.ndarray
     mask: np.ndarray
-    prob: np.ndarray
+    leak: np.ndarray
+    n_phi: int
     delta_omega: float
     coupling: float
 
@@ -323,6 +321,34 @@ class DirectionalGrid:
     @property
     def D_B(self) -> int:
         return int(self.mask.sum())
+
+    @property
+    def prob(self) -> np.ndarray:
+        """The D_S x D_S matrix P, assembled on request; each row sums to
+        one by unitary completion of its diagonal, P_nn = 1 - leak[n]."""
+        prob = np.empty((self.D_S, self.D_S))
+        for rows, block in self._rings():
+            prob[rows] = block
+        np.fill_diagonal(prob, 1.0 - self.leak)
+        return prob
+
+    def _rings(self, mask=None):
+        """Yield (rows, P[rows] off the diagonal) per ring, or per ring with
+        a mask row, in one reused n_phi x D_S buffer. The ring's own
+        columns, the diagonal among them, are 0 because u_n - u_m is."""
+        u = self.points[:, 2]
+        block = np.empty((self.n_phi, self.D_S))
+        for start in range(0, self.D_S, self.n_phi):
+            rows = slice(start, start + self.n_phi)
+            if mask is not None and not mask[rows].any():
+                continue
+            # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2
+            np.matmul(self.points[rows], self.points.T, out=block)
+            np.square(block, out=block)
+            block += 1.0
+            block *= self.coupling * self.delta_omega
+            block *= (u[start] - u) ** 2
+            yield rows, block
 
 
 def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
@@ -336,13 +362,12 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     complete each row to one. An even n_theta puts the equator on a bin
     edge, so a half-sphere region is represented without straddling bins.
 
-    The D_S x D_S matrix (D_S = n_theta n_phi) is built in place as the
-    first D_S columns of one zeroed D_S x (D_S + 8) buffer, so peak memory
-    is about prob.nbytes = 8 D_S^2 bytes: 32 MB at 32 x 64 bins. prob is a
-    view with a padded row stride, not C-contiguous; np.ascontiguousarray
-    gives a compact copy. The (cos theta_n - cos theta_m)^2 factor
-    depends only on the two theta rows and is applied ring by ring.
+    One pass over the theta rings keeps each row's leak. The largest array
+    it holds is one n_phi x D_S ring block, 1 MB at 32 x 64 bins.
     """
+    for name, value in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least 2 bins per axis")
     for name, value in (("coupling", coupling), ("theta0", theta0),
@@ -357,79 +382,75 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     pp = np.tile(phi, n_theta)
     s = np.sqrt(1.0 - uu ** 2)
     points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
-    delta_omega = FULL_SPHERE / (n_theta * n_phi)
-
-    # points @ points.T is one symmetric product (syrk), so both triangles
-    # agree. numpy copies one triangle down the columns, and at a power-of-
-    # two row stride (16 KB at 32 x 64) every write of that copy hits the
-    # same few cache sets; one cache line of pad per row breaks the stride.
-    # The pad starts at zero: the passes below run over whole padded rows.
-    D_S = points.shape[0]
-    buf = np.zeros((D_S, D_S + 8))
-    prob = buf[:, :D_S]
-    np.matmul(points, points.T, out=prob)
-    # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2, in place,
-    # one theta ring of n_phi rows at a time, while it is in cache.
-    gap = (u[:, None] - u[None, :]) ** 2
-    factor = np.ones_like(buf[0])
-    for i in range(n_theta):
-        rows = buf[i * n_phi:(i + 1) * n_phi]
-        np.square(rows, out=rows)
-        rows += 1.0
-        rows *= coupling * delta_omega
-        factor[:D_S] = np.repeat(gap[i], n_phi)
-        rows *= factor
-    np.fill_diagonal(prob, 0.0)
-    leak = prob.sum(axis=1)
-    if leak.max() >= 1.0:
-        raise ValueError(
-            f"coupling {coupling} leaks probability {leak.max():.3f} >= 1; "
-            "reduce it to stay in the perturbative regime"
-        )
-    np.fill_diagonal(prob, 1.0 - leak)
-
     axis = np.array([math.sin(chi), 0.0, math.cos(chi)])
-    mask = points @ axis >= math.cos(theta0)
-    return DirectionalGrid(points=points, mask=mask, prob=prob,
-                           delta_omega=delta_omega, coupling=coupling)
+    grid = DirectionalGrid(points=points, leak=np.empty(len(points)),
+                           mask=points @ axis >= math.cos(theta0), n_phi=n_phi,
+                           delta_omega=FULL_SPHERE / (n_theta * n_phi),
+                           coupling=coupling)
+    for rows, block in grid._rings():
+        grid.leak[rows] = block.sum(axis=1)
+    if grid.leak.max() >= 1.0:
+        raise ValueError(
+            f"coupling {coupling} leaks probability {grid.leak.max():.3f} "
+            ">= 1; reduce it to stay in the perturbative regime"
+        )
+    return grid
 
 
 def discrete_alpha(grid, mask=None) -> float:
     """Receptivity from the literal double sum over direction bins.
 
-    Z averages the total pair probability over region bins and subtracts
-    one, leaving (minus) the probability leaked into the complement;
-    ln gamma measures the total record made anywhere. Their ratio
-    converges to the continuum receptivity as the grid refines.
+    z = -sum_{n in B, m not in B} P_nm / D_B is the record made outside
+    the region, ln gamma = 2 ln mean_{n in B} sqrt(P_nn) the record made
+    anywhere; their ratio converges to the continuum receptivity as the
+    grid refines. Neither is a difference from 1: with P_nn = 1 - leak[n],
+    ln gamma = 2 log1p(mean expm1(log1p(-leak) / 2)), and a raw matrix's
+    leaks are its off-diagonal row sums; its diagonal is not read.
     """
     if isinstance(grid, DirectionalGrid):
-        prob = grid.prob
+        shape = (grid.D_S, grid.D_S)
         if mask is None:
             mask = grid.mask
     else:
         prob = np.asarray(grid, dtype=float)
+        shape = prob.shape
         if mask is None:
             raise ValueError("a raw probability matrix needs an explicit mask")
     mask = np.asarray(mask, dtype=bool)
-    if prob.ndim != 2 or prob.shape[0] != prob.shape[1]:
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(
-            f"probability matrix must be square 2-d, got shape {prob.shape}")
-    if mask.shape != prob.shape[:1]:
+            f"probability matrix must be square 2-d, got shape {shape}")
+    if mask.shape != shape[:1]:
         raise ValueError("mask must be 1-d with one flag per direction bin "
-                         f"({prob.shape[0]}), got shape {mask.shape}")
+                         f"({shape[0]}), got shape {mask.shape}")
     D_B = int(mask.sum())
     if D_B == 0:
         raise ValueError("region mask selects no direction bins")
     if mask.all():
         return 0.0
-    z = float(prob[np.ix_(mask, mask)].sum()) / D_B - 1.0
-    overlaps = np.sqrt(np.diag(prob)[mask])
-    gamma = float(overlaps.mean() ** 2)
-    if gamma >= 1.0:
+    # Both paths sum the same rows, so a grid and its prob agree bitwise.
+    outside = (~mask).astype(float)
+    if isinstance(grid, DirectionalGrid):
+        leak = grid.leak[mask]
+        cross = np.concatenate([
+            np.multiply(block, outside, out=block).sum(axis=1)[mask[rows]]
+            for rows, block in grid._rings(mask)])
+    else:
+        rows = prob[mask]
+        rows[np.arange(D_B), np.flatnonzero(mask)] = 0.0
+        leak = rows.sum(axis=1)
+        if leak.max() >= 1.0:
+            raise ValueError("a region row leaks probability "
+                             f"{leak.max():.3f} >= 1 off the diagonal")
+        cross = np.multiply(rows, outside, out=rows).sum(axis=1)
+    z = -float(cross.sum()) / D_B
+    log_gamma = 2.0 * math.log1p(
+        float(np.expm1(0.5 * np.log1p(-leak)).mean()))
+    if log_gamma >= 0.0:
         raise ArithmeticError(
             "gamma = 1: the photons record nothing and alpha is undefined"
         )
-    return z / math.log(gamma)
+    return z / log_gamma
 
 
 def planck_spectral_nodes(n: int = 32):
@@ -579,21 +600,17 @@ def oracle_battery(seed: int = 0) -> dict:
     alpha_full = discrete_alpha(scattering_probability_grid(8, 16, math.pi))
     record("alpha_full_sphere", alpha_full == 0.0, value=alpha_full)
 
-    half_small = scattering_probability_grid(8, 16, math.pi / 2.0)
-    single = np.zeros(half_small.D_S, dtype=bool)
-    single[0] = True
-    alpha_single = discrete_alpha(half_small.prob, single)
+    half_skies = [scattering_probability_grid(n, 2 * n, math.pi / 2.0)
+                  for n in (8, 16, 32)]
+    single = np.arange(half_skies[0].D_S) == 0
+    alpha_single = discrete_alpha(half_skies[0], single)
     record("alpha_single_direction", abs(alpha_single - 1.0) < 1e-4,
            value=alpha_single)
 
     target_alpha = 1135.0 / 1280.0
-    sizes, alphas, errors = [], [], []
-    for n_theta in (8, 16, 32):
-        g = scattering_probability_grid(n_theta, 2 * n_theta, math.pi / 2.0)
-        a_val = discrete_alpha(g)
-        sizes.append(n_theta * 2 * n_theta)
-        alphas.append(a_val)
-        errors.append(abs(a_val - target_alpha))
+    sizes = [g.D_S for g in half_skies]
+    alphas = [discrete_alpha(g) for g in half_skies]
+    errors = [abs(a - target_alpha) for a in alphas]
     order = -np.polyfit(np.log(sizes), np.log(errors), 1)[0]
     record(
         "alpha_grid_convergence",

@@ -104,6 +104,17 @@ class SkyRegion:
     def solid_angle_sr(self) -> float:
         return solid_angle(self)
 
+    # By value, with np.array_equal for a custom region's grid arrays;
+    # the hash leaves those out, so equal regions hash alike.
+    def __eq__(self, other):
+        if not isinstance(other, SkyRegion):
+            return NotImplemented
+        return all(np.array_equal(value, getattr(other, name))
+                   for name, value in vars(self).items())
+
+    def __hash__(self):
+        return hash((self.kind, self.theta0, self.chi, self.cos_theta))
+
 
 def _check_cap(theta0: float, chi: float) -> None:
     """Reject a cap half-angle outside [0, pi] and a non-finite tilt."""

@@ -259,15 +259,47 @@ class TestDirectionalGrid:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             scattering_probability_grid(8, 16, **kwargs)
 
-    def test_matrix_is_built_in_one_buffer(self):
-        # The earlier build held three D_S x D_S temporaries (3.0 x nbytes).
+    def test_grid_and_alpha_hold_at_most_four_ring_blocks(self):
+        # The earlier build held one D_S x D_S matrix (32 MB here) and
+        # copied its region block out to sum it; a ring block is
+        # n_phi x D_S, 1 MB.
         tracemalloc.start()
         try:
             grid = scattering_probability_grid(32, 64, math.pi / 2.0)
+            discrete_alpha(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * grid.prob.nbytes
+        assert peak <= 4 * grid.n_phi * grid.D_S * 8
+
+    @pytest.mark.parametrize("n_theta,n_phi,name", [
+        (8.5, 16, "n_theta"), (8, 16.0, "n_phi"), ("8", 16, "n_theta")])
+    def test_non_integer_bin_count_is_named(self, n_theta, n_phi, name):
+        # 8.5 raised numpy's "'float' object cannot be interpreted as an
+        # integer", and 16.0 "slice indices must be integers".
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            scattering_probability_grid(n_theta, n_phi, math.pi / 2.0)
+        grid = scattering_probability_grid(np.int64(4), np.int64(8), 1.0)
+        assert grid.D_S == 32
+
+    def test_prob_is_assembled_from_the_leak(self):
+        grid = scattering_probability_grid(8, 16, 1.1, 0.7)
+        prob = grid.prob
+        assert prob.shape == (128, 128) and prob.flags.c_contiguous
+        assert np.array_equal(np.diag(prob), 1.0 - grid.leak)
+        np.fill_diagonal(prob, 0.0)
+        assert np.array_equal(prob.sum(axis=1), grid.leak)
+        # (u_n - u_m)^2 is exactly 0 within a theta ring.
+        assert not prob.reshape(8, 16, 8, 16)[np.arange(8), :,
+                                               np.arange(8), :].any()
+
+    def test_grids_compare_by_identity(self):
+        # With array fields, a generated == raised "truth value of an
+        # array with more than one element is ambiguous".
+        grid = scattering_probability_grid(4, 8, 1.0)
+        assert grid == grid
+        assert grid != scattering_probability_grid(4, 8, 1.0)
+        assert len({grid, grid}) == 1
 
 
 class TestDiscreteAlpha:

@@ -10,6 +10,12 @@ iteration per trial, and the fragment entropy with one logarithm per
 eigenvalue. Every current result must equal them bit for bit, and every
 rejection must raise the same exception with the same message. Stacked
 general-cat calls must equal a loop of single-matrix calls the same way.
+
+Two exceptions. The grid now multiplies one theta ring of rows at a time
+instead of one symmetric product, which moves a cosine by 1 ulp at a few
+small shapes; there its entries are held to 4 ulp. And the discrete
+receptivity no longer subtracts from 1, so it is held to the 40-digit
+reference of test_discrete_alpha_reference instead of the earlier sum.
 """
 
 import math
@@ -34,6 +40,7 @@ from photon_darwinism.superpositions import (
     _check_factor_matrix,
     mi_interval_bounds,
 )
+from test_discrete_alpha_reference import reference_alpha, relative_error
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -167,6 +174,13 @@ def _same_bits(a, b):
         and a.tobytes() == b.tobytes()
 
 
+def _ulps(a, b):
+    """The largest distance in ulps between two arrays of nonnegative
+    doubles of one shape."""
+    assert a.shape == b.shape and (a >= 0.0).all() and (b >= 0.0).all()
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+
+
 # ---------------------------------------------------------------------------
 # probability grid and discrete alpha
 
@@ -176,14 +190,34 @@ ANGLES = [(0.3, 0.0), (math.pi / 2.0, 0.0), (2.0, 0.7), (math.pi, 0.0),
           (1.1, math.pi)]
 
 
+# The shapes where a ring's product moves some cosine by 1 ulp against
+# the symmetric product; everywhere else, the battery's 8 x 16, 16 x 32
+# and 32 x 64 among them, the entries keep their bits.
+ULP_SHAPES = {(3, 5), (5, 3), (7, 11), (9, 4), (11, 7), (6, 10), (9, 14)}
+
+
+def _check_grid(grid, n_theta, n_phi, points, mask, prob):
+    assert _same_bits(grid.points, points)
+    assert _same_bits(grid.mask, mask)
+    if (n_theta, n_phi) in ULP_SHAPES:
+        assert _ulps(grid.prob, prob) <= 4
+    else:
+        assert _same_bits(grid.prob, prob)
+    if mask.any():
+        alpha = discrete_alpha(grid)
+        assert _same_bits(alpha, discrete_alpha(grid.prob, mask))
+        if mask.all():
+            assert alpha == 0.0
+        else:
+            assert relative_error(alpha, reference_alpha(grid.prob, mask)) \
+                <= 1e-14
+
+
 @pytest.mark.parametrize("n_theta,n_phi", SHAPES)
 def test_grid_and_alpha_match_the_reference_over_shapes(n_theta, n_phi):
     grid = scattering_probability_grid(n_theta, n_phi, math.pi / 2.0)
-    points, mask, prob = ref_grid(n_theta, n_phi, math.pi / 2.0)
-    assert _same_bits(grid.points, points)
-    assert _same_bits(grid.mask, mask)
-    assert _same_bits(grid.prob, prob)
-    assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
+    _check_grid(grid, n_theta, n_phi,
+                *ref_grid(n_theta, n_phi, math.pi / 2.0))
 
 
 @pytest.mark.parametrize("theta0,chi", ANGLES)
@@ -193,32 +227,17 @@ def test_grid_and_alpha_match_the_reference_over_regions(n_theta, n_phi,
                                                          theta0, chi,
                                                          coupling):
     grid = scattering_probability_grid(n_theta, n_phi, theta0, chi, coupling)
-    points, mask, prob = ref_grid(n_theta, n_phi, theta0, chi, coupling)
-    assert _same_bits(grid.mask, mask)
-    assert _same_bits(grid.prob, prob)
-    if mask.any():
-        assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
+    _check_grid(grid, n_theta, n_phi,
+                *ref_grid(n_theta, n_phi, theta0, chi, coupling))
 
 
-# D_S = 32, 288, 1152 (not multiples of 512) and 1024, 2048 (multiples),
-# where an unpadded row stride is a power of two.
+# D_S = 32, 288, 1152 (not multiples of 512) and 1024, 2048 (multiples).
 @pytest.mark.parametrize("n_theta,n_phi", [(4, 8), (12, 24), (24, 48),
                                            (16, 64), (32, 64)])
-def test_padded_grid_matches_the_reference_off_axis(n_theta, n_phi):
+def test_grid_matches_the_reference_off_axis(n_theta, n_phi):
     grid = scattering_probability_grid(n_theta, n_phi, math.pi / 2.0, 0.7)
-    points, mask, prob = ref_grid(n_theta, n_phi, math.pi / 2.0, 0.7)
-    assert _same_bits(grid.mask, mask)
-    assert _same_bits(grid.prob, prob)
-    assert _same_bits(discrete_alpha(grid), discrete_alpha(prob, mask))
-
-
-@pytest.mark.parametrize("n_theta,n_phi", [(3, 5), (8, 16), (32, 64)])
-def test_padded_view_reduces_like_a_compact_copy(n_theta, n_phi):
-    grid = scattering_probability_grid(n_theta, n_phi, 1.1, 0.7)
-    compact = np.ascontiguousarray(grid.prob)
-    assert grid.prob.shape == (grid.D_S, grid.D_S)
-    assert _same_bits(grid.prob.sum(axis=1), compact.sum(axis=1))
-    assert _same_bits(discrete_alpha(grid), discrete_alpha(compact, grid.mask))
+    _check_grid(grid, n_theta, n_phi,
+                *ref_grid(n_theta, n_phi, math.pi / 2.0, 0.7))
 
 
 def test_grid_leak_error_matches_the_reference():

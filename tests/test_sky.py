@@ -137,6 +137,23 @@ def test_the_isotropic_sky_is_the_half_angle_pi_disk():
     # "isotropic" names a constructor and a scenario spelling, not a kind.
     with pytest.raises(ValueError, match="unknown region kind: 'isotropic'"):
         SkyRegion(kind="isotropic")
+    assert hash(SkyRegion.isotropic()) == hash(SkyRegion.disk(math.pi))
+
+
+def test_custom_regions_compare_and_hash_by_value():
+    # == raised "truth value of an array ... is ambiguous" and hash()
+    # raised "unhashable type: 'numpy.ndarray'".
+    def eye(mask=np.eye(2), phi=(1.0, 2.0)):
+        return SkyRegion.custom([-0.5, 0.5], phi, mask)
+
+    assert eye() == eye() and hash(eye()) == hash(eye())
+    assert len({eye(), eye(), SkyRegion.disk(1.0)}) == 2
+    assert eye() != eye(mask=1 - np.eye(2))
+    assert eye() != eye(phi=(1.0, 2.5))
+    assert eye() != SkyRegion.custom([-0.5, 0.0, 0.5], [1.0, 2.0],
+                                     np.ones((3, 2)))
+    assert eye() != SkyRegion.disk(1.0) and eye() != "custom"
+    assert SkyRegion.disk(1.0, 0.5) != SkyRegion.disk(1.0, 0.6)
 
 
 @pytest.mark.parametrize("theta0, chi", [
