@@ -199,17 +199,18 @@ ULP_SHAPES = {(3, 5), (5, 3), (7, 11), (9, 4), (11, 7), (6, 10), (9, 14)}
 def _check_grid(grid, n_theta, n_phi, points, mask, prob):
     assert _same_bits(grid.points, points)
     assert _same_bits(grid.mask, mask)
+    assembled = grid.prob
     if (n_theta, n_phi) in ULP_SHAPES:
-        assert _ulps(grid.prob, prob) <= 4
+        assert _ulps(assembled, prob) <= 4
     else:
-        assert _same_bits(grid.prob, prob)
+        assert _same_bits(assembled, prob)
     if mask.any():
         alpha = discrete_alpha(grid)
-        assert _same_bits(alpha, discrete_alpha(grid.prob, mask))
+        assert _same_bits(alpha, discrete_alpha(assembled, mask))
         if mask.all():
             assert alpha == 0.0
         else:
-            assert relative_error(alpha, reference_alpha(grid.prob, mask)) \
+            assert relative_error(alpha, reference_alpha(assembled, mask)) \
                 <= 1e-14
 
 
