@@ -12,7 +12,7 @@ cross-examination into one seeded, JSON-serializable report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations_with_replacement
 
 import numpy as np
@@ -30,7 +30,7 @@ from .radiometry import (
     isotropic_rate,
     photon_number_density,
 )
-from .sky import FULL_SPHERE, SkyRegion, integrate_sphere
+from .sky import FULL_SPHERE, SkyRegion, _check_cap, integrate_sphere
 from .superpositions import (
     CatSpec,
     _branch_matrix_mi,
@@ -180,6 +180,9 @@ def fragment_entropy_exact(values, multiplicities=None) -> Nats:
         mult = np.asarray(multiplicities, dtype=float)
         if mult.shape != values.shape:
             raise ValueError("values and multiplicities must align")
+        if np.any(mult < 0.0):
+            raise ValueError(
+                f"multiplicities must be nonnegative, got {mult[mult < 0.0][0]}")
     if not (values >= -1e-12).all():
         raise ValueError(f"spectrum values must be nonnegative, got {values.min()}")
     total = float((values * mult).sum())
@@ -253,6 +256,8 @@ def entropy_error_halving(base_b: float, D_B: int, fN: int,
     """
     if base_b >= 0.0:
         raise ValueError("base_b must be negative")
+    if not isinstance(levels, (int, np.integer)) or levels < 2:
+        raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
     errors = []
     for level in range(levels):
         b = np.full(D_B, base_b / 2 ** level)
@@ -302,53 +307,54 @@ def matrix_element_diag(k: float, theta: float, scenario: Scenario,
 
 @dataclass(frozen=True, eq=False)
 class DirectionalGrid:
-    """Direction bins, in theta rings of n_phi, with pairwise scattering
-    probabilities P_nm = |U_nm|^2 of the single-photon map. leak[n] =
-    sum_{m != n} P_nm; mask marks the bins inside the illuminated region.
-    No D_S x D_S matrix is kept: P_nm is recomputed a ring at a time."""
+    """Direction bins, in theta rings of n_phi, and two row sums of the
+    pairwise scattering probabilities P_nm = |U_nm|^2 of the single-photon
+    map: leak[n] = sum_{m != n} P_nm, and cross[n] = sum_{m not in mask}
+    P_nm, where mask marks the bins inside the illuminated region. Both are
+    taken in one pass over the rings when the grid is built; no P_nm is
+    kept. cross is filled on the rings that hold a mask row and NaN
+    elsewhere. Another region on the same bins is replace(grid, mask=m)."""
 
     points: np.ndarray
     mask: np.ndarray
-    leak: np.ndarray
     n_phi: int
     delta_omega: float
     coupling: float
+    leak: np.ndarray = field(init=False)
+    cross: np.ndarray = field(init=False)
 
-    @property
-    def D_S(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def D_B(self) -> int:
-        return int(self.mask.sum())
-
-    @property
-    def prob(self) -> np.ndarray:
-        """The D_S x D_S matrix P, assembled on request; each row sums to
-        one by unitary completion of its diagonal, P_nn = 1 - leak[n]."""
-        prob = np.empty((self.D_S, self.D_S))
-        for rows, block in self._rings():
-            prob[rows] = block
-        np.fill_diagonal(prob, 1.0 - self.leak)
-        return prob
-
-    def _rings(self, mask=None):
-        """Yield (rows, P[rows] off the diagonal) per ring, or per ring with
-        a mask row, in one reused n_phi x D_S buffer. The ring's own
-        columns, the diagonal among them, are 0 because u_n - u_m is."""
+    def __post_init__(self):
+        mask = np.asarray(self.mask, dtype=bool)
+        if mask.shape != (self.D_S,):
+            raise ValueError("mask must be 1-d with one flag per direction bin "
+                             f"({self.D_S}), got shape {mask.shape}")
         u = self.points[:, 2]
+        outside = (~mask).astype(float)
+        leak, cross = np.empty(self.D_S), np.full(self.D_S, np.nan)
         block = np.empty((self.n_phi, self.D_S))
         for start in range(0, self.D_S, self.n_phi):
             rows = slice(start, start + self.n_phi)
-            if mask is not None and not mask[rows].any():
-                continue
-            # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2
+            # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2;
+            # the ring's own columns, the diagonal among them, are 0.
             np.matmul(self.points[rows], self.points.T, out=block)
             np.square(block, out=block)
             block += 1.0
             block *= self.coupling * self.delta_omega
             block *= (u[start] - u) ** 2
-            yield rows, block
+            leak[rows] = block.sum(axis=1)
+            if mask[rows].any():
+                cross[rows] = np.multiply(block, outside, out=block).sum(axis=1)
+        if leak.max() >= 1.0:
+            raise ValueError(f"coupling {self.coupling} leaks probability "
+                             f"{leak.max():.3f} >= 1; reduce it to stay in "
+                             "the perturbative regime")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "leak", leak)
+        object.__setattr__(self, "cross", cross)
+
+    @property
+    def D_S(self) -> int:
+        return self.points.shape[0]
 
 
 def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
@@ -362,8 +368,8 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     complete each row to one. An even n_theta puts the equator on a bin
     edge, so a half-sphere region is represented without straddling bins.
 
-    One pass over the theta rings keeps each row's leak. The largest array
-    it holds is one n_phi x D_S ring block, 1 MB at 32 x 64 bins.
+    The grid's one pass over the theta rings holds one n_phi x D_S ring
+    block at a time, 1 MB at 32 x 64 bins.
     """
     for name, value in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not isinstance(value, (int, np.integer)):
@@ -374,6 +380,7 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
                         ("chi", chi)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    _check_cap(theta0, chi)
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
     u = -1.0 + (np.arange(n_theta) + 0.5) * (2.0 / n_theta)
@@ -383,69 +390,33 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     s = np.sqrt(1.0 - uu ** 2)
     points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
     axis = np.array([math.sin(chi), 0.0, math.cos(chi)])
-    grid = DirectionalGrid(points=points, leak=np.empty(len(points)),
-                           mask=points @ axis >= math.cos(theta0), n_phi=n_phi,
-                           delta_omega=FULL_SPHERE / (n_theta * n_phi),
-                           coupling=coupling)
-    for rows, block in grid._rings():
-        grid.leak[rows] = block.sum(axis=1)
-    if grid.leak.max() >= 1.0:
-        raise ValueError(
-            f"coupling {coupling} leaks probability {grid.leak.max():.3f} "
-            ">= 1; reduce it to stay in the perturbative regime"
-        )
-    return grid
+    return DirectionalGrid(points=points, n_phi=n_phi, coupling=coupling,
+                           mask=points @ axis >= math.cos(theta0),
+                           delta_omega=FULL_SPHERE / (n_theta * n_phi))
 
 
-def discrete_alpha(grid, mask=None) -> float:
+def discrete_alpha(grid: DirectionalGrid) -> float:
     """Receptivity from the literal double sum over direction bins.
 
     z = -sum_{n in B, m not in B} P_nm / D_B is the record made outside
     the region, ln gamma = 2 ln mean_{n in B} sqrt(P_nn) the record made
     anywhere; their ratio converges to the continuum receptivity as the
     grid refines. Neither is a difference from 1: with P_nn = 1 - leak[n],
-    ln gamma = 2 log1p(mean expm1(log1p(-leak) / 2)), and a raw matrix's
-    leaks are its off-diagonal row sums; its diagonal is not read.
+    ln gamma = 2 log1p(mean expm1(log1p(-leak) / 2)). Both read the row
+    sums the grid kept; no P_nm is formed here.
     """
-    if isinstance(grid, DirectionalGrid):
-        shape = (grid.D_S, grid.D_S)
-        if mask is None:
-            mask = grid.mask
-    else:
-        prob = np.asarray(grid, dtype=float)
-        shape = prob.shape
-        if mask is None:
-            raise ValueError("a raw probability matrix needs an explicit mask")
-    mask = np.asarray(mask, dtype=bool)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(
-            f"probability matrix must be square 2-d, got shape {shape}")
-    if mask.shape != shape[:1]:
-        raise ValueError("mask must be 1-d with one flag per direction bin "
-                         f"({shape[0]}), got shape {mask.shape}")
+    if not isinstance(grid, DirectionalGrid):
+        raise TypeError(
+            f"discrete_alpha needs a DirectionalGrid, got {type(grid).__name__}")
+    mask = grid.mask
     D_B = int(mask.sum())
     if D_B == 0:
         raise ValueError("region mask selects no direction bins")
     if mask.all():
         return 0.0
-    # Both paths sum the same rows, so a grid and its prob agree bitwise.
-    outside = (~mask).astype(float)
-    if isinstance(grid, DirectionalGrid):
-        leak = grid.leak[mask]
-        cross = np.concatenate([
-            np.multiply(block, outside, out=block).sum(axis=1)[mask[rows]]
-            for rows, block in grid._rings(mask)])
-    else:
-        rows = prob[mask]
-        rows[np.arange(D_B), np.flatnonzero(mask)] = 0.0
-        leak = rows.sum(axis=1)
-        if leak.max() >= 1.0:
-            raise ValueError("a region row leaks probability "
-                             f"{leak.max():.3f} >= 1 off the diagonal")
-        cross = np.multiply(rows, outside, out=rows).sum(axis=1)
-    z = -float(cross.sum()) / D_B
+    z = -float(grid.cross[mask].sum()) / D_B
     log_gamma = 2.0 * math.log1p(
-        float(np.expm1(0.5 * np.log1p(-leak)).mean()))
+        float(np.expm1(0.5 * np.log1p(-grid.leak[mask])).mean()))
     if log_gamma >= 0.0:
         raise ArithmeticError(
             "gamma = 1: the photons record nothing and alpha is undefined"
@@ -603,7 +574,7 @@ def oracle_battery(seed: int = 0) -> dict:
     half_skies = [scattering_probability_grid(n, 2 * n, math.pi / 2.0)
                   for n in (8, 16, 32)]
     single = np.arange(half_skies[0].D_S) == 0
-    alpha_single = discrete_alpha(half_skies[0], single)
+    alpha_single = discrete_alpha(replace(half_skies[0], mask=single))
     record("alpha_single_direction", abs(alpha_single - 1.0) < 1e-4,
            value=alpha_single)
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -124,6 +125,12 @@ class TestFragmentEntropy:
         with pytest.raises(ValueError):
             fragment_entropy_exact(np.array([1.1, -0.1]))
 
+    def test_negative_multiplicity_is_named(self):
+        # The weighted total [0.5, 0.5] . [-1, 3] is 1, so this returned ln 2.
+        with pytest.raises(ValueError, match=re.escape(
+                "multiplicities must be nonnegative, got -1.0")):
+            fragment_entropy_exact([0.5, 0.5], [-1, 3])
+
 
 class TestEntropyChange:
     def test_series_matches_enumeration(self):
@@ -180,6 +187,17 @@ class TestEntropyChange:
             entropy_error_halving(-0.004, 8, 3), rel=1e-9
         )
 
+    @pytest.mark.parametrize("levels", [1, 0, -2, 2.0, 3.5, "3"])
+    def test_halving_needs_two_levels(self, levels):
+        # levels 1 and 0 returned [], so a check over the ratios passed
+        # with nothing checked.
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"levels must be an integer >= 2, got {levels!r}")):
+            entropy_error_halving(-0.002, 4, 2, levels=levels)
+        assert len(entropy_error_halving(-0.002, 4, 2, levels=2)) == 1
+
 
 def test_discrete_gamma():
     assert discrete_gamma(np.ones(5)) == pytest.approx(1.0, rel=1e-15)
@@ -235,11 +253,10 @@ class TestMatrixElement:
 
 
 class TestDirectionalGrid:
-    def test_rows_are_normalized(self):
+    def test_leaks_are_small_probabilities(self):
         grid = scattering_probability_grid(8, 16, math.pi / 2.0)
-        assert np.abs(grid.prob.sum(axis=1) - 1.0).max() < 1e-12
-        assert grid.D_S == 128
-        assert grid.D_B == grid.mask.sum() == 64
+        assert grid.D_S == 128 and grid.mask.sum() == 64
+        assert (grid.leak > 0.0).all() and grid.leak.max() < 1e-3
 
     def test_equatorial_cap_masks_half_the_bins(self):
         grid = scattering_probability_grid(10, 20, math.pi / 2.0)
@@ -248,6 +265,23 @@ class TestDirectionalGrid:
     def test_excessive_coupling_is_rejected(self):
         with pytest.raises(ValueError, match="coupling"):
             scattering_probability_grid(8, 16, math.pi / 2.0, coupling=1e3)
+        grid = scattering_probability_grid(8, 16, math.pi / 2.0)
+        with pytest.raises(ValueError, match="^coupling 1000.0 leaks"):
+            replace(grid, coupling=1e3)
+
+    @pytest.mark.parametrize("theta0", [-1.0, math.pi + 0.1, 10.0])
+    def test_cap_outside_zero_to_pi_is_named(self, theta0):
+        # -1.0 became a cap of half-angle 1, and 10.0 selected every bin.
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta0 must be in [0, pi], got {theta0}")):
+            scattering_probability_grid(4, 8, theta0)
+
+    def test_zero_cap_is_built_and_named_by_alpha(self):
+        # The cap's lower edge is in range and selects no bin.
+        grid = scattering_probability_grid(4, 8, 0.0)
+        assert not grid.mask.any() and np.isnan(grid.cross).all()
+        with pytest.raises(ValueError, match="^region mask selects no"):
+            discrete_alpha(grid)
 
     @pytest.mark.parametrize("name", ["coupling", "theta0", "chi"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -282,16 +316,36 @@ class TestDirectionalGrid:
         grid = scattering_probability_grid(np.int64(4), np.int64(8), 1.0)
         assert grid.D_S == 32
 
-    def test_prob_is_assembled_from_the_leak(self):
+    def test_cross_is_kept_on_the_rings_that_hold_the_region(self):
         grid = scattering_probability_grid(8, 16, 1.1, 0.7)
-        prob = grid.prob
-        assert prob.shape == (128, 128) and prob.flags.c_contiguous
-        assert np.array_equal(np.diag(prob), 1.0 - grid.leak)
-        np.fill_diagonal(prob, 0.0)
-        assert np.array_equal(prob.sum(axis=1), grid.leak)
-        # (u_n - u_m)^2 is exactly 0 within a theta ring.
-        assert not prob.reshape(8, 16, 8, 16)[np.arange(8), :,
-                                               np.arange(8), :].any()
+        held = grid.mask.reshape(8, 16).any(axis=1).repeat(16)
+        assert held.any() and not held.all()
+        assert np.isnan(grid.cross[~held]).all()
+        assert (grid.cross[held] <= grid.leak[held]).all()
+        assert (grid.cross[grid.mask] > 0.0).all()
+        # (u_n - u_m)^2 is exactly 0 within a theta ring, so a ring's rows
+        # leak nothing into the ring: their cross sums are their leaks.
+        ring = np.arange(grid.D_S) // 16 == 3
+        ringed = replace(grid, mask=ring)
+        assert np.array_equal(ringed.cross[ring], grid.leak[ring])
+        assert ringed.leak is not grid.leak
+        assert np.array_equal(ringed.leak, grid.leak)
+
+    def test_each_grid_makes_one_ring_pass(self, monkeypatch):
+        products = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            products.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        grid = scattering_probability_grid(8, 16, math.pi / 2.0)
+        assert products == [(16, 3)] * 8
+        discrete_alpha(grid)
+        assert len(products) == 8
+        discrete_alpha(replace(grid, mask=np.arange(grid.D_S) < 5))
+        assert len(products) == 16
 
     def test_grids_compare_by_identity(self):
         # With array fields, a generated == raised "truth value of an
@@ -311,12 +365,20 @@ class TestDiscreteAlpha:
         grid = scattering_probability_grid(16, 32, math.pi)
         mask = np.zeros(grid.D_S, dtype=bool)
         mask[5] = True
-        assert discrete_alpha(grid, mask=mask) == pytest.approx(1.0, abs=1e-4)
+        single = replace(grid, mask=mask)
+        assert discrete_alpha(single) == pytest.approx(1.0, abs=1e-4)
+
+    def test_another_region_equals_a_grid_built_for_it(self):
+        half = scattering_probability_grid(16, 32, math.pi / 2.0, 0.7)
+        full = scattering_probability_grid(16, 32, math.pi)
+        assert discrete_alpha(replace(full, mask=half.mask)) \
+            == discrete_alpha(half)
 
     def test_empty_mask_is_rejected(self):
         grid = scattering_probability_grid(8, 16, math.pi)
-        with pytest.raises(ValueError):
-            discrete_alpha(grid, mask=np.zeros(grid.D_S, dtype=bool))
+        empty = replace(grid, mask=np.zeros(grid.D_S, dtype=bool))
+        with pytest.raises(ValueError, match="^region mask selects no"):
+            discrete_alpha(empty)
 
     def test_refinement_approaches_the_continuum(self):
         target = 1135.0 / 1280.0
@@ -330,8 +392,7 @@ class TestDiscreteAlpha:
     # "boolean index did not match" IndexError.
     @pytest.mark.parametrize("shape", [(5,), (40,), (32, 1), (1, 32), ()])
     @pytest.mark.parametrize("fill", [True, False])
-    @pytest.mark.parametrize("raw", [True, False])
-    def test_mask_of_the_wrong_shape_is_named(self, shape, fill, raw):
+    def test_mask_of_the_wrong_shape_is_named(self, shape, fill):
         grid = scattering_probability_grid(8, 4, math.pi / 2.0)
         mask = np.full(shape, fill)
         if not fill and mask.size:
@@ -339,19 +400,14 @@ class TestDiscreteAlpha:
         with pytest.raises(ValueError, match=re.escape(
                 "mask must be 1-d with one flag per direction bin (32), "
                 f"got shape {shape}")):
-            discrete_alpha(grid.prob if raw else grid, mask)
+            replace(grid, mask=mask)
 
-    @pytest.mark.parametrize("take", [
-        lambda p: p[:, :10], lambda p: p[:10], lambda p: p[0],
-        lambda p: p[None], lambda p: p.T[:, :31]],
-        ids=["ten_columns", "ten_rows", "one_row", "stacked", "transposed"])
-    def test_probability_matrix_that_is_not_square_is_named(self, take):
-        grid = scattering_probability_grid(8, 4, math.pi / 2.0)
-        prob = take(grid.prob)
-        with pytest.raises(ValueError, match=re.escape(
-                "probability matrix must be square 2-d, "
-                f"got shape {prob.shape}")):
-            discrete_alpha(prob, np.ones(32, bool))
+    @pytest.mark.parametrize("raw", [np.eye(32), np.eye(32).tolist()],
+                             ids=["array", "list"])
+    def test_raw_matrix_is_refused(self, raw):
+        with pytest.raises(TypeError, match=(
+                "^discrete_alpha needs a DirectionalGrid, got ")):
+            discrete_alpha(raw)
 
 
 def test_planck_spectral_nodes_reproduce_zeta_moments():

@@ -1,8 +1,9 @@
 """The oracle's array code against the code it replaced.
 
-The reference functions below are the earlier implementations, kept
-verbatim in operation order: the probability grid built from three full
-D_S x D_S temporaries, the fragment spectrum enumerated one multiset at a
+The reference functions are the earlier implementations, kept verbatim
+in operation order: the probability grid built from three full D_S x D_S
+temporaries (ref_grid, shared with test_discrete_alpha_reference), the
+fragment spectrum enumerated one multiset at a
 time with Python-integer factorials, the general-cat mutual information
 with one diagonalization per reduced state, the factor-matrix check
 through np.allclose, the battery's interval-bound trials as one loop
@@ -11,11 +12,14 @@ eigenvalue. Every current result must equal them bit for bit, and every
 rejection must raise the same exception with the same message. Stacked
 general-cat calls must equal a loop of single-matrix calls the same way.
 
-Two exceptions. The grid now multiplies one theta ring of rows at a time
-instead of one symmetric product, which moves a cosine by 1 ulp at a few
-small shapes; there its entries are held to 4 ulp. And the discrete
-receptivity no longer subtracts from 1, so it is held to the 40-digit
-reference of test_discrete_alpha_reference instead of the earlier sum.
+Two exceptions. The grid now keeps only each bin's leak and its region
+rows' sums over the complement, taken one theta ring of rows at a time
+instead of from one symmetric product; they are held to the reference
+matrix's off-diagonal row sums, bit for bit except at a few small shapes
+where a ring product moves a cosine by 1 ulp, and there to 4 ulp. And the
+discrete receptivity no longer subtracts from 1, so it is held to the
+40-digit reference of test_discrete_alpha_reference instead of the
+earlier sum.
 """
 
 import math
@@ -34,43 +38,19 @@ from photon_darwinism.discrete_oracle import (
     scattering_probability_grid,
 )
 from photon_darwinism.entropy_kernels import xlogx
-from photon_darwinism.sky import FULL_SPHERE
 from photon_darwinism.superpositions import (
     CatSpec,
     _check_factor_matrix,
     mi_interval_bounds,
 )
-from test_discrete_alpha_reference import reference_alpha, relative_error
+from test_discrete_alpha_reference import (
+    ref_grid,
+    reference_alpha,
+    relative_error,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations
-
-
-def ref_grid(n_theta, n_phi, theta0, chi=0.0, coupling=1e-6):
-    """(points, mask, prob) as the earlier scattering_probability_grid."""
-    u = -1.0 + (np.arange(n_theta) + 0.5) * (2.0 / n_theta)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    uu = np.repeat(u, n_phi)
-    pp = np.tile(phi, n_theta)
-    s = np.sqrt(1.0 - uu ** 2)
-    points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
-    delta_omega = FULL_SPHERE / (n_theta * n_phi)
-
-    cos_nm = points @ points.T
-    gap = (uu[:, None] - uu[None, :]) ** 2
-    prob = coupling * delta_omega * (1.0 + cos_nm ** 2) * gap
-    np.fill_diagonal(prob, 0.0)
-    leak = prob.sum(axis=1)
-    if leak.max() >= 1.0:
-        raise ValueError(
-            f"coupling {coupling} leaks probability {leak.max():.3f} >= 1; "
-            "reduce it to stay in the perturbative regime"
-        )
-    np.fill_diagonal(prob, 1.0 - leak)
-
-    axis = np.array([math.sin(chi), 0.0, math.cos(chi)])
-    mask = points @ axis >= math.cos(theta0)
-    return points, mask, prob
 
 
 def ref_fragment_eigenvalues(b, fN):
@@ -178,7 +158,7 @@ def _ulps(a, b):
     """The largest distance in ulps between two arrays of nonnegative
     doubles of one shape."""
     assert a.shape == b.shape and (a >= 0.0).all() and (b >= 0.0).all()
-    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max())
+    return int(np.abs(a.view(np.int64) - b.view(np.int64)).max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +179,22 @@ ULP_SHAPES = {(3, 5), (5, 3), (7, 11), (9, 4), (11, 7), (6, 10), (9, 14)}
 def _check_grid(grid, n_theta, n_phi, points, mask, prob):
     assert _same_bits(grid.points, points)
     assert _same_bits(grid.mask, mask)
-    assembled = grid.prob
+    off = prob.copy()
+    np.fill_diagonal(off, 0.0)
+    leak = off.sum(axis=1)
+    cross = (off * ~mask).sum(axis=1)[mask]
     if (n_theta, n_phi) in ULP_SHAPES:
-        assert _ulps(assembled, prob) <= 4
+        assert _ulps(grid.leak, leak) <= 4
+        assert _ulps(grid.cross[mask], cross) <= 4
     else:
-        assert _same_bits(assembled, prob)
+        assert _same_bits(grid.leak, leak)
+        assert _same_bits(grid.cross[mask], cross)
     if mask.any():
         alpha = discrete_alpha(grid)
-        assert _same_bits(alpha, discrete_alpha(assembled, mask))
         if mask.all():
             assert alpha == 0.0
         else:
-            assert relative_error(alpha, reference_alpha(assembled, mask)) \
+            assert relative_error(alpha, reference_alpha(prob, mask)) \
                 <= 1e-14
 
 
