@@ -14,9 +14,9 @@ import numpy as np
 
 from photon_darwinism import (
     LN2,
+    mutual_information,
     mutual_information_approx,
     mutual_information_at_time,
-    pip_curve,
     system_entropy,
 )
 
@@ -43,8 +43,8 @@ print()
 # The curve is antisymmetric about f = 1/2 around half the quantum
 # ceiling: what the small fragment is missing, its complement holds.
 gamma = math.exp(-10.0)
-curve = pip_curve(gamma, 1.0, F_GRID)
-total = curve.mi_nats + curve.mi_nats[::-1]
+mi = mutual_information(gamma, 1.0, F_GRID)
+total = mi + mi[::-1]
 print(f"antisymmetry check: I(f) + I(1-f) spans "
       f"[{total.min():.12f}, {total.max():.12f}]"
       f" vs 2 H_S = {2 * system_entropy(gamma):.12f}")

@@ -46,7 +46,8 @@ from .radiometry import (
     parse_scenario,
     photon_number_density,
 )
-from .receptivity import alpha_closed_form, alpha_disk, alpha_numeric
+from .receptivity import (alpha_closed_form, alpha_disk, alpha_numeric,
+                          redundancy_rate)
 from .sky import FULL_SPHERE
 from .superpositions import mi_mway, mi_unbalanced
 
@@ -248,7 +249,7 @@ def cmd_alpha(args) -> int:
         tau_r_inv = tau_r_over_big = None
         if not point or scenario.irradiance_W_m2 is not None:
             result = decoherence_rate(scenario, order=args.order)
-            tau_r_inv = alpha * result.tau_D_inv
+            tau_r_inv = redundancy_rate(alpha, result.tau_D_inv)
             if not point:
                 tau_r_over_big = alpha * result.ratio
     report = {
@@ -371,13 +372,15 @@ def cmd_oracle(args) -> int:
     report = oracle_battery(seed=args.seed)
     if args.db is not None:
         b = np.full(args.db, -abs(args.b_scale))
+        try:
+            exact = fragment_entropy_change_exact(b, args.fn, cap=args.cap)
+        except OverflowError as exc:  # a multiplicity past int64
+            raise OracleCapError(str(exc)) from exc
         report["model"] = {
             "D_B": args.db,
             "fN": args.fn,
             "b": -abs(args.b_scale),
-            "entropy_change_exact": fragment_entropy_change_exact(
-                b, args.fn, cap=args.cap
-            ),
+            "entropy_change_exact": exact,
             "entropy_change_analytic": analytic_entropy_change(b, args.fn),
         }
     for check in report["checks"]:

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+_SERIES_TOL = 1e-17          # the moment series stops at a term below this
+_SERIES_MAX_TERMS = 1 << 21  # and gives up after this many terms
 
 
 class OracleCapError(RuntimeError):
@@ -200,8 +202,7 @@ def fragment_entropy_change_exact(b, fN, cap: int = DEFAULT_CAP) -> Nats:
     return fragment_entropy_exact(values, mults) - int(fN) * math.log(np.size(b))
 
 
-def fragment_entropy_change_series(b, fN, tol: float = 1e-17,
-                                   max_terms: int = 1 << 21) -> Nats:
+def fragment_entropy_change_series(b, fN) -> Nats:
     """Same entropy change through the moment series, no enumeration.
 
     Averaging the kernel series over index vectors factorizes each term
@@ -221,16 +222,13 @@ def fragment_entropy_change_series(b, fN, tol: float = 1e-17,
     base = 1.0 + b
     floor = float((base >= 1.0).mean()) ** fN
     acc = 0.0
-    chunk = 1024
-    start = 1
-    while start < max_terms:
-        ms = np.arange(start, start + chunk, dtype=float)
+    for start in range(1, _SERIES_MAX_TERMS, 1024):
+        ms = np.arange(start, start + 1024, dtype=float)
         q = (base[:, None] ** ms).mean(axis=0)
         terms = (q ** fN - floor) / (2.0 * ms * (2.0 * ms - 1.0))
         acc += float(terms.sum())
-        if terms[-1] < tol:
+        if terms[-1] < _SERIES_TOL:
             break
-        start += chunk
     else:
         raise ArithmeticError(
             "moment series did not converge; some b is too close to zero"
@@ -313,22 +311,27 @@ class DirectionalGrid:
     P_nm, where mask marks the bins inside the illuminated region. Both are
     taken in one pass over the rings when the grid is built; no P_nm is
     kept. cross is filled on the rings that hold a mask row and NaN
-    elsewhere. Another region on the same bins is replace(grid, mask=m)."""
+    elsewhere. Another region on the same bins is replace(grid, mask=m).
+    Every bin has the solid angle delta_omega = 4 pi / D_S."""
 
     points: np.ndarray
     mask: np.ndarray
     n_phi: int
-    delta_omega: float
     coupling: float
     leak: np.ndarray = field(init=False)
     cross: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        u, n_phi = self.points[:, 2], self.n_phi
+        if not n_phi >= 1 or self.D_S % n_phi or np.any(
+                u.reshape(-1, n_phi) != u[::n_phi, None]):
+            raise ValueError(f"points must lie in theta rings of n_phi = "
+                             f"{n_phi} rows that share one cos(theta), got "
+                             f"{self.D_S} points")
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != (self.D_S,):
             raise ValueError("mask must be 1-d with one flag per direction bin "
                              f"({self.D_S}), got shape {mask.shape}")
-        u = self.points[:, 2]
         outside = (~mask).astype(float)
         leak, cross = np.empty(self.D_S), np.full(self.D_S, np.nan)
         block = np.empty((self.n_phi, self.D_S))
@@ -355,6 +358,10 @@ class DirectionalGrid:
     @property
     def D_S(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def delta_omega(self) -> float:
+        return FULL_SPHERE / self.D_S
 
 
 def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
@@ -391,8 +398,7 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     points = np.column_stack((s * np.cos(pp), s * np.sin(pp), uu))
     axis = np.array([math.sin(chi), 0.0, math.cos(chi)])
     return DirectionalGrid(points=points, n_phi=n_phi, coupling=coupling,
-                           mask=points @ axis >= math.cos(theta0),
-                           delta_omega=FULL_SPHERE / (n_theta * n_phi))
+                           mask=points @ axis >= math.cos(theta0))
 
 
 def discrete_alpha(grid: DirectionalGrid) -> float:
@@ -453,8 +459,6 @@ def mi_exact_general(cat: CatSpec, f) -> Nats:
     behind every closed-form mutual information here. A cat with a stack
     of factor matrices, or an array f, gives an array.
     """
-    if cat.gamma is None:
-        raise ValueError("CatSpec carries no pairwise factor matrix")
     _check_unit("f", f)
     return _branch_matrix_mi(cat.probs, cat.gamma, f)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .entropy_kernels import (
 )
 
 __all__ = [
-    "PipCurve",
     "system_entropy",
     "fragment_entropy_change",
     "mutual_information",
@@ -44,7 +42,6 @@ __all__ = [
     "redundancy_exact",
     "redundancy_estimate",
     "redundancy_lower_bound",
-    "pip_curve",
 ]
 
 # Largest deficit for which the plateau estimate makes sense: at
@@ -172,24 +169,18 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
         raise ValueError(f"f_tol must be finite and positive, got {f_tol}")
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
-    if t_over_tauD is None:
-        if gamma is None:
-            raise ValueError("provide either gamma or t_over_tauD")
-        gamma, alpha, delta = np.broadcast_arrays(
-            _check_unit("gamma", gamma), alpha, delta)
-        roots = np.where(gamma == 0.0, math.inf, math.nan)
-        live = (0.0 < gamma) & (gamma < 1.0)
-        if live.any():
-            roots[live] = _bisect_redundancy(-_libm(math.log, gamma[live]),
-                                             alpha[live], delta[live], f_tol)
+    if t_over_tauD is not None:
+        t = _check_time(t_over_tauD)
+    elif gamma is not None:
+        # Gamma = exp(-t); perfect decoherence (Gamma = 0) is t = inf.
+        t = _libm(lambda g: -math.log(g) if g > 0.0 else math.inf,
+                  _check_unit("gamma", gamma))
     else:
-        t, alpha, delta = np.broadcast_arrays(
-            _check_time(t_over_tauD), alpha, delta)
-        roots = np.full(t.shape, math.nan)
-        live = t > 0.0
-        if live.any():
-            roots[live] = _bisect_redundancy(t[live], alpha[live],
-                                             delta[live], f_tol)
+        raise ValueError("provide either gamma or t_over_tauD")
+    t, alpha, delta = np.broadcast_arrays(t, alpha, delta)
+    roots = np.where(t == math.inf, math.inf, math.nan)
+    live = (0.0 < t) & (t < math.inf)
+    roots[live] = _bisect_redundancy(t[live], alpha[live], delta[live], f_tol)
     if roots.ndim:
         return roots
     return None if math.isnan(roots) else float(roots)
@@ -266,23 +257,3 @@ def redundancy_lower_bound(t_over_tauD, delta):
     gamma = _libm(math.exp, -t)
     return _result(t / _libm(math.log, 1.0 / (delta - gamma)))
 
-
-@dataclass(frozen=True)
-class PipCurve:
-    """Partial information plot: I(f) sampled on a fragment-fraction grid."""
-
-    f: np.ndarray
-    mi_nats: np.ndarray
-    gamma: float
-    alpha: float
-
-
-def pip_curve(gamma: float, alpha: float, f_grid) -> PipCurve:
-    """Sample the mutual information on a sorted grid of fragment fractions."""
-    f_grid = np.asarray(f_grid, dtype=float)
-    if f_grid.ndim != 1 or f_grid.size == 0:
-        raise ValueError("f_grid must be a nonempty 1-d array")
-    if np.any(np.diff(f_grid) < 0.0):
-        raise ValueError("f_grid must be sorted ascending")
-    mi = mutual_information(gamma, alpha, f_grid)
-    return PipCurve(f=f_grid, mi_nats=mi, gamma=gamma, alpha=alpha)

@@ -171,8 +171,17 @@ def isotropic_rate(scenario: Scenario) -> float:
     """
     y = BOLTZMANN * scenario.temperature_K / (HBAR * SPEED_OF_LIGHT)
     prefactor = 16.0 * _FACTORIAL_8 * ZETA_9 / (9.0 * math.pi)
-    return prefactor * scenario.effective_radius_m**6 * scenario.dx_m**2 \
-        * y**8 * (BOLTZMANN * scenario.temperature_K / HBAR)
+    try:
+        rate = prefactor * scenario.effective_radius_m**6 * scenario.dx_m**2 \
+            * y**8 * (BOLTZMANN * scenario.temperature_K / HBAR)
+    except OverflowError:  # a float ** int past the largest double
+        rate = math.inf
+    if not rate < math.inf:
+        raise ValueError(
+            f"decoherence rate is not a finite double at temperature_K = "
+            f"{scenario.temperature_K} (radius_m = {scenario.radius_m}, "
+            f"dx_m = {scenario.dx_m})")
+    return rate
 
 
 def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:

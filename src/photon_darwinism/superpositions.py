@@ -81,25 +81,22 @@ class CatSpec:
 
     gamma[a, b] is the decoherence factor of the branch pair (a, b) after
     the full photon environment has acted; the diagonal is one by
-    definition; a stack (..., M, M) holds one matrix per cat. A None matrix
-    means the factors are uniform and supplied separately to whichever
-    closed form consumes the spec.
+    definition; a stack (..., M, M) holds one matrix per cat.
     """
 
     probs: np.ndarray
-    gamma: np.ndarray | None = None
+    gamma: np.ndarray
 
     def __post_init__(self):
         probs = _check_probs(self.probs)
+        gamma = _check_factor_matrix(self.gamma)
+        if gamma.shape[-1] != probs.size:
+            raise ValueError(
+                f"factor matrix is {gamma.shape[-1]}x{gamma.shape[-1]} "
+                f"but there are {probs.size} branches"
+            )
         object.__setattr__(self, "probs", probs)
-        if self.gamma is not None:
-            gamma = _check_factor_matrix(self.gamma)
-            if gamma.shape[-1] != probs.size:
-                raise ValueError(
-                    f"factor matrix is {gamma.shape[-1]}x{gamma.shape[-1]} "
-                    f"but there are {probs.size} branches"
-                )
-            object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def M(self) -> int:

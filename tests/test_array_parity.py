@@ -26,7 +26,6 @@ from photon_darwinism.information import (
     fragment_entropy_change,
     mutual_information,
     mutual_information_at_time,
-    pip_curve,
     redundancy_estimate,
     redundancy_exact,
     redundancy_lower_bound,
@@ -219,8 +218,9 @@ def test_mi_gamma_form_matches_scalar_reference():
     f = FRACTIONS[None, None, :]
     assert_bitwise(mutual_information(gamma, alpha, f),
                    loop(ref_mi, gamma, alpha, f))
-    curve = pip_curve(0.01, 0.37, np.linspace(0.0, 1.0, 41))
-    assert_bitwise(curve.mi_nats, loop(ref_mi, 0.01, 0.37, curve.f))
+    grid = np.linspace(0.0, 1.0, 41)
+    assert_bitwise(mutual_information(0.01, 0.37, grid),
+                   loop(ref_mi, 0.01, 0.37, grid))
 
 
 def test_entropy_helpers_match_scalar_reference():
@@ -426,9 +426,9 @@ def test_array_calls_return_arrays():
      "alpha must be in (0, 1], got -0.5"),
     (lambda: redundancy_lower_bound(20.0, np.array([0.01, np.nan])),
      "delta must be in (0, 1), got nan"),
-    (lambda: pip_curve(0.5, 1.0, np.array([-0.1, 0.5])),
+    (lambda: mutual_information(0.5, 1.0, np.array([-0.1, 0.5])),
      "f must be in [0, 1], got -0.1"),
-    (lambda: pip_curve(0.5, 1.0, np.array([0.5, 1.5])),
+    (lambda: mutual_information(0.5, 1.0, np.array([0.5, 1.5])),
      "f must be in [0, 1], got 1.5"),
 ])
 def test_array_errors_name_the_first_bad_value(call, message):

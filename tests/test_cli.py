@@ -252,6 +252,16 @@ class TestOracle:
         assert main(["oracle", "--db", "10", "--fn", "10"]) == EXIT_CAP
         assert "cap exceeded" in capsys.readouterr().err
 
+    def test_int64_multiplicities_are_a_cap(self, capsys):
+        # Within the cap, but 2^70's multiplicities overflow int64: this
+        # ended in an OverflowError traceback with exit 1.
+        argv = ["oracle", "--db", "2", "--fn", "70", "--cap", str(10 ** 26)]
+        assert main(argv) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("cap exceeded: multiplicities of D_B^fN = "
+                                "2^70 do not fit in int64\n")
+
     def test_check_failure_exit_code(self, capsys, monkeypatch):
         fake = {"seed": 0, "all_passed": False,
                 "checks": [{"name": "broken", "passed": False}]}
@@ -467,6 +477,26 @@ def test_scenario_values_out_of_domain_are_named(command, extra, key,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config error: {path}: {name} must be finite and above" in captured.err
+
+
+# At 7e35 K the full-sky rate overflowed to Infinity and printed with exit
+# 0; at 1e36 K y**8 raised "(34, 'Numerical result out of range')", which
+# named no input.
+@pytest.mark.filterwarnings("ignore:thermal wavelength")
+@pytest.mark.parametrize("temperature", ["7e35", "1e36"])
+@pytest.mark.parametrize("command", ["rate", "alpha"])
+def test_overflowing_rate_names_the_temperature(command, temperature,
+                                                 tmp_path, capsys):
+    path = tmp_path / "hot.cfg"
+    path.write_text(BASE_CFG.replace("2.725", temperature)
+                    + "region = disk:30:0\n")
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {path}: decoherence rate is not a finite double at "
+        f"temperature_K = {float(temperature)} (radius_m = 1e-06, "
+        "dx_m = 1e-06)\n")
 
 
 @pytest.mark.parametrize("command", ["alpha", "pip"])

@@ -30,7 +30,7 @@ from photon_darwinism.discrete_oracle import (
 from photon_darwinism.entropy_kernels import LN2, h
 from photon_darwinism.information import mutual_information
 from photon_darwinism.radiometry import ZETA_3, ZETA_9, Scenario
-from photon_darwinism.sky import SkyRegion
+from photon_darwinism.sky import FULL_SPHERE, SkyRegion
 from photon_darwinism.superpositions import CatSpec, mi_mway
 
 
@@ -347,6 +347,37 @@ class TestDirectionalGrid:
         discrete_alpha(replace(grid, mask=np.arange(grid.D_S) < 5))
         assert len(products) == 16
 
+    def test_rows_moved_across_rings_are_refused(self):
+        # The ring pass prices every row of a ring at the ring's first
+        # cos(theta): these rows gave alpha = 0.621 instead of 0.907.
+        grid = scattering_probability_grid(4, 8, math.pi / 2.0)
+        perm = np.random.default_rng(0).permutation(grid.D_S)
+        with pytest.raises(ValueError, match=re.escape(
+                "points must lie in theta rings of n_phi = 8 rows that share "
+                "one cos(theta), got 32 points")):
+            replace(grid, points=grid.points[perm], mask=grid.mask[perm])
+        # Whole rings in another order are still rings.
+        rings = np.arange(grid.D_S).reshape(4, 8)[::-1].ravel()
+        moved = replace(grid, points=grid.points[rings], mask=grid.mask[rings])
+        assert discrete_alpha(moved) == pytest.approx(discrete_alpha(grid),
+                                                      rel=1e-14)
+
+    def test_points_that_are_not_whole_rings_are_refused(self):
+        # 30 points in rings of 8 raised numpy's matmul core-dimension error.
+        grid = scattering_probability_grid(4, 8, math.pi / 2.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "points must lie in theta rings of n_phi = 8 rows that share "
+                "one cos(theta), got 30 points")):
+            replace(grid, points=grid.points[:30], mask=grid.mask[:30])
+
+    def test_bin_solid_angle_follows_from_the_bins(self):
+        # delta_omega was a free field: 100 times the bin's solid angle
+        # moved alpha from 0.906585 to 0.906075 without a word.
+        grid = scattering_probability_grid(4, 8, math.pi / 2.0)
+        assert grid.delta_omega == FULL_SPHERE / 32
+        with pytest.raises(TypeError, match="delta_omega"):
+            replace(grid, delta_omega=100.0 * grid.delta_omega)
+
     def test_grids_compare_by_identity(self):
         # With array fields, a generated == raised "truth value of an
         # array with more than one element is ambiguous".
@@ -448,8 +479,8 @@ class TestExactGeneralMi:
         assert mi_exact_general(cat, 0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_a_factor_matrix(self):
-        with pytest.raises(ValueError):
-            mi_exact_general(CatSpec(probs=(0.5, 0.5)), 0.2)
+        with pytest.raises(TypeError, match="gamma"):
+            CatSpec(probs=(0.5, 0.5))
 
     def test_fragment_fraction_validated(self):
         gm = np.array([[1.0, 0.1], [0.1, 1.0]])

@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 from photon_darwinism.entropy_kernels import LN2, h
 from photon_darwinism.information import (
     MAX_DEFICIT,
-    PipCurve,
     fragment_entropy_change,
     mutual_information,
     mutual_information_approx,
     mutual_information_at_time,
-    pip_curve,
     redundancy_estimate,
     redundancy_exact,
     redundancy_lower_bound,
@@ -233,23 +231,3 @@ class TestRedundancyLowerBound:
             if exact is None:
                 continue
             assert redundancy_lower_bound(t, 0.01) <= exact + 1e-9
-
-
-class TestPipCurve:
-    def test_matches_pointwise_evaluation(self):
-        grid = np.linspace(0.0, 1.0, 21)
-        curve = pip_curve(math.exp(-10.0), 1.0, grid)
-        assert isinstance(curve, PipCurve)
-        assert curve.gamma == pytest.approx(math.exp(-10.0))
-        assert curve.alpha == 1.0
-        for f, mi in zip(curve.f, curve.mi_nats):
-            assert mi == pytest.approx(
-                mutual_information(math.exp(-10.0), 1.0, float(f)), rel=1e-13
-            )
-
-    def test_grid_must_be_sorted_and_in_range(self):
-        with pytest.raises(ValueError):
-            pip_curve(0.5, 1.0, np.array([0.5, 0.2]))
-        with pytest.raises(ValueError):
-            pip_curve(0.5, 1.0, np.array([-0.1, 0.5]))
-

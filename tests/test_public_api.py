@@ -44,7 +44,8 @@ LAYERS = ("entropy_kernels", "sky", "radiometry", "receptivity", "information",
           "superpositions", "discrete_oracle")
 
 # The package's names before the module lists became its one declaration,
-# less the two removed since (receptivity_result and the finite-model class).
+# less the four removed since (receptivity_result, the finite-model class,
+# PipCurve and pip_curve).
 EARLIER_NAMES = (
     "LN2 FULL_SPHERE h h_power_series binary_entropy_from_gap "
     "m_spectrum_entropy SkyRegion solid_angle integrate_sphere g2_weight "
@@ -52,9 +53,9 @@ EARLIER_NAMES = (
     "effective_radius photon_number_density patch_irradiance isotropic_rate "
     "decoherence_rate disk_rate point_source_rate decoherence_factor "
     "alpha_closed_form alpha_numeric alpha_disk redundancy_rate "
-    "PipCurve system_entropy fragment_entropy_change "
+    "system_entropy fragment_entropy_change "
     "mutual_information mutual_information_at_time mutual_information_approx "
-    "redundancy_exact redundancy_estimate redundancy_lower_bound pip_curve "
+    "redundancy_exact redundancy_estimate redundancy_lower_bound "
     "CatSpec max_entropy mi_unbalanced mi_unbalanced_limit mi_mway "
     "mi_mway_limit mi_interval_bounds OracleCapError "
     "fragment_eigenvalues fragment_entropy_exact fragment_entropy_change_exact "

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ class TestRates:
         expected = (2.0 * n * (8.0 * math.pi / 9.0) * scn.effective_radius_m**6
                     * scn.dx_m**2 * k6 * SPEED_OF_LIGHT)
         assert isotropic_rate(scn) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:thermal wavelength")
+    @pytest.mark.parametrize("temperature", [7e35, 1e36])
+    def test_rate_past_the_largest_double_names_the_temperature(
+            self, temperature):
+        # 7e35 K returned inf; at 1e36 K y**8 raised a bare OverflowError.
+        scn = _scenario(temperature_K=temperature)
+        with pytest.raises(ValueError, match=re.escape(
+                f"temperature_K = {temperature} (radius_m")):
+            isotropic_rate(scn)
+        with pytest.raises(ValueError, match="temperature_K"):
+            decoherence_rate(_scenario(SkyRegion.disk(0.5),
+                                       temperature_K=temperature))
 
     def test_disk_rate_special_angles(self):
         assert disk_rate(math.pi, 0.0) == pytest.approx(1.0, rel=1e-15)

@@ -69,12 +69,12 @@ class TestMaxEntropy:
 
 class TestCatSpec:
     def test_mu_roundtrip(self):
-        spec = CatSpec(probs=_probs_from_mu(0.5))
+        spec = CatSpec(probs=_probs_from_mu(0.5), gamma=np.eye(2))
         assert spec.M == 2
         assert spec.mu == pytest.approx(0.5, rel=1e-12)
 
     def test_mu_defined_only_for_pairs(self):
-        spec = CatSpec(probs=(0.5, 0.3, 0.2))
+        spec = CatSpec(probs=(0.5, 0.3, 0.2), gamma=np.eye(3))
         with pytest.raises(ValueError):
             spec.mu
 
@@ -288,7 +288,8 @@ _WEAK_PAIR = [[1.0, 1e-3], [1e-3, 1.0]]
 
 @pytest.mark.parametrize("call, message", [
     (lambda: max_entropy([NAN, NAN]), "branch probabilities must be nonnegative"),
-    (lambda: CatSpec(probs=[NAN, 0.5]), "branch probabilities must be nonnegative"),
+    (lambda: CatSpec(probs=[NAN, 0.5], gamma=_WEAK_PAIR),
+     "branch probabilities must be nonnegative"),
     (lambda: mi_interval_bounds(_WEAK_PAIR, [NAN, NAN], 0.2),
      "branch probabilities must be nonnegative"),
     (lambda: fragment_entropy_exact([NAN, 1.0]),

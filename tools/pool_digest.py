@@ -1,4 +1,4 @@
-"""Print one sha256 digest per benchmark pool of CLI calls.
+"""Print one sha256 digest per benchmark pool of CLI calls, and one per demo.
 
 Usage: python tools/pool_digest.py
 
@@ -10,6 +10,12 @@ exit code and stdout, in pool order, with the temporary directory's path
 replaced by a fixed token. Two checkouts whose CLI prints the same bytes
 print the same digests, so comparing the output of this script before and
 after a change checks that the change kept every byte of every pool.
+
+Then each script under demos/ runs in this process, as tests/test_demos.py
+runs it, and one line `demo=<name> sha256=<hex>` gives the digest of its
+stdout; an error that escapes a demo is appended to that stdout. The pool
+lines come first and keep their format, so digests recorded before the
+demo lines existed stay comparable.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -58,11 +65,25 @@ def pool_digest(workload: str, seed: int) -> tuple[int, str]:
     return len(calls), digest.hexdigest()
 
 
+def demo_digest(script: Path) -> str:
+    """sha256 hex of one demo's stdout; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+        except Exception as exc:  # an escaped error is part of the record
+            print(repr(exc))
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main() -> int:
     for workload in BUILDERS:
         for seed in SEEDS:
             count, hexdigest = pool_digest(workload, seed)
             print(f"{workload} seed={seed} calls={count} sha256={hexdigest}")
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        print(f"demo={script.stem} sha256={demo_digest(script)}")
     return 0
 
 
