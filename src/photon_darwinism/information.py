@@ -180,7 +180,9 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
     t, alpha, delta = np.broadcast_arrays(t, alpha, delta)
     roots = np.where(t == math.inf, math.inf, math.nan)
     live = (0.0 < t) & (t < math.inf)
-    roots[live] = _bisect_redundancy(t[live], alpha[live], delta[live], f_tol)
+    if live.any():
+        roots[live] = _bisect_redundancy(t[live], alpha[live], delta[live],
+                                         f_tol)
     if roots.ndim:
         return roots
     return None if math.isnan(roots) else float(roots)

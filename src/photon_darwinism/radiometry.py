@@ -177,10 +177,9 @@ def isotropic_rate(scenario: Scenario) -> float:
     except OverflowError:  # a float ** int past the largest double
         rate = math.inf
     if not rate < math.inf:
-        raise ValueError(
-            f"decoherence rate is not a finite double at temperature_K = "
-            f"{scenario.temperature_K} (radius_m = {scenario.radius_m}, "
-            f"dx_m = {scenario.dx_m})")
+        raise ValueError(f"decoherence rate is not a finite double at "
+                         f"temperature_K = {scenario.temperature_K} (radius_m "
+                         f"= {scenario.radius_m}, dx_m = {scenario.dx_m})")
     return rate
 
 
