@@ -309,10 +309,10 @@ class DirectionalGrid:
     pairwise scattering probabilities P_nm = |U_nm|^2 of the single-photon
     map: leak[n] = sum_{m != n} P_nm, and cross[n] = sum_{m not in mask}
     P_nm, where mask marks the bins inside the illuminated region. Both are
-    taken in one pass over the rings when the grid is built; no P_nm is
-    kept. cross is filled on the rings that hold a mask row and NaN
-    elsewhere. Another region on the same bins is replace(grid, mask=m).
-    Every bin has the solid angle delta_omega = 4 pi / D_S."""
+    summed in closed form from six moments of each theta ring's bins when
+    the grid is built; no P_nm is formed. cross is filled on the rings that
+    hold a mask row and NaN elsewhere. Another region on the same bins is
+    replace(grid, mask=m). Every bin has the solid angle 4 pi / D_S."""
 
     points: np.ndarray
     mask: np.ndarray
@@ -332,21 +332,30 @@ class DirectionalGrid:
         if mask.shape != (self.D_S,):
             raise ValueError("mask must be 1-d with one flag per direction bin "
                              f"({self.D_S}), got shape {mask.shape}")
-        outside = (~mask).astype(float)
-        leak, cross = np.empty(self.D_S), np.full(self.D_S, np.nan)
-        block = np.empty((self.n_phi, self.D_S))
-        for start in range(0, self.D_S, self.n_phi):
-            rows = slice(start, start + self.n_phi)
-            # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2;
-            # the ring's own columns, the diagonal among them, are 0.
-            np.matmul(self.points[rows], self.points.T, out=block)
-            np.square(block, out=block)
-            block += 1.0
-            block *= self.coupling * self.delta_omega
-            block *= (u[start] - u) ** 2
-            leak[rows] = block.sum(axis=1)
-            if mask[rows].any():
-                cross[rows] = np.multiply(block, outside, out=block).sum(axis=1)
+        # cos_nj = u_n u_m + x_n x_j + y_n y_j, so (1 + cos^2) summed over
+        # bins j of ring m needs their count and sums of x, y, x^2, xy, y^2.
+        # The ring weight w, exactly 0 on the diagonal, drops a bin's own
+        # ring; (u_n - u_m)^2 is not expanded, which would cancel.
+        x, y = self.points[:, 0], self.points[:, 1]
+        monomials = np.stack((np.ones(self.D_S), x, y, x * x, x * y, y * y),
+                             axis=-1).reshape(-1, n_phi, 6)
+        u = u[::n_phi]
+        a = u[:, None] * u
+        w = self.coupling * self.delta_omega * (u[:, None] - u) ** 2
+        w_a, w_aa = w * a, w * a * a
+
+        def row_sums(moments):
+            """P_nm summed over the bins counted by moments, 6 per ring."""
+            N, X, Y, XX, XY, YY = moments.T
+            coeffs = np.stack((w @ N + w_aa @ N, 2.0 * (w_a @ X),
+                               2.0 * (w_a @ Y), w @ XX, 2.0 * (w @ XY),
+                               w @ YY), axis=-1)
+            return (monomials @ coeffs[:, :, None]).ravel()
+
+        rings = mask.reshape(-1, n_phi)
+        leak = row_sums(monomials.sum(axis=1))
+        cross = row_sums((~rings[:, None, :] @ monomials)[:, 0])
+        cross.reshape(-1, n_phi)[~rings.any(axis=1)] = np.nan
         if leak.max() >= 1.0:
             raise ValueError(f"coupling {self.coupling} leaks probability "
                              f"{leak.max():.3f} >= 1; reduce it to stay in "
@@ -375,8 +384,8 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
     complete each row to one. An even n_theta puts the equator on a bin
     edge, so a half-sphere region is represented without straddling bins.
 
-    The grid's one pass over the theta rings holds one n_phi x D_S ring
-    block at a time, 1 MB at 32 x 64 bins.
+    Building the grid holds a few arrays of D_S entries and three of
+    n_theta x n_theta, under 0.5 MB at 32 x 64 bins.
     """
     for name, value in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not isinstance(value, (int, np.integer)):
@@ -409,7 +418,7 @@ def discrete_alpha(grid: DirectionalGrid) -> float:
     anywhere; their ratio converges to the continuum receptivity as the
     grid refines. Neither is a difference from 1: with P_nn = 1 - leak[n],
     ln gamma = 2 log1p(mean expm1(log1p(-leak) / 2)). Both read the row
-    sums the grid kept; no P_nm is formed here.
+    sums the grid kept, summed in closed form over each theta ring.
     """
     if not isinstance(grid, DirectionalGrid):
         raise TypeError(

@@ -156,9 +156,9 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
     a solution there reports None rather than a redundancy below 2.
     Perfect decoherence (gamma = 0) gives inf.
 
-    Passing t_over_tauD switches to the exponent form of the mutual
-    information, which stays accurate long after Gamma itself has
-    underflowed.
+    Passing t_over_tauD instead of gamma switches to the exponent form of
+    the mutual information, which stays accurate long after Gamma itself
+    has underflowed.
 
     Broadcasts over arrays of gamma (or t_over_tauD), alpha and delta and
     then returns an array in which NaN marks "not redundant". Every lane
@@ -170,6 +170,8 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
     if t_over_tauD is not None:
+        if gamma is not None:
+            raise ValueError("provide either gamma or t_over_tauD, not both")
         t = _check_time(t_over_tauD)
     elif gamma is not None:
         # Gamma = exp(-t); perfect decoherence (Gamma = 0) is t = inf.

@@ -164,6 +164,20 @@ class RateResult:
     ratio: float          # tau_D_inv / T_D_inv
 
 
+def _finite_rate(rate, scenario: Scenario, *inputs: str) -> float:
+    """rate(), or a ValueError naming inputs when it is no finite double."""
+    try:
+        value = rate()
+    except OverflowError:  # a float ** int past the largest double
+        value = math.inf
+    if not value < math.inf:
+        named = " and ".join(f"{k} = {getattr(scenario, k)}" for k in inputs)
+        raise ValueError(f"decoherence rate is not a finite double at {named} "
+                         f"(radius_m = {scenario.radius_m}, dx_m = "
+                         f"{scenario.dx_m})")
+    return value
+
+
 def isotropic_rate(scenario: Scenario) -> float:
     """Full-sky decoherence rate (1/s): the fastest the source can decohere.
 
@@ -171,16 +185,10 @@ def isotropic_rate(scenario: Scenario) -> float:
     """
     y = BOLTZMANN * scenario.temperature_K / (HBAR * SPEED_OF_LIGHT)
     prefactor = 16.0 * _FACTORIAL_8 * ZETA_9 / (9.0 * math.pi)
-    try:
-        rate = prefactor * scenario.effective_radius_m**6 * scenario.dx_m**2 \
-            * y**8 * (BOLTZMANN * scenario.temperature_K / HBAR)
-    except OverflowError:  # a float ** int past the largest double
-        rate = math.inf
-    if not rate < math.inf:
-        raise ValueError(f"decoherence rate is not a finite double at "
-                         f"temperature_K = {scenario.temperature_K} (radius_m "
-                         f"= {scenario.radius_m}, dx_m = {scenario.dx_m})")
-    return rate
+    return _finite_rate(lambda: prefactor * scenario.effective_radius_m**6
+                        * scenario.dx_m**2 * y**8
+                        * (BOLTZMANN * scenario.temperature_K / HBAR),
+                        scenario, "temperature_K")
 
 
 def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
@@ -250,9 +258,10 @@ def point_source_rate(scenario: Scenario, theta: float) -> float:
     y = BOLTZMANN * scenario.temperature_K / (HBAR * SPEED_OF_LIGHT)
     prefactor = (4.0 * math.pi / 15.0) * _FACTORIAL_8 * ZETA_9 / (6.0 * ZETA_4)
     angular = 3.0 + 11.0 * math.cos(theta) ** 2
-    return prefactor * angular * irradiance \
-        * scenario.effective_radius_m**6 * scenario.dx_m**2 \
-        * y**5 / (SPEED_OF_LIGHT * HBAR)
+    return _finite_rate(lambda: prefactor * angular * irradiance
+                        * scenario.effective_radius_m**6 * scenario.dx_m**2
+                        * y**5 / (SPEED_OF_LIGHT * HBAR),
+                        scenario, "irradiance_W_m2", "temperature_K")
 
 
 def decoherence_factor(t: float, tau_D_inv: float) -> float:

@@ -499,6 +499,24 @@ def test_overflowing_rate_names_the_temperature(command, temperature,
         "dx_m = 1e-06)\n")
 
 
+# A point beam at 1e300 W/m^2 and 1e30 K: the full-sky rate is finite,
+# but rate printed an Infinity rate with exit 0 and alpha named neither
+# input.
+@pytest.mark.filterwarnings("ignore:thermal wavelength")
+@pytest.mark.parametrize("command", ["rate", "alpha"])
+def test_overflowing_point_rate_names_its_inputs(command, tmp_path, capsys):
+    path = tmp_path / "beam.cfg"
+    path.write_text(BASE_CFG.replace("2.725", "1e30")
+                    + "region = point:45\nirradiance_W_m2 = 1e300\n")
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {path}: decoherence rate is not a finite double at "
+        "irradiance_W_m2 = 1e+300 and temperature_K = 1e+30 (radius_m = "
+        "1e-06, dx_m = 1e-06)\n")
+
+
 @pytest.mark.parametrize("command", ["alpha", "pip"])
 def test_degenerate_custom_region_is_a_config_error(command, tmp_path, capsys):
     # Every lit cell sits at the pole, so the receptivity's overlap

@@ -7,9 +7,10 @@ each row exactly (math.fsum plus its rounding residual), and forms the
 square roots, the mean and the logarithm in mpmath at 40 digits, so it
 shares no rounding with the library. The entries come from ref_grid, the
 earlier scattering_probability_grid kept verbatim, which builds the whole
-D_S x D_S matrix and shares no code with the library's ring pass.
+D_S x D_S matrix and shares no code with the library's moment sums.
 discrete_alpha must land within 1e-14 relative of the reference at every
-coupling, where the form that subtracts from 1 loses up to 8 digits.
+coupling, where the form that subtracts from 1 loses up to 8 digits, and
+on the battery's largest grid.
 """
 
 import math
@@ -94,6 +95,12 @@ def test_alpha_matches_the_40_digit_reference(n_theta, n_phi, theta0, chi,
     _, mask, prob = ref_grid(n_theta, n_phi, theta0, chi, coupling)
     assert relative_error(discrete_alpha(grid), reference_alpha(prob, mask)) \
         <= TOL
+
+
+@pytest.mark.parametrize("theta0,chi", REGIONS)
+def test_alpha_matches_the_40_digit_reference_on_the_battery_grid(theta0,
+                                                                  chi):
+    test_alpha_matches_the_40_digit_reference(32, 64, theta0, chi, 1e-6)
 
 
 def test_the_reference_sees_the_cancelling_form():

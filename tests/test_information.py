@@ -172,6 +172,13 @@ class TestRedundancyExact:
         with pytest.raises(ValueError):
             redundancy_exact(0.5, 0.0, 0.01)
 
+    def test_both_forms_are_refused(self):
+        # The time form used to win silently, even over an invalid gamma.
+        for gamma in (7.0, math.exp(-100.0)):
+            with pytest.raises(ValueError, match="^provide either gamma or "
+                               "t_over_tauD, not both$"):
+                redundancy_exact(gamma, 1.0, 0.01, t_over_tauD=100.0)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
     def test_bad_time_is_named(self, t):
         with pytest.raises(ValueError, match="t_over_tauD"):

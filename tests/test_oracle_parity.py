@@ -13,13 +13,15 @@ rejection must raise the same exception with the same message. Stacked
 general-cat calls must equal a loop of single-matrix calls the same way.
 
 Two exceptions. The grid now keeps only each bin's leak and its region
-rows' sums over the complement, taken one theta ring of rows at a time
-instead of from one symmetric product; they are held to the reference
-matrix's off-diagonal row sums, bit for bit except at a few small shapes
-where a ring product moves a cosine by 1 ulp, and there to 4 ulp. And the
-discrete receptivity no longer subtracts from 1, so it is held to the
-40-digit reference of test_discrete_alpha_reference instead of the
-earlier sum.
+rows' sums over the complement, summed in closed form from six moments
+of each theta ring's bins; they are held to within 4 ulp of the exact
+(math.fsum) off-diagonal row sums of the reference matrix. The ring pass
+that summed one n_phi x D_S block of entries per ring before them
+(ref_ring_pass) is kept as well, and held to the reference matrix's row
+sums bit for bit, except at a few small shapes where a ring product
+moves a cosine by 1 ulp, and there to 4 ulp. And the discrete
+receptivity no longer subtracts from 1, so it is held to the 40-digit
+reference of test_discrete_alpha_reference instead of the earlier sum.
 """
 
 import math
@@ -38,6 +40,7 @@ from photon_darwinism.discrete_oracle import (
     scattering_probability_grid,
 )
 from photon_darwinism.entropy_kernels import xlogx
+from photon_darwinism.sky import FULL_SPHERE
 from photon_darwinism.superpositions import (
     CatSpec,
     _check_factor_matrix,
@@ -51,6 +54,31 @@ from test_discrete_alpha_reference import (
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+def ref_ring_pass(points, mask, n_phi, coupling):
+    """(leak, cross) as the earlier DirectionalGrid built them, one
+    n_phi x D_S block of P_nm per theta ring; cross is NaN on the rings
+    that hold no mask row."""
+    D_S = points.shape[0]
+    u = points[:, 2]
+    delta_omega = FULL_SPHERE / D_S
+    outside = (~mask).astype(float)
+    leak, cross = np.empty(D_S), np.full(D_S, np.nan)
+    block = np.empty((n_phi, D_S))
+    for start in range(0, D_S, n_phi):
+        rows = slice(start, start + n_phi)
+        # cos_nm -> coupling delta_omega (1 + cos_nm^2) (u_n - u_m)^2;
+        # the ring's own columns, the diagonal among them, are 0.
+        np.matmul(points[rows], points.T, out=block)
+        np.square(block, out=block)
+        block += 1.0
+        block *= coupling * delta_omega
+        block *= (u[start] - u) ** 2
+        leak[rows] = block.sum(axis=1)
+        if mask[rows].any():
+            cross[rows] = np.multiply(block, outside, out=block).sum(axis=1)
+    return leak, cross
 
 
 def ref_fragment_eigenvalues(b, fN):
@@ -170,9 +198,9 @@ ANGLES = [(0.3, 0.0), (math.pi / 2.0, 0.0), (2.0, 0.7), (math.pi, 0.0),
           (1.1, math.pi)]
 
 
-# The shapes where a ring's product moves some cosine by 1 ulp against
-# the symmetric product; everywhere else, the battery's 8 x 16, 16 x 32
-# and 32 x 64 among them, the entries keep their bits.
+# The shapes where the ring pass's product moves some cosine by 1 ulp
+# against the symmetric product; everywhere else, the battery's 8 x 16,
+# 16 x 32 and 32 x 64 among them, its entries keep their bits.
 ULP_SHAPES = {(3, 5), (5, 3), (7, 11), (9, 4), (11, 7), (6, 10), (9, 14)}
 
 
@@ -183,12 +211,18 @@ def _check_grid(grid, n_theta, n_phi, points, mask, prob):
     np.fill_diagonal(off, 0.0)
     leak = off.sum(axis=1)
     cross = (off * ~mask).sum(axis=1)[mask]
+    ring_leak, ring_cross = ref_ring_pass(points, mask, n_phi, grid.coupling)
     if (n_theta, n_phi) in ULP_SHAPES:
-        assert _ulps(grid.leak, leak) <= 4
-        assert _ulps(grid.cross[mask], cross) <= 4
+        assert _ulps(ring_leak, leak) <= 4
+        assert _ulps(ring_cross[mask], cross) <= 4
     else:
-        assert _same_bits(grid.leak, leak)
-        assert _same_bits(grid.cross[mask], cross)
+        assert _same_bits(ring_leak, leak)
+        assert _same_bits(ring_cross[mask], cross)
+    # The moment sums against the exact sums of the same entries.
+    assert _ulps(grid.leak, np.array([math.fsum(r) for r in off])) <= 4
+    assert _ulps(grid.cross[mask],
+                 np.array([math.fsum(r[~mask]) for r in off[mask]])) <= 4
+    assert _same_bits(np.isnan(grid.cross), np.isnan(ring_cross))
     if mask.any():
         alpha = discrete_alpha(grid)
         if mask.all():
