@@ -3,8 +3,8 @@
 The photon directions are binned into a finite grid and each scattered
 photon is described by a small Hermitian perturbation with eigenvalues b.
 Everything the analytic modules claim can then be recomputed the hard
-way: the fragment spectrum by exact enumeration, the receptivity from a
-literal double sum over direction bins, and the general-superposition
+way: the fragment spectrum by exact enumeration, the receptivity from the
+discrete double sum over direction bins, and the general-superposition
 mutual information by diagonalization. oracle_battery bundles the whole
 cross-examination into one seeded, JSON-serializable report.
 """
@@ -312,7 +312,7 @@ class DirectionalGrid:
     summed in closed form from six moments of each theta ring's bins when
     the grid is built; no P_nm is formed. cross is filled on the rings that
     hold a mask row and NaN elsewhere. Another region on the same bins is
-    replace(grid, mask=m). Every bin has the solid angle 4 pi / D_S."""
+    replace(grid, mask=m). Bins have solid angle delta_omega = 4 pi / D_S."""
 
     points: np.ndarray
     mask: np.ndarray
@@ -411,7 +411,7 @@ def scattering_probability_grid(n_theta: int, n_phi: int, theta0: float,
 
 
 def discrete_alpha(grid: DirectionalGrid) -> float:
-    """Receptivity from the literal double sum over direction bins.
+    """Receptivity from the discrete double sum over direction bins.
 
     z = -sum_{n in B, m not in B} P_nm / D_B is the record made outside
     the region, ln gamma = 2 ln mean_{n in B} sqrt(P_nn) the record made
