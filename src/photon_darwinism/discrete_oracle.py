@@ -66,23 +66,24 @@ class OracleCapError(RuntimeError):
     """Requested exact enumeration exceeds the configured size cap."""
 
 
-def _check_b(b) -> np.ndarray:
+def _check_b(b, stack: bool = False) -> np.ndarray:
     b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a nonempty 1-d array of eigenvalues")
+    if b.size == 0 or b.ndim != 1 and not (stack and b.ndim > 1):
+        raise ValueError("b must be a nonempty 1-d array of eigenvalues"
+                         + (", or a stack of them" if stack else ""))
     if not np.isfinite(b).all():
-        raise ValueError(
-            f"perturbation eigenvalues must be finite, got {b[~np.isfinite(b)][0]}"
-        )
+        raise ValueError("perturbation eigenvalues must be finite, got "
+                         f"{b[~np.isfinite(b)][0]}")
     if np.any(1.0 + b < 0.0):
-        raise ValueError("perturbation eigenvalues need 1 + b >= 0")
+        raise ValueError("perturbation eigenvalues need 1 + b >= 0, "
+                         f"got {b[1.0 + b < 0.0][0]}")
     return b
 
 
-def _check_fn(fN) -> int:
-    if not isinstance(fN, (int, np.integer)) or fN < 1:
-        raise ValueError(f"photon count fN must be a positive integer, got {fN}")
-    return int(fN)
+def _check_count(name: str, value) -> int:
+    if value is True or not (isinstance(value, (int, np.integer)) and value > 0):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
 
 
 def _largest_multiplicity(D: int, fN: int) -> int:
@@ -99,44 +100,10 @@ def _largest_multiplicity(D: int, fN: int) -> int:
     return largest
 
 
-def _per_distinct_pair(fn, a, c, base: int, dtype) -> np.ndarray:
-    """fn(a_i, c_i) for every i, as Python scalar calls, one per distinct
-    pair; c must lie in [0, base)."""
-    keys, inverse = np.unique(a * base + c, return_inverse=True)
-    values = [fn(*divmod(k, base)) for k in keys.tolist()]
-    return np.array(values, dtype=dtype)[inverse]
-
-
-def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
-    """Exact fragment spectrum: pairs (1 +/- prod sqrt(1+b_j)) / (2 D^fN).
-
-    Index vectors J over the fN photons are grouped into multisets, so the
-    returned arrays hold one (value, multiplicity) entry per distinct
-    eigenvalue product instead of D^fN rows. The cap guards the implied
-    total count D^fN, not the (much smaller) number of groups.
-
-    The multisets are enumerated as one (groups, fN) index array and split
-    into runs of equal indices; the work arrays hold O(groups x fN) entries
-    whatever D_B. A run of c copies of index j contributes roots[j] ** c,
-    multiplied in ascending j. A multiplicity fN! / prod(c!) is the exact
-    int64 product of the binomials C(photons up to the run's end, c), each
-    partial product at most the multiplicity itself, so fN! is never
-    formed; OverflowError is raised when a multiplicity exceeds int64.
-    """
-    b = _check_b(b)
-    fN = _check_fn(fN)
-    D = b.size
-    total = D ** fN
-    if total > cap:
-        raise OracleCapError(
-            f"D_B^fN = {D}^{fN} = {total} exceeds the enumeration cap {cap}"
-        )
-    if _largest_multiplicity(D, fN) > np.iinfo(np.int64).max:
-        raise OverflowError(
-            f"multiplicities of D_B^fN = {D}^{fN} do not fit in int64"
-        )
-    roots = np.sqrt(1.0 + b)
-    norm = 2.0 * float(total)
+def _multisets(D: int, fN: int):
+    """The b-independent half of the spectrum: the distinct runs (j, c) of
+    c copies of index j, after (0, 0); per run rank, each multiset's slot
+    among them (0 for no run); and the exact int64 multiplicities."""
     groups = math.comb(D + fN - 1, fN)
     combos = np.fromiter(
         chain.from_iterable(combinations_with_replacement(range(D), fN)),
@@ -149,28 +116,69 @@ def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
     np.not_equal(combos[:, 1:], combos[:, :-1], out=starts[:, 1:])
     first = np.flatnonzero(starts)
     counts = np.diff(first, append=groups * fN)
-    index = combos.ravel()[first]
+    cell = combos.ravel()[first] * (fN + 1) + counts
     row, col = np.divmod(first, fN)
     rank = np.arange(first.size) - np.flatnonzero(col == 0)[row]
 
-    # One column per run rank; missing runs leave the exact factor 1.
-    width = int(rank.max()) + 1
-    factors = np.ones((groups, width))
-    factors[row, rank] = _per_distinct_pair(
-        lambda j, c: roots[j] ** c, index, counts, fN + 1, float)
-    binomials = np.ones((groups, width), dtype=np.int64)
-    binomials[row, rank] = _per_distinct_pair(
-        math.comb, col + counts, counts, fN + 1, np.int64)
-    g = factors[:, 0].copy()
-    mult = binomials[:, 0].copy()
-    for k in range(1, width):
-        g *= factors[:, k]
-        mult *= binomials[:, k]
+    # Number the distinct run cells in order, after the cell (0, 0) of no
+    # run, whose factor roots[0] ** 0 = 1 fills each missing run.
+    slot = np.zeros(D * (fN + 1), dtype=np.intp)
+    slot[0] = slot[cell] = 1
+    used = np.flatnonzero(slot)
+    slot[used] = np.arange(used.size)
+    slots = np.zeros((int(rank.max()) + 1, groups), dtype=np.intp)
+    slots[rank, row] = slot[cell]
 
-    values = np.empty(2 * groups)
-    values[0::2] = (1.0 + g) / norm
-    values[1::2] = (1.0 - g) / norm
-    return values, np.repeat(mult, 2)
+    # A run of c after col photons brings C(col + c, c), read from Pascal's
+    # rectangle filled by addition: an entry in use is at least its
+    # summands, so it fits in int64 where an unused one may wrap.
+    pascal = np.ones((col.max() + 1, counts.max() + 1), dtype=np.int64)
+    for above, below in zip(pascal, pascal[1:]):
+        np.add.accumulate(above, out=below)
+    binomials = np.ones(slots.shape, dtype=np.int64)
+    binomials[rank, row] = pascal[col, counts]
+    runs = [divmod(k, fN + 1) for k in used.tolist()]
+    return runs, slots, binomials.prod(axis=0)
+
+
+def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
+    """Exact fragment spectrum: pairs (1 +/- prod sqrt(1+b_j)) / (2 D^fN).
+
+    Index vectors J over the fN photons are grouped into multisets, so the
+    returned arrays hold one (value, multiplicity) entry per distinct
+    eigenvalue product instead of D^fN rows. The cap guards the implied
+    total count D^fN, not the (much smaller) number of groups. A stack b
+    of shape (..., D) gives values of shape (..., 2 groups) and one shared
+    multiplicity array, from one enumeration of the multisets.
+
+    The multisets are enumerated as one (groups, fN) index array and split
+    into runs of equal indices; the work arrays hold O(groups x fN) entries
+    whatever D_B. A run of c copies of index j contributes roots[j] ** c,
+    one scalar pow per distinct run, multiplied in ascending j. A
+    multiplicity fN! / prod(c!) is the exact int64 product of the binomials
+    C(photons up to the run's end, c), looked up in a Pascal table; each
+    partial product is at most the multiplicity itself. OverflowError is
+    raised when a multiplicity exceeds int64.
+    """
+    b = _check_b(b, stack=True)
+    fN = _check_count("photon count fN", fN)
+    D = b.shape[-1]
+    total = D ** fN
+    if total > cap:
+        raise OracleCapError(f"D_B^fN = {D}^{fN} = {total} exceeds the "
+                             f"enumeration cap {cap}")
+    if _largest_multiplicity(D, fN) > np.iinfo(np.int64).max:
+        raise OverflowError(f"multiplicities of D_B^fN = {D}^{fN} do not fit "
+                            "in int64")
+    runs, slots, mult = _multisets(D, fN)
+    factors = np.array([[r[j] ** c for j, c in runs] for r in np.sqrt(
+        1.0 + b).reshape(-1, D).tolist()]).reshape(*b.shape[:-1], len(runs))
+    g = factors[..., slots[0]]
+    for s in slots[1:]:
+        g *= factors[..., s]
+    norm = 2.0 * float(total)
+    values = np.stack(((1.0 + g) / norm, (1.0 - g) / norm), axis=-1)
+    return values.reshape(*g.shape[:-1], -1), np.repeat(mult, 2)
 
 
 def fragment_entropy_exact(values, multiplicities=None) -> Nats:
@@ -197,7 +205,7 @@ def fragment_entropy_exact(values, multiplicities=None) -> Nats:
 
 def fragment_entropy_change_exact(b, fN, cap: int = DEFAULT_CAP) -> Nats:
     """Entropy gained by the fragment over its no-scattering baseline."""
-    # fragment_eigenvalues checks b and fN.
+    b = _check_b(b)  # one spectrum; fragment_eigenvalues checks fN
     values, mults = fragment_eigenvalues(b, fN, cap)
     return fragment_entropy_exact(values, mults) - int(fN) * math.log(np.size(b))
 
@@ -218,7 +226,7 @@ def fragment_entropy_change_series(b, fN) -> Nats:
     b = _check_b(b)
     if np.any(b > 1e-12):
         raise ValueError("moment series requires nonpositive b")
-    fN = _check_fn(fN)
+    fN = _check_count("photon count fN", fN)
     base = 1.0 + b
     floor = float((base >= 1.0).mean()) ** fN
     acc = 0.0
@@ -230,9 +238,8 @@ def fragment_entropy_change_series(b, fN) -> Nats:
         if terms[-1] < _SERIES_TOL:
             break
     else:
-        raise ArithmeticError(
-            "moment series did not converge; some b is too close to zero"
-        )
+        raise ArithmeticError("moment series did not converge; some b is "
+                              "too close to zero")
     return LN2 - (acc + floor * LN2)
 
 
@@ -241,7 +248,7 @@ def analytic_entropy_change(b, fN) -> Nats:
     b = _check_b(b)
     if np.any(b > 1e-12):
         raise ValueError("analytic form requires nonpositive b")
-    fN = _check_fn(fN)
+    fN = _check_count("photon count fN", fN)
     return LN2 - h(math.exp(fN * float(b.mean())))
 
 
@@ -250,18 +257,20 @@ def entropy_error_halving(base_b: float, D_B: int, fN: int,
     """Exact-vs-analytic gap ratios as a uniform b is halved repeatedly.
 
     A clean second-order error shrinks by about 4 per halving; the
-    returned list holds the successive ratios.
+    returned list holds the successive ratios. The levels' spectra are
+    one (levels, D_B) stack, so the model is enumerated once.
     """
-    if base_b >= 0.0:
-        raise ValueError("base_b must be negative")
+    if not -1.0 <= base_b < 0.0:
+        raise ValueError(f"base_b must be finite and in [-1, 0), got {base_b}")
+    D_B = _check_count("environment size D_B", D_B)
     if not isinstance(levels, (int, np.integer)) or levels < 2:
         raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
-    errors = []
-    for level in range(levels):
-        b = np.full(D_B, base_b / 2 ** level)
-        gap = abs(fragment_entropy_change_exact(b, fN)
-                  - analytic_entropy_change(b, fN))
-        errors.append(gap)
+    b = np.array([np.full(D_B, base_b / 2 ** level) for level in range(levels)])
+    values, mults = fragment_eigenvalues(b, fN)
+    baseline = int(fN) * math.log(D_B)
+    errors = [abs(fragment_entropy_exact(v, mults) - baseline
+                  - analytic_entropy_change(row, fN))
+              for v, row in zip(values, b)]
     return [errors[i] / errors[i + 1] for i in range(levels - 1)]
 
 
@@ -483,23 +492,17 @@ def oracle_battery(seed: int = 0) -> dict:
     checks = []
 
     def record(name, passed, **detail):
-        entry = {"name": name, "passed": bool(passed)}
-        for key, val in detail.items():
-            if isinstance(val, np.ndarray):
-                val = val.tolist()
-            entry[key] = val
-        checks.append(entry)
+        checks.append({"name": name, "passed": bool(passed), **{
+            key: val.tolist() if isinstance(val, np.ndarray) else val
+            for key, val in detail.items()}})
 
     # Exact spectrum plumbing on a random model.
     b_rand = -rng.uniform(0.001, 0.05, size=5)
     values, mults = fragment_eigenvalues(b_rand, 3)
     total = float((values * mults).sum())
-    record(
-        "spectrum_normalization",
-        abs(total - 1.0) < 1e-12 and values.min() > -1e-15,
-        total=total,
-        min_eigenvalue=float(values.min()),
-    )
+    record("spectrum_normalization",
+           abs(total - 1.0) < 1e-12 and values.min() > -1e-15,
+           total=total, min_eigenvalue=float(values.min()))
 
     dh0 = fragment_entropy_change_exact(np.zeros(4), 3)
     record("zero_b_no_imprint", abs(dh0) < 1e-12, entropy_change=dh0)
@@ -532,14 +535,10 @@ def oracle_battery(seed: int = 0) -> dict:
     kappa, wts = planck_spectral_nodes()
     moment6 = float((wts * kappa ** 6).sum())
     target6 = math.factorial(8) * ZETA_9 / (2.0 * ZETA_3)
-    record(
-        "planck_sixth_moment",
-        abs(float(wts.sum()) - 1.0) < 1e-9
-        and abs(moment6 - target6) / target6 < 1e-8,
-        weight_sum=float(wts.sum()),
-        moment=moment6,
-        target=target6,
-    )
+    record("planck_sixth_moment",
+           abs(float(wts.sum()) - 1.0) < 1e-9
+           and abs(moment6 - target6) / target6 < 1e-8,
+           weight_sum=float(wts.sum()), moment=moment6, target=target6)
 
     # Assemble the isotropic rate from discrete pieces: photon density
     # times twice the spectrally and angularly averaged overlap deficit.
@@ -649,11 +648,11 @@ def oracle_battery(seed: int = 0) -> dict:
            eigenvalue_route=eig_mi, kernel_route=kernel_mi)
 
     # Seeded interval-bound trials with unequal factors, checked as a stack.
+    # Each trial draws three log factors, then f, scaled as
+    # Generator.uniform scales them: low + (high - low) u.
     trials = 100
-    log_g, f_trial = np.empty((trials, 3)), np.empty(trials)
-    for i in range(trials):
-        log_g[i] = rng.uniform(-8.0, -5.0, size=3)
-        f_trial[i] = rng.uniform(0.01, 0.49)
+    u = rng.random((trials, 4))
+    log_g, f_trial = -8.0 + 3.0 * u[:, :3], 0.01 + (0.49 - 0.01) * u[:, 3]
     gm = np.ones((trials, 3, 3))
     rows, cols = np.triu_indices(3, 1)
     gm[:, rows, cols] = gm[:, cols, rows] = _libm(math.exp, log_g)

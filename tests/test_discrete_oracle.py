@@ -90,15 +90,45 @@ class TestFragmentSpectrum:
     @pytest.mark.parametrize("call", [fragment_eigenvalues,
                                       fragment_entropy_change_exact])
     def test_inputs_are_checked_once_by_name(self, call):
-        # The entropy change leaves both checks to fragment_eigenvalues.
+        # One rule each, with one message that names the value at fault.
         with pytest.raises(ValueError) as info:
             call([-1.5], 1)
-        assert str(info.value) == "perturbation eigenvalues need 1 + b >= 0"
+        assert str(info.value) == ("perturbation eigenvalues need 1 + b >= 0, "
+                                   "got -1.5")
         with pytest.raises(ValueError) as info:
             call([-0.01], 0)
         assert str(info.value) == ("photon count fN must be a positive "
                                    "integer, got 0")
         call([-0.01, -0.02], np.int64(2))  # a numpy integer count passes
+
+    def test_a_stack_gives_one_spectrum_per_row(self):
+        b = np.array([[-0.01, -0.02, -0.03], [0.0, 0.0, 0.0]])
+        values, mults = fragment_eigenvalues(b, 2)
+        assert values.shape == (2, 12) and mults.shape == (12,)
+        for row, spectrum in zip(b, values):
+            assert np.array_equal(spectrum, fragment_eigenvalues(row, 2)[0])
+        stacked = fragment_eigenvalues(b.reshape(1, 2, 1, 3), 2)[0]
+        assert np.array_equal(stacked, values.reshape(1, 2, 1, 12))
+
+    @pytest.mark.parametrize("b", [-0.01, [], np.zeros((2, 0)),
+                                   np.zeros((0, 3))])
+    def test_an_empty_or_scalar_b_is_refused(self, b):
+        with pytest.raises(ValueError, match=re.escape(
+                "b must be a nonempty 1-d array of eigenvalues, or a stack "
+                "of them")):
+            fragment_eigenvalues(b, 2)
+
+    def test_the_entropy_change_takes_one_spectrum(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "b must be a nonempty 1-d array of eigenvalues")):
+            fragment_entropy_change_exact(np.full((2, 3), -0.01), 2)
+
+    @pytest.mark.parametrize("fN", [True, 2.0, -1])
+    def test_photon_count_must_be_a_positive_integer(self, fN):
+        # True was taken as one photon.
+        with pytest.raises(ValueError, match=re.escape(
+                f"photon count fN must be a positive integer, got {fN}")):
+            fragment_eigenvalues([-0.01], fN)
 
 
 class TestFragmentEntropy:
@@ -197,6 +227,33 @@ class TestEntropyChange:
                 f"levels must be an integer >= 2, got {levels!r}")):
             entropy_error_halving(-0.002, 4, 2, levels=levels)
         assert len(entropy_error_halving(-0.002, 4, 2, levels=2)) == 1
+
+    @pytest.mark.parametrize("D_B", [0, 2.5, True, -3, "4", None])
+    def test_halving_names_a_bad_environment_size(self, D_B):
+        # 0 read "b must be a nonempty 1-d array", 2.5 and True gave
+        # numpy TypeErrors, and -3 "negative dimensions are not allowed".
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"environment size D_B must be a positive integer, got {D_B}")):
+            entropy_error_halving(-0.002, D_B, 2)
+
+    @pytest.mark.parametrize("base_b", [math.nan, -2.0, -1.0 - 1e-12, 0.0,
+                                        0.5, math.inf, -math.inf])
+    def test_halving_names_a_bad_base_b(self, base_b):
+        # NaN read "perturbation eigenvalues must be finite", and -2.0
+        # "need 1 + b >= 0".
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"base_b must be finite and in [-1, 0), got {base_b}")):
+            entropy_error_halving(base_b, 4, 2)
+
+    def test_halving_takes_the_whole_unit_interval(self):
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        assert len(entropy_error_halving(-1.0, 2, 2)) == 2
+        assert len(entropy_error_halving(-1e-3, np.int64(2), 2)) == 2
 
 
 def test_discrete_gamma():

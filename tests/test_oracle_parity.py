@@ -7,10 +7,12 @@ fragment spectrum enumerated one multiset at a
 time with Python-integer factorials, the general-cat mutual information
 with one diagonalization per reduced state, the factor-matrix check
 through np.allclose, the battery's interval-bound trials as one loop
-iteration per trial, and the fragment entropy with one logarithm per
-eigenvalue. Every current result must equal them bit for bit, and every
-rejection must raise the same exception with the same message. Stacked
-general-cat calls must equal a loop of single-matrix calls the same way.
+iteration per trial, the fragment entropy with one logarithm per
+eigenvalue, and the halving ratios with one enumeration per level. Every
+current result must equal them bit for bit, and every rejection must
+raise the same exception with the same message. Stacked general-cat
+calls must equal a loop of single-matrix calls the same way, and every
+row of a stacked fragment spectrum the reference and a 1-d call.
 
 Two exceptions. The grid now keeps only each bin's leak and its region
 rows' sums over the complement, summed in closed form from six moments
@@ -32,8 +34,11 @@ import numpy as np
 import pytest
 
 from photon_darwinism.discrete_oracle import (
+    analytic_entropy_change,
     discrete_alpha,
+    entropy_error_halving,
     fragment_eigenvalues,
+    fragment_entropy_change_exact,
     fragment_entropy_exact,
     mi_exact_general,
     oracle_battery,
@@ -102,6 +107,20 @@ def ref_fragment_eigenvalues(b, fN):
         mults.append(mult)
         mults.append(mult)
     return np.array(values), np.array(mults, dtype=np.int64)
+
+
+def ref_entropy_error_halving(base_b, D_B, fN, levels=3):
+    if base_b >= 0.0:
+        raise ValueError("base_b must be negative")
+    if not isinstance(levels, (int, np.integer)) or levels < 2:
+        raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
+    errors = []
+    for level in range(levels):
+        b = np.full(D_B, base_b / 2 ** level)
+        gap = abs(fragment_entropy_change_exact(b, fN)
+                  - analytic_entropy_change(b, fN))
+        errors.append(gap)
+    return [errors[i] / errors[i + 1] for i in range(levels - 1)]
 
 
 def ref_mi_exact_general(cat, f):
@@ -296,6 +315,46 @@ def test_largest_int64_multiplicities_match_the_reference(D, fN):
         assert ref[0] is OverflowError
 
 
+@pytest.mark.parametrize("D,fN", [(1, 1), (2, 23), (2, 66), (1, 200), (3, 6),
+                                  (8, 6), (300, 2)])
+def test_every_row_of_a_stack_matches_the_reference(D, fN):
+    b = np.random.default_rng([D, fN]).uniform(-0.9, 0.5, size=(3, D))
+    values, mults = fragment_eigenvalues(b, fN, cap=D ** fN)
+    for row, spectrum in zip(b, values):
+        ref_values, ref_mults = ref_fragment_eigenvalues(row, fN)
+        assert _same_bits(spectrum, ref_values)
+        assert _same_bits(mults, ref_mults)
+        one_values, one_mults = fragment_eigenvalues(row, fN, cap=D ** fN)
+        assert _same_bits(spectrum, one_values)
+        assert _same_bits(mults, one_mults)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.5])
+def test_a_bad_row_of_a_stack_is_named_by_its_value(bad):
+    b = np.full((3, 4), -0.01)
+    b[1, 2] = bad
+    new = _outcome(fragment_eigenvalues, b, 2)
+    assert new[0] is ValueError and new[1].endswith(f"got {bad}")
+    assert new == _outcome(fragment_eigenvalues, b[1], 2)
+
+
+@pytest.mark.parametrize("D,fN", [(2, 67), (3, 44)])
+def test_a_stack_past_int64_raises_as_one_row_does(D, fN):
+    b = np.linspace(-0.01, -0.03, D)
+    stack = _outcome(fragment_eigenvalues, np.stack((b, b)), fN, cap=D ** fN)
+    assert stack[0] is OverflowError
+    assert stack == _outcome(fragment_eigenvalues, b, fN, cap=D ** fN)
+
+
+@pytest.mark.parametrize("D_B,fN,levels", [(8, 6, 3), (4, 3, 2), (4, 2, 4)])
+@pytest.mark.parametrize("base_b", [-0.002, -0.3])
+def test_halving_ratios_match_the_per_level_loop(D_B, fN, levels, base_b):
+    new = entropy_error_halving(base_b, D_B, fN, levels)
+    ref = ref_entropy_error_halving(base_b, D_B, fN, levels)
+    assert [type(r) for r in new] == [float] * (levels - 1)
+    assert _same_bits(new, ref)
+
+
 # ---------------------------------------------------------------------------
 # general-cat mutual information
 
@@ -438,6 +497,22 @@ def test_battery_interval_trials_match_the_per_trial_loop(seed):
     assert entry["violations"] == violations
     assert type(entry["worst_margin"]) is float
     assert _same_bits(entry["worst_margin"], worst_margin)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260917])
+def test_battery_trial_draws_match_per_trial_uniform_calls(seed):
+    # The battery draws its trials as one block of doubles, each row three
+    # log factors and then f, scaled as Generator.uniform scales a draw.
+    loop = np.random.default_rng(seed)
+    draws = [(loop.uniform(-8.0, -5.0, size=3), loop.uniform(0.01, 0.49))
+             for _ in range(100)]
+    block = np.random.default_rng(seed)
+    u = block.random((100, 4))
+    assert _same_bits(np.array([log_g for log_g, _ in draws]),
+                      -8.0 + 3.0 * u[:, :3])
+    assert _same_bits(np.array([f for _, f in draws]),
+                      0.01 + (0.49 - 0.01) * u[:, 3])
+    assert block.random() == loop.random()
 
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5])
