@@ -180,8 +180,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Quadrature nodes number order x 2*order, so memory grows as the square
-# of the order; the one-node rule of order 1 is not a quadrature at all.
+# Report integrands have degree <= 4, so a disk's rule is exact from order
+# 3 and higher orders add only rounding, while computing the Gauss-Legendre
+# rule takes about the cube of the order; the one-node rule of order 1 is
+# not a quadrature at all.
 MAX_ORDER = 1024
 
 

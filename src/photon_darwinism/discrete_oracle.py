@@ -60,6 +60,7 @@ __all__ = [
 DEFAULT_CAP = 10_000_000
 _SERIES_TOL = 1e-17          # the moment series stops at a term below this
 _SERIES_MAX_TERMS = 1 << 21  # and gives up after this many terms
+_HALVING_GAP_ROUNDINGS = 100  # so that a ratio holds <= ~2% of rounding
 
 
 class OracleCapError(RuntimeError):
@@ -258,7 +259,9 @@ def entropy_error_halving(base_b: float, D_B: int, fN: int,
 
     A clean second-order error shrinks by about 4 per halving; the
     returned list holds the successive ratios. The levels' spectra are
-    one (levels, D_B) stack, so the model is enumerated once.
+    one (levels, D_B) stack, so the model is enumerated once. Each gap is
+    the difference of entropies of about fN ln D_B + ln 2, so a gap within
+    _HALVING_GAP_ROUNDINGS roundings of that size is refused as noise.
     """
     if not -1.0 <= base_b < 0.0:
         raise ValueError(f"base_b must be finite and in [-1, 0), got {base_b}")
@@ -271,6 +274,12 @@ def entropy_error_halving(base_b: float, D_B: int, fN: int,
     errors = [abs(fragment_entropy_exact(v, mults) - baseline
                   - analytic_entropy_change(row, fN))
               for v, row in zip(values, b)]
+    floor = _HALVING_GAP_ROUNDINGS * np.finfo(float).eps * (baseline + LN2)
+    for level, gap in enumerate(errors):
+        if not gap > floor:
+            raise ValueError(f"base_b = {base_b} is too small to resolve: "
+                             f"the gap at halving {level} is {gap:.3g}, not "
+                             f"above its entropies' rounding bound {floor:.3g}")
     return [errors[i] / errors[i + 1] for i in range(levels - 1)]
 
 

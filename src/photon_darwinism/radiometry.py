@@ -16,10 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .sky import (FULL_SPHERE, SkyRegion, _check_cap, load_indicator_grid,
-                  region_nodes)
+from .sky import (FULL_SPHERE, SkyRegion, _check_cap, _region_moments,
+                  load_indicator_grid)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -195,11 +193,12 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
     """Decoherence rate for the scenario's sky region.
 
     An extended region enters through the average of 3 + 11 cos^2(theta)
-    over the patch, by quadrature, theta measured from the separation axis,
-    normalized so that the isotropic region returns the full-sky rate
-    exactly. A point region carries no solid angle and is priced by
-    point_source_rate from the scenario's irradiance. A region that prices
-    more than the sphere, which only a custom grid can, is an error.
+    over the patch, theta measured from the separation axis, as
+    3 s[0] + 11 s[2] of the region's quadrature moments, normalized so that
+    the isotropic region returns the full-sky rate exactly. A point region
+    carries no solid angle and is priced by point_source_rate from the
+    scenario's irradiance. A region that prices more than the sphere, which
+    only a custom grid can, is an error.
     """
     big_rate = isotropic_rate(scenario)
     region = scenario.region
@@ -214,9 +213,9 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
     if omega > FULL_SPHERE * (1.0 + 1e-3):
         raise ValueError(f"custom grid prices {omega:g} sr, more than the "
                          "sphere (4 pi)")
-    pts, ww = region_nodes(region, order)
     # integral over the region of (3 + 11 cos^2 theta) d_Omega
-    patch_integral = float(np.sum(ww * (3.0 + 11.0 * pts[:, 2] ** 2)))
+    mom = _region_moments(region, order, inside=True)
+    patch_integral = float(3.0 * mom.s[0] + 11.0 * mom.s[2])
     ratio = patch_integral * 3.0 / (80.0 * math.pi)
     return RateResult(tau_D_inv=ratio * big_rate, T_D_inv=big_rate, ratio=ratio)
 

@@ -11,7 +11,7 @@ decoherence event also writes an accessible record (point source); alpha
 nothing (isotropic illumination).
 
 Pair integrals of g2 factorize into one-region angular moments, so the
-cost is linear in the node count instead of quadratic.
+cost is linear in the node count instead of quadratic (a disk has none).
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .sky import (
     SkyRegion,
     _check_cap,
     _custom_cell_size,
-    angular_moments,
-    complement_nodes,
-    region_nodes,
+    _region_moments,
     solid_angle,
 )
 
@@ -60,8 +58,8 @@ def _pair_integral(a: AngularMoments, b: AngularMoments) -> float:
 
 def _alpha_integrals(region: SkyRegion, order: int = 64):
     """(numerator, denominator) of the receptivity ratio by quadrature."""
-    mom_b = angular_moments(*region_nodes(region, order))
-    mom_c = angular_moments(*complement_nodes(region, order))
+    mom_b = _region_moments(region, order, inside=True)
+    mom_c = _region_moments(region, order, inside=False)
     denominator = _pair_integral(
         mom_b, AngularMoments(s=mom_b.s + mom_c.s, t=mom_b.t + mom_c.t))
     # The complement pairing is recovered by subtraction, an exact algebraic

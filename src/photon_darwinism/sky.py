@@ -193,19 +193,21 @@ def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _panel(ulo: float, uhi: float, order: int):
-    """Product nodes on a cos(theta) panel: (points (N,3), weights (N,)).
-
-    Gauss-Legendre in u from a per-process cache, 2*order uniform phi.
-    """
+def _panel_axes(ulo: float, uhi: float, order: int):
+    """(u, u weights, phi, phi weight) of a cos(theta) panel's product rule:
+    Gauss-Legendre in u from a per-process cache, 2*order uniform phi."""
     x, w = _gauss_legendre(order)
     nphi = 2 * order
     u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
     wu = 0.5 * (uhi - ulo) * w
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
-    wphi = 2.0 * math.pi / nphi
-    ww = np.repeat(wu, nphi) * wphi
-    return _product_points(u, phi).reshape(-1, 3), ww
+    return u, wu, phi, 2.0 * math.pi / nphi
+
+
+def _panel(ulo: float, uhi: float, order: int):
+    """Product nodes on a cos(theta) panel: (points (N,3), weights (N,))."""
+    u, wu, phi, wphi = _panel_axes(ulo, uhi, order)
+    return _product_points(u, phi).reshape(-1, 3), np.repeat(wu, phi.size) * wphi
 
 
 def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
@@ -334,6 +336,46 @@ def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
         t[k][_PAIR_I, _PAIR_J] = t[k][_PAIR_J, _PAIR_I] = np.einsum(
             "n,nc->c", wk, prods)
     return AngularMoments(s=s, t=t)
+
+
+# For each entry of the 4^4 tensor of q = (x, y, z, 1): how many of its
+# indices name x, y and z, so that the entry is the moment of x^a y^b z^c.
+_XYZ_COUNTS = (np.indices((4,) * 4).reshape(4, -1)[..., None]
+               == np.arange(3)).sum(axis=0).T
+
+
+def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMoments:
+    """AngularMoments of the region's rule (inside) or its complement's.
+
+    A disk's moments have degree <= 4, so they are summed over its panel's
+    rule from two 1-d tables, U[p, q] = sum w_i sin^p(theta_i) u_i^q and
+    Phi[a, b] = sum w_phi cos^a(phi_j) sin^b(phi_j) on the rule's own phi
+    points (so that order 2, where that rule is not exact, keeps its value):
+    x^a y^b z^c has moment Phi[a, b] U[a + b, c]. Other regions take
+    angular_moments of their nodes.
+    """
+    if region.kind != "disk":
+        nodes = region_nodes if inside else complement_nodes
+        return angular_moments(*nodes(region, order))
+    _check_order(order)
+    u0 = math.cos(region.theta0)
+    ulo, uhi = (u0, 1.0) if inside else (-1.0, u0)
+    u, wu, phi, wphi = _panel_axes(ulo, uhi, order)
+    sin_theta = np.sqrt(np.clip(1.0 - u**2, 0.0, None))
+    table_u = np.einsum("ip,iq->pq", wu[:, None] * np.vander(sin_theta, 5, True),
+                        np.vander(u, 5, True))
+    table_phi = wphi * np.einsum("ia,ib->ab", np.vander(np.cos(phi), 5, True),
+                                 np.vander(np.sin(phi), 5, True))
+    a, b, c = _XYZ_COUNTS
+    q = (table_phi[a, b] * table_u[a + b, c]).reshape(4, 4, 4, 4)
+    rot = _rotation_about_y(region.chi)
+    # 1 and the tilted n_z as forms in q; m[k] = sum w n_z^k q q^T, k = 0..2.
+    one_and_z = np.array([[0.0, 0.0, 0.0, 1.0], [*rot[2], 0.0]])
+    m = np.einsum("abcd,kc,kd->kab", q, one_and_z[[0, 1, 1]],
+                  one_and_z[[0, 0, 1]])
+    t = rot @ m[:, :3, :3] @ rot.T
+    t[:, _PAIR_J, _PAIR_I] = t[:, _PAIR_I, _PAIR_J]
+    return AngularMoments(s=m[:, 3, 3], t=t)
 
 
 def _bad_line(path) -> str | None:

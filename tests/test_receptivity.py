@@ -95,7 +95,7 @@ class TestAlphaNumeric:
     def test_isotropic_region_has_nothing_left_to_learn(self, monkeypatch):
         def no_nodes(*args):
             raise AssertionError("the full-sky limit needs no quadrature")
-        monkeypatch.setattr(receptivity, "region_nodes", no_nodes)
+        monkeypatch.setattr(receptivity, "_region_moments", no_nodes)
         assert alpha_numeric(SkyRegion.isotropic()) == 0.0
 
     def test_custom_half_sphere(self):

@@ -1,6 +1,6 @@
 """Print one sha256 digest per benchmark pool of CLI calls, and one per demo.
 
-Usage: python tools/pool_digest.py
+Usage: python tools/pool_digest.py [--records DIR]
 
 For each workload of perfbench/workloads.py at seeds 1 and 20260917, the
 pool is built in a fresh temporary directory and every call in it runs
@@ -16,10 +16,18 @@ runs it, and one line `demo=<name> sha256=<hex>` gives the digest of its
 stdout; an error that escapes a demo is appended to that stdout. The pool
 lines come first and keep their format, so digests recorded before the
 demo lines existed stay comparable.
+
+With --records DIR, the text behind each digest is also written to DIR:
+one file per pool, `<workload>-seed<seed>.txt`, holding for each call a
+line `$ <argv> -> <exit status>` and then its stdout, with the temporary
+path replaced by the same token, and one `demo-<name>.txt` per demo
+holding its stdout. `diff -r` between the directories of two checkouts
+then shows, and `diff -r ... | grep -c '^>'` counts, the lines that moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -53,8 +61,9 @@ def run(argv):
     return status, out.getvalue()
 
 
-def pool_digest(workload: str, seed: int) -> tuple[int, str]:
-    """(number of calls, sha256 hex) of one workload's pool at one seed."""
+def pool_digest(workload: str, seed: int, records=None) -> tuple[int, str]:
+    """(number of calls, sha256 hex) of one workload's pool at one seed;
+    each call's argv, status and stdout are also written to records, if given."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmpdir:
         calls = BUILDERS[workload](seed, tmpdir).calls
@@ -62,11 +71,14 @@ def pool_digest(workload: str, seed: int) -> tuple[int, str]:
             status, stdout = run(call.argv)
             record = repr((call.argv, status, stdout))
             digest.update(record.replace(tmpdir, TMP_TOKEN).encode())
+            if records is not None:
+                records.write(f"$ {call.argv!r} -> {status!r}\n{stdout}"
+                              .replace(tmpdir, TMP_TOKEN))
     return len(calls), digest.hexdigest()
 
 
-def demo_digest(script: Path) -> str:
-    """sha256 hex of one demo's stdout; stderr is dropped."""
+def demo_stdout(script: Path) -> str:
+    """One demo's stdout; stderr is dropped."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -74,16 +86,29 @@ def demo_digest(script: Path) -> str:
             runpy.run_path(str(script), run_name="__main__")
         except Exception as exc:  # an escaped error is part of the record
             print(repr(exc))
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--records", type=Path, metavar="DIR",
+                        help="also write the text behind each digest to DIR")
+    records_dir = parser.parse_args(argv).records
+    if records_dir is not None:
+        records_dir.mkdir(parents=True, exist_ok=True)
     for workload in BUILDERS:
         for seed in SEEDS:
-            count, hexdigest = pool_digest(workload, seed)
+            with contextlib.ExitStack() as stack:
+                records = None if records_dir is None else stack.enter_context(
+                    open(records_dir / f"{workload}-seed{seed}.txt", "w"))
+                count, hexdigest = pool_digest(workload, seed, records)
             print(f"{workload} seed={seed} calls={count} sha256={hexdigest}")
     for script in sorted((ROOT / "demos").glob("*.py")):
-        print(f"demo={script.stem} sha256={demo_digest(script)}")
+        stdout = demo_stdout(script)
+        if records_dir is not None:
+            (records_dir / f"demo-{script.stem}.txt").write_text(stdout)
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        print(f"demo={script.stem} sha256={digest}")
     return 0
 
 
