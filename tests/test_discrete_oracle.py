@@ -249,6 +249,34 @@ class TestEntropyChange:
                 f"base_b must be finite and in [-1, 0), got {base_b}")):
             entropy_error_halving(base_b, 4, 2)
 
+    @pytest.mark.parametrize("base_b", [-1e-8, -1e-9, -1e-12, -1e-300])
+    def test_halving_refuses_gaps_lost_in_rounding(self, base_b):
+        # -1e-12 returned [15.0, 1.0] and -1e-9 [4.5, 1.0]; -1e-8 and
+        # -1e-300 raised a bare ZeroDivisionError when a gap rounded to 0.
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"base_b = {base_b} is too small to resolve: the gap at "
+                "halving 0 is ")):
+            entropy_error_halving(base_b, 2, 2)
+
+    def test_halving_names_the_level_whose_gap_is_noise(self):
+        # On (2, 2) the gaps at -3e-7, -1.5e-7 and -7.5e-8 read 74 to 1,160
+        # roundings; the last is under the bound of 100.
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        with pytest.raises(ValueError, match=r"the gap at halving 2 is .*, "
+                           r"not above its entropies' rounding bound 4\.62e-14$"):
+            entropy_error_halving(-3e-7, 2, 2)
+
+    @pytest.mark.parametrize("D_B,fN", [(2, 2), (8, 6), (4, 3)])
+    def test_halving_still_resolves_a_small_b(self, D_B, fN):
+        from photon_darwinism.discrete_oracle import entropy_error_halving
+
+        ratios = entropy_error_halving(-1e-6, D_B, fN)
+        assert len(ratios) == 2
+        assert all(3.7 <= r <= 3.9 for r in ratios)
+
     def test_halving_takes_the_whole_unit_interval(self):
         from photon_darwinism.discrete_oracle import entropy_error_halving
 

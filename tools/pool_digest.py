@@ -61,20 +61,20 @@ def run(argv):
     return status, out.getvalue()
 
 
-def pool_digest(workload: str, seed: int, records=None) -> tuple[int, str]:
-    """(number of calls, sha256 hex) of one workload's pool at one seed;
-    each call's argv, status and stdout are also written to records, if given."""
+def pool_digest(workload: str, seed: int) -> tuple[int, str, str]:
+    """(number of calls, sha256 hex, record text) of one workload's pool at
+    one seed; the text holds each call's argv, status and stdout."""
     digest = hashlib.sha256()
+    records = []
     with tempfile.TemporaryDirectory() as tmpdir:
         calls = BUILDERS[workload](seed, tmpdir).calls
         for call in calls:
             status, stdout = run(call.argv)
             record = repr((call.argv, status, stdout))
             digest.update(record.replace(tmpdir, TMP_TOKEN).encode())
-            if records is not None:
-                records.write(f"$ {call.argv!r} -> {status!r}\n{stdout}"
-                              .replace(tmpdir, TMP_TOKEN))
-    return len(calls), digest.hexdigest()
+            records.append(f"$ {call.argv!r} -> {status!r}\n{stdout}"
+                           .replace(tmpdir, TMP_TOKEN))
+    return len(calls), digest.hexdigest(), "".join(records)
 
 
 def demo_stdout(script: Path) -> str:
@@ -98,10 +98,9 @@ def main(argv=None) -> int:
         records_dir.mkdir(parents=True, exist_ok=True)
     for workload in BUILDERS:
         for seed in SEEDS:
-            with contextlib.ExitStack() as stack:
-                records = None if records_dir is None else stack.enter_context(
-                    open(records_dir / f"{workload}-seed{seed}.txt", "w"))
-                count, hexdigest = pool_digest(workload, seed, records)
+            count, hexdigest, records = pool_digest(workload, seed)
+            if records_dir is not None:
+                (records_dir / f"{workload}-seed{seed}.txt").write_text(records)
             print(f"{workload} seed={seed} calls={count} sha256={hexdigest}")
     for script in sorted((ROOT / "demos").glob("*.py")):
         stdout = demo_stdout(script)
