@@ -48,7 +48,7 @@ from .radiometry import (
 )
 from .receptivity import (alpha_closed_form, alpha_disk, alpha_numeric,
                           redundancy_rate)
-from .sky import FULL_SPHERE
+from .sky import FULL_SPHERE, _region_moment_pair
 from .superpositions import mi_mway, mi_unbalanced
 
 EXIT_OK = 0
@@ -245,12 +245,13 @@ def cmd_alpha(args) -> int:
     point = region.kind == "point"
     with _region_errors(args.config):
         closed = alpha_closed_form(region)
-        quad = None if point else alpha_numeric(region, order=args.order)
+        moments = None if point else _region_moment_pair(region, args.order)
+        quad = None if point else alpha_numeric(region, args.order, moments=moments)
         alpha = closed if closed is not None else quad
 
         tau_r_inv = tau_r_over_big = None
         if not point or scenario.irradiance_W_m2 is not None:
-            result = decoherence_rate(scenario, order=args.order)
+            result = decoherence_rate(scenario, args.order, moments=moments)
             tau_r_inv = redundancy_rate(alpha, result.tau_D_inv)
             if not point:
                 tau_r_over_big = alpha * result.ratio

@@ -189,7 +189,7 @@ def isotropic_rate(scenario: Scenario) -> float:
                         scenario, "temperature_K")
 
 
-def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
+def decoherence_rate(scenario: Scenario, order: int = 64, moments=None) -> RateResult:
     """Decoherence rate for the scenario's sky region.
 
     An extended region enters through the average of 3 + 11 cos^2(theta)
@@ -198,7 +198,7 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
     the isotropic region returns the full-sky rate exactly. A point region
     carries no solid angle and is priced by point_source_rate from the
     scenario's irradiance. A region that prices more than the sphere, which
-    only a custom grid can, is an error.
+    only a custom grid can, is an error. moments: as in alpha_numeric.
     """
     big_rate = isotropic_rate(scenario)
     region = scenario.region
@@ -214,7 +214,7 @@ def decoherence_rate(scenario: Scenario, order: int = 64) -> RateResult:
         raise ValueError(f"custom grid prices {omega:g} sr, more than the "
                          "sphere (4 pi)")
     # integral over the region of (3 + 11 cos^2 theta) d_Omega
-    mom = _region_moments(region, order, inside=True)
+    mom = _region_moments(region, order, True) if moments is None else moments[0]
     patch_integral = float(3.0 * mom.s[0] + 11.0 * mom.s[2])
     ratio = patch_integral * 3.0 / (80.0 * math.pi)
     return RateResult(tau_D_inv=ratio * big_rate, T_D_inv=big_rate, ratio=ratio)

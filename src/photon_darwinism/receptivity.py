@@ -22,15 +22,8 @@ import numpy as np
 
 from .entropy_kernels import _check_unit
 from .radiometry import _check_rate
-from .sky import (
-    FULL_SPHERE,
-    AngularMoments,
-    SkyRegion,
-    _check_cap,
-    _custom_cell_size,
-    _region_moments,
-    solid_angle,
-)
+from .sky import (FULL_SPHERE, AngularMoments, SkyRegion, _check_cap,
+                  _custom_cell_size, _region_moment_pair, solid_angle)
 
 __all__ = [
     "alpha_closed_form",
@@ -56,17 +49,6 @@ def _pair_integral(a: AngularMoments, b: AngularMoments) -> float:
     return float(scalar + tensor)
 
 
-def _alpha_integrals(region: SkyRegion, order: int = 64):
-    """(numerator, denominator) of the receptivity ratio by quadrature."""
-    mom_b = _region_moments(region, order, inside=True)
-    mom_c = _region_moments(region, order, inside=False)
-    denominator = _pair_integral(
-        mom_b, AngularMoments(s=mom_b.s + mom_c.s, t=mom_b.t + mom_c.t))
-    # The complement pairing is recovered by subtraction, an exact algebraic
-    # identity, which pins alpha inside [0, 1] up to rounding.
-    return denominator - _pair_integral(mom_b, mom_b), denominator
-
-
 def _alpha_limit(region: SkyRegion) -> float | None:
     """alpha where the ratio is undefined: 1 at zero measure, 0 at the full sky."""
     omega = solid_angle(region)
@@ -77,17 +59,23 @@ def _alpha_limit(region: SkyRegion) -> float | None:
     return None
 
 
-def alpha_numeric(region: SkyRegion, order: int = 64) -> float:
+def alpha_numeric(region: SkyRegion, order: int = 64, moments=None) -> float:
     """Receptivity of a sky region, by product quadrature.
 
     In order: the zero-measure and full-sky limits (1 and 0), the integrals,
     the tiling rule, the degenerate region and the ratio, clamped to [0, 1]
     against rounding. A custom grid reaches 0 only through its integrals.
+    moments, if given, is the report's sky._region_moment_pair(region, order).
     """
     limit = _alpha_limit(region)
     if limit is not None:
         return limit
-    numerator, denominator = _alpha_integrals(region, order)
+    mom_b, mom_c = moments or _region_moment_pair(region, order)
+    denominator = _pair_integral(
+        mom_b, AngularMoments(s=mom_b.s + mom_c.s, t=mom_b.t + mom_c.t))
+    # The complement pairing is recovered by subtraction, an exact algebraic
+    # identity, which pins alpha inside [0, 1] up to rounding.
+    numerator = denominator - _pair_integral(mom_b, mom_b)
     if denominator > 0.0 and region.kind == "custom":
         # The rest of the sky is only the grid's own cells outside the mask.
         spans = np.multiply(region.grid_mask.shape, _custom_cell_size(region))

@@ -95,6 +95,9 @@ class SkyRegion:
                 f"indicator shape {mask.shape} does not match grid "
                 f"({grid_u.size} x {grid_phi.size})"
             )
+        bad = mask[(mask != 0) & (mask != 1)]
+        if bad.size:
+            raise ValueError(f"indicator values must be 0 or 1, got {bad.item(0)!r}")
         _check_grid_steps("cos(theta)", grid_u)
         _check_grid_steps("phi", grid_phi)
         return cls(kind="custom", grid_u=grid_u, grid_phi=grid_phi,
@@ -175,8 +178,8 @@ def _gauss_legendre(order: int):
 
 
 def _check_order(order: int) -> None:
-    if order < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order}")
+    if not (isinstance(order, (int, np.integer)) and order >= 2):
+        raise ValueError(f"quadrature order must be >= 2 and an int, got {order!r}")
 
 
 def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -197,7 +200,7 @@ def _panel_axes(ulo: float, uhi: float, order: int):
     """(u, u weights, phi, phi weight) of a cos(theta) panel's product rule:
     Gauss-Legendre in u from a per-process cache, 2*order uniform phi."""
     x, w = _gauss_legendre(order)
-    nphi = 2 * order
+    nphi = 2 * int(order)  # no wrap-around for a small numpy integer
     u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
     wu = 0.5 * (uhi - ulo) * w
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
@@ -265,13 +268,13 @@ def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):
     return pts, ww
 
 
-def _custom_nodes(region: SkyRegion, inside: bool):
-    """Cell centers inside (or outside) the indicator, in row-major order."""
+def _custom_nodes(region: SkyRegion, inside: bool, centers=None):
+    """Row-major cell centers in (or out of) the indicator, cut from centers."""
     du, dphi = _custom_cell_size(region)
-    mask = region.grid_mask if inside else ~region.grid_mask
-    pts = _product_points(region.grid_u, region.grid_phi)[mask]
-    ww = np.full(pts.shape[0], du * dphi)
-    return pts, ww
+    if centers is None:
+        centers = _product_points(region.grid_u, region.grid_phi)
+    pts = centers[region.grid_mask if inside else ~region.grid_mask]
+    return pts, np.full(pts.shape[0], du * dphi)
 
 
 def region_nodes(region: SkyRegion, order: int = 64):
@@ -344,15 +347,25 @@ _XYZ_COUNTS = (np.indices((4,) * 4).reshape(4, -1)[..., None]
                == np.arange(3)).sum(axis=0).T
 
 
+@functools.lru_cache(maxsize=32)
+def _phi_table(order: int) -> np.ndarray:
+    """_region_moments' Phi table for this order, computed once, read-only."""
+    _, _, phi, wphi = _panel_axes(-1.0, 1.0, order)
+    table = wphi * np.einsum("ia,ib->ab", np.vander(np.cos(phi), 5, True),
+                             np.vander(np.sin(phi), 5, True))
+    table.flags.writeable = False
+    return table
+
+
 def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMoments:
     """AngularMoments of the region's rule (inside) or its complement's.
 
     A disk's moments have degree <= 4, so they are summed over its panel's
     rule from two 1-d tables, U[p, q] = sum w_i sin^p(theta_i) u_i^q and
     Phi[a, b] = sum w_phi cos^a(phi_j) sin^b(phi_j) on the rule's own phi
-    points (so that order 2, where that rule is not exact, keeps its value):
-    x^a y^b z^c has moment Phi[a, b] U[a + b, c]. Other regions take
-    angular_moments of their nodes.
+    points (so that order 2, where that rule is not exact, keeps its value;
+    _phi_table keeps Phi per order): x^a y^b z^c has moment Phi[a, b]
+    U[a + b, c]. Other regions take angular_moments of their nodes.
     """
     if region.kind != "disk":
         nodes = region_nodes if inside else complement_nodes
@@ -360,14 +373,14 @@ def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMomen
     _check_order(order)
     u0 = math.cos(region.theta0)
     ulo, uhi = (u0, 1.0) if inside else (-1.0, u0)
-    u, wu, phi, wphi = _panel_axes(ulo, uhi, order)
+    if ulo == uhi:  # zero width: the full sky's complement, or a 0-degree cap
+        return AngularMoments(s=np.zeros(3), t=np.zeros((3, 3, 3)))
+    u, wu, _, _ = _panel_axes(ulo, uhi, order)
     sin_theta = np.sqrt(np.clip(1.0 - u**2, 0.0, None))
     table_u = np.einsum("ip,iq->pq", wu[:, None] * np.vander(sin_theta, 5, True),
                         np.vander(u, 5, True))
-    table_phi = wphi * np.einsum("ia,ib->ab", np.vander(np.cos(phi), 5, True),
-                                 np.vander(np.sin(phi), 5, True))
     a, b, c = _XYZ_COUNTS
-    q = (table_phi[a, b] * table_u[a + b, c]).reshape(4, 4, 4, 4)
+    q = (_phi_table(order)[a, b] * table_u[a + b, c]).reshape(4, 4, 4, 4)
     rot = _rotation_about_y(region.chi)
     # 1 and the tilted n_z as forms in q; m[k] = sum w n_z^k q q^T, k = 0..2.
     one_and_z = np.array([[0.0, 0.0, 0.0, 1.0], [*rot[2], 0.0]])
@@ -376,6 +389,16 @@ def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMomen
     t = rot @ m[:, :3, :3] @ rot.T
     t[:, _PAIR_J, _PAIR_I] = t[:, _PAIR_I, _PAIR_J]
     return AngularMoments(s=m[:, 3, 3], t=t)
+
+
+def _region_moment_pair(region: SkyRegion, order: int):
+    """(region, complement) moments that one report shares between alpha and
+    the rate; a custom grid cuts both from one array of cell centers."""
+    if region.kind != "custom":
+        return [_region_moments(region, order, inside) for inside in (True, False)]
+    _check_order(order)
+    cells = _product_points(region.grid_u, region.grid_phi)
+    return [angular_moments(*_custom_nodes(region, s, cells)) for s in (True, False)]
 
 
 def _bad_line(path) -> str | None:
@@ -425,8 +448,6 @@ def load_indicator_grid(path) -> SkyRegion:
         u, phi, val = data.T.reshape(3, rows, cols)
         if not (np.isclose(u, u[:, :1]).all() and np.isclose(phi, phi[:1]).all()):
             raise ValueError("grid is not rectangular")
-        if not np.all((val == 0) | (val == 1)):
-            raise ValueError("indicator values must be 0 or 1")
         return SkyRegion.custom(u[:, 0], phi[0, :], val)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
