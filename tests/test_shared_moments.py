@@ -208,13 +208,13 @@ def test_phi_table_is_computed_once_per_order(tmp_path, monkeypatch):
     assert len(phi_tables) == 2
 
 
-@pytest.mark.parametrize("command, builds", [("alpha", 1), ("rate", 1)])
-def test_custom_report_builds_its_cell_centers_once(command, builds, tmp_path,
+@pytest.mark.parametrize("command", ["alpha", "rate"])
+def test_custom_report_builds_its_cell_centers_once(command, tmp_path,
                                                     monkeypatch):
     path = _grids(tmp_path)["random"]
     calls = _count_calls(monkeypatch, "_product_points", sky)
     _run(command, _config(tmp_path, f"custom:{path}"), 64)
-    assert len(calls) == builds
+    assert len(calls) == 1
 
 
 def test_library_alpha_of_a_custom_grid_builds_its_cell_centers_once(
