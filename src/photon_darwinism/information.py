@@ -48,6 +48,9 @@ __all__ = [
 # delta = 1/(2 ln 2) the estimate's denominator crosses zero.
 MAX_DEFICIT = 1.0 / (2.0 * LN2)
 
+# redundancy_exact bisects [0, 1/2] until the bracket is this narrow.
+_F_TOL = 1e-12
+
 
 def _check_time(t_over_tauD) -> np.ndarray:
     t = np.asarray(t_over_tauD, dtype=float)
@@ -147,8 +150,7 @@ def mutual_information_approx(gamma: float, alpha: float, f: float) -> Nats:
     return LN2 - 0.5 * gamma ** (alpha * f)
 
 
-def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
-                     f_tol: float = 1e-12):
+def redundancy_exact(gamma, alpha, delta, t_over_tauD=None):
     """Redundancy 1/f_delta by bisection, or None when not yet redundant.
 
     Solves I(f) = (1 - delta) ln 2 for the smallest fragment fraction on
@@ -165,8 +167,6 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
     bisects the same bracket [0, 1/2] in lockstep, so each root equals the
     scalar one bit for bit. Scalar arguments give a float or None.
     """
-    if not 0.0 < f_tol < math.inf:
-        raise ValueError(f"f_tol must be finite and positive, got {f_tol}")
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
     if t_over_tauD is not None:
@@ -183,14 +183,13 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None,
     roots = np.where(t == math.inf, math.inf, math.nan)
     live = (0.0 < t) & (t < math.inf)
     if live.any():
-        roots[live] = _bisect_redundancy(t[live], alpha[live], delta[live],
-                                         f_tol)
+        roots[live] = _bisect_redundancy(t[live], alpha[live], delta[live])
     if roots.ndim:
         return roots
     return None if math.isnan(roots) else float(roots)
 
 
-def _bisect_redundancy(t, alpha, delta, f_tol):
+def _bisect_redundancy(t, alpha, delta):
     """2 / (lo + hi) per lane of 1-d t > 0, or NaN where I(1/2) falls short."""
     h_gamma = h(_libm(math.exp, -t))
     target = (1.0 - delta) * LN2
@@ -210,7 +209,7 @@ def _bisect_redundancy(t, alpha, delta, f_tol):
     # Every lane starts on [0, 1/2] and halves it exactly, so hi - lo is
     # the same width in all lanes and they stop together.
     width = 0.5
-    while width > f_tol:
+    while width > _F_TOL:
         mid = 0.5 * (lo + hi)
         below = shortfall(mid) < 0.0
         lo = np.where(below, mid, lo)

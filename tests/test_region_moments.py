@@ -1,18 +1,22 @@
-"""Disk and full-sky moments summed from two 1-d tables.
+"""Region moments summed from a row table in u and a column table in phi.
 
 sky._region_moments prices a disk panel from a Gauss-Legendre table in u
 and a uniform-rule table in phi, without building the order x 2*order
-nodes. Three checks:
+nodes, and a custom grid from its cell rows and columns under the mask.
+Four checks:
 
-* the tables equal the node sums they replace: within 1e-14 absolute of
-  math.fsum over the same nodes at every order, and within N eps 4 pi,
+* the disk tables equal the node sums they replace: within 1e-14 absolute
+  of math.fsum over the same nodes at every order, and within N eps 4 pi,
   the worst-case rounding of a one-pass sum of N = 2 order^2 terms, of
   angular_moments, whose einsum drifts as the order grows (2.9e-13 at
   order 128);
+* a custom grid's moments, on both sides of its mask, lie within
+  1e-14 x 4 pi of math.fsum over its cell centers, up to 200 x 400 cells;
 * alpha_numeric and the rate ratio of seeded caps land within 1e-14 of
   the 40-digit alpha_disk and disk_rate at every order from 3, where the
   rule is exact on these degree-4 integrands, to the CLI's largest, 1024;
-* disk and isotropic alpha and rate reports build no node array.
+* disk, isotropic and custom alpha, rate and pip reports build no node
+  array and take no node moments.
 """
 
 import contextlib
@@ -37,6 +41,7 @@ from photon_darwinism.sky import (
 )
 
 FSUM_TOL = 1e-14       # absolute, against math.fsum over the same nodes
+GRID_TOL = 1e-14 * FULL_SPHERE  # the same, for a grid's cell centers
 CLOSED_TOL = 1e-14     # absolute, against the 40-digit closed forms
 ORDERS = [2, 3, 16, 64, 128]
 THETA0 = [0.0, 0.4, math.pi / 2, 2.6, math.pi]
@@ -69,6 +74,40 @@ def test_tables_match_the_node_sums(order, inside):
             assert np.abs(mom.s - node.s).max() <= drift
             assert np.abs(mom.t - node.t).max() <= drift
             assert (mom.t == mom.t.transpose(0, 2, 1)).all()
+
+
+def _grid_regions():
+    """Custom grids that tile the sphere: a random 30% mask, a tilted cap
+    cut by a wedge, the full grid (an empty complement) and a 200 x 400
+    random mask."""
+    def axes(rows, cols):
+        return (-1.0 + (np.arange(rows) + 0.5) * (2.0 / rows),
+                (np.arange(cols) + 0.5) * (2.0 * math.pi / cols))
+
+    rng = np.random.default_rng(25)
+    u, phi = axes(30, 60)
+    s = np.sqrt(1.0 - u**2)[:, None]
+    cap = s * np.cos(phi) * math.sin(0.7) + u[:, None] * math.cos(0.7) > 0.4
+    wedge = cap & ~((phi > 1.0) & (phi < 2.0))[None, :]
+    return {
+        "random": SkyRegion.custom(*axes(20, 40), rng.random((20, 40)) < 0.3),
+        "cap-wedge": SkyRegion.custom(u, phi, wedge),
+        "full": SkyRegion.custom(*axes(8, 16), np.ones((8, 16), dtype=bool)),
+        "200x400": SkyRegion.custom(*axes(200, 400),
+                                    rng.random((200, 400)) < 0.3),
+    }
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["mask", "complement"])
+@pytest.mark.parametrize("name", list(_grid_regions()))
+def test_grid_tables_match_the_cell_center_sums(name, inside):
+    region = _grid_regions()[name]
+    mom = _region_moments(region, 64, inside)
+    ref_s, ref_t = _fsum_moments(*(region_nodes if inside
+                                   else complement_nodes)(region))
+    assert np.abs(mom.s - ref_s).max() <= GRID_TOL
+    assert np.abs(mom.t - ref_t).max() <= GRID_TOL
+    assert (mom.t == mom.t.transpose(0, 2, 1)).all()
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -121,16 +160,30 @@ def test_caps_match_the_40_digit_closed_forms(order, closed_forms):
         assert abs(decoherence_rate(scn, order).ratio - rate) <= CLOSED_TOL
 
 
-@pytest.mark.parametrize("command", ["alpha", "rate"])
-@pytest.mark.parametrize("region", ["disk:60:0", "disk:40:35", "isotropic"])
-def test_disk_and_full_sky_reports_build_no_nodes(command, region, tmp_path,
-                                                  monkeypatch):
-    def no_nodes(*args):
-        raise AssertionError("a disk report built a node array")
+def _write_grid(path, region):
+    with open(path, "w") as fh:
+        fh.write(f"# {region.grid_u.size} {region.grid_phi.size}\n")
+        for i, u in enumerate(region.grid_u.tolist()):
+            for j, phi in enumerate(region.grid_phi.tolist()):
+                fh.write(f"{u!r} {phi!r} {int(region.grid_mask[i, j])}\n")
+    return path
 
+
+@pytest.mark.parametrize("argv", [["alpha"], ["rate"], ["pip", "--times", "1"]],
+                         ids=["alpha", "rate", "pip"])
+@pytest.mark.parametrize("region", ["disk:60:0", "disk:40:35", "isotropic",
+                                    "cap-wedge"])
+def test_reports_build_no_nodes(argv, region, tmp_path, monkeypatch):
+    def no_nodes(*args):
+        raise AssertionError("a report built a node array or node moments")
+
+    if region == "cap-wedge":
+        grid = _write_grid(tmp_path / "grid.txt", _grid_regions()[region])
+        region = f"custom:{grid}"
     monkeypatch.setattr(sky, "_product_points", no_nodes)
+    monkeypatch.setattr(sky, "angular_moments", no_nodes)
     cfg = tmp_path / "scn.cfg"
     cfg.write_text("radius_m = 1e-6\npermittivity = 4\ndx_m = 1e-6\n"
                    f"temperature_K = 2.725\nregion = {region}\n")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, "--config", str(cfg), "--order", "64"]) == 0
+        assert main([*argv, "--config", str(cfg), "--order", "64"]) == 0

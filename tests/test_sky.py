@@ -196,22 +196,14 @@ class TestIntegrateSphere:
         val = integrate_sphere(lambda p: p[:, 0]**2, order=8)
         assert val == pytest.approx(FULL_SPHERE / 3.0, rel=1e-13)
 
-    def test_split_restores_accuracy_at_a_jump(self):
-        f = lambda p: np.where(p[:, 2] > 0.5, 1.0, 0.0)
-        split = integrate_sphere(f, order=16, split_cos=(0.5,))
-        assert split == pytest.approx(math.pi, rel=1e-14)
-        # without the split the jump costs several digits
-        naive = integrate_sphere(f, order=16)
-        assert abs(naive - math.pi) > 1e-6
-
-    def test_integrand_is_called_once_per_panel_on_its_nodes(self):
+    def test_integrand_is_called_once_on_the_rule_nodes(self):
         shapes = []
 
         def f(p):
             shapes.append(p.shape)
             return _ones(p)
-        integrate_sphere(f, order=4, split_cos=(-0.2, 0.5))
-        assert shapes == [(4 * 8, 3)] * 3
+        integrate_sphere(f, order=4)
+        assert shapes == [(4 * 2 * 4, 3)]
 
     @pytest.mark.parametrize("order", [2, 8, 16, 64, 128])
     def test_rate_integrand_matches_the_direction_loop(self, order):
@@ -223,14 +215,6 @@ class TestIntegrateSphere:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             integrate_sphere(_ones, order=1)
-        with pytest.raises(ValueError):
-            integrate_sphere(_ones, split_cos=(1.5,))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_split_point_is_named(self, bad):
-        with pytest.raises(ValueError,
-                           match=f"split points must be finite, got {bad}"):
-            integrate_sphere(_ones, order=4, split_cos=(0.5, bad))
 
 
 def _meshgrid_panel(ulo, uhi, order, nphi):
