@@ -466,8 +466,9 @@ def planck_spectral_nodes(n: int = 32):
     sixth moment, the one the decoherence rate needs, comes out at
     8! zeta(9) / (2 zeta(3)) to better than 1e-9 with 32 nodes.
     """
-    if n < 2:
-        raise ValueError("need at least 2 spectral nodes")
+    if n is True or not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"spectral node count n must be an integer >= 2, "
+                         f"got {n!r}")
     x, w = leggauss(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w

@@ -132,8 +132,9 @@ def h_power_series(x, terms: int):
     x = np.asarray(x, dtype=float)
     _require((0.0 <= x) & (x < 1.0), x,
              "series argument must be in [0, 1), got {}")
-    if terms < 1:
-        raise ValueError("need at least one term")
+    if terms is True or not (isinstance(terms, (int, np.integer)) and terms >= 1):
+        raise ValueError(f"terms must be an integer >= 1, got {terms!r}")
+    terms = int(terms)  # no wrap-around in 2 * terms for a small numpy integer
     total, xn = _series_sum(x, terms)
     bound = xn / ((2 * terms + 1) * (2 * terms + 2) * (1.0 - x))
     return _result(total), _result(bound)

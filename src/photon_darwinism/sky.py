@@ -2,14 +2,16 @@
 
 A region is the patch of sky occupied by the source, seen from the object.
 The separation axis of the superposition defines the global z axis; a
-tilted disk region is generated in its own polar frame and rotated into
-place, which keeps the disk boundary a coordinate line of the quadrature
-grid.
+tilted disk region is priced in its own polar frame and its moments are
+rotated into place, which keeps the disk boundary a coordinate line of the
+quadrature grid.
 
 Quadrature is a product rule: Gauss-Legendre in cos(theta), uniform
 (trapezoid on a periodic interval) in phi. Integrands met here are smooth
 once the cos(theta) domain is split at region boundaries, so the rule
-converges spectrally.
+converges spectrally. A report needs only the angular moments of a
+region's rule, which are summed from a row table in cos(theta) and a
+column table in phi; integrate_sphere's is the one node set built here.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ __all__ = [
     "solid_angle",
     "integrate_sphere",
     "g2_weight",
-    "region_nodes",
-    "complement_nodes",
     "AngularMoments",
-    "angular_moments",
     "load_indicator_grid",
 ]
 
@@ -242,57 +241,16 @@ def g2_weight(n_hat, m_hat, dx_hat) -> float:
     return (1.0 + cnm * cnm) * (an - am) ** 2
 
 
-def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):
-    """Nodes on a polar cap (cap=True) or its complement, rotated by chi;
-    none where that panel has zero width."""
-    u0 = math.cos(theta0)
-    ulo, uhi = (u0, 1.0) if cap else (-1.0, u0)
-    if ulo == uhi:
-        return np.empty((0, 3)), np.empty(0)
-    pts, ww = _panel(ulo, uhi, order)
-    if chi != 0.0:
-        pts = pts @ _rotation_about_y(chi).T
-    return pts, ww
-
-
-def _custom_nodes(region: SkyRegion, inside: bool):
-    """Row-major cell centers in (or out of) the indicator."""
-    du, dphi = _custom_cell_size(region)
-    centers = _product_points(region.grid_u, region.grid_phi)
-    pts = centers[region.grid_mask if inside else ~region.grid_mask]
-    return pts, np.full(pts.shape[0], du * dphi)
-
-
-def region_nodes(region: SkyRegion, order: int = 64):
-    """Quadrature nodes and weights covering the region itself."""
-    _check_order(order)
-    if region.kind == "point":
-        raise ValueError("a point region has zero measure; integrate nothing")
-    if region.kind == "disk":
-        return _disk_nodes(region.theta0, region.chi, order, cap=True)
-    return _custom_nodes(region, inside=True)
-
-
-def complement_nodes(region: SkyRegion, order: int = 64):
-    """Quadrature nodes and weights covering the sky minus the region."""
-    _check_order(order)
-    if region.kind == "point":
-        return _panel(-1.0, 1.0, order)
-    if region.kind == "disk":
-        return _disk_nodes(region.theta0, region.chi, order, cap=False)
-    return _custom_nodes(region, inside=False)
-
-
 @dataclass(frozen=True)
 class AngularMoments:
-    """Moments of a weighted node set against the separation axis z.
+    """Moments of a region's quadrature rule against the separation axis z.
 
     s[k] holds the scalar integrals of a^k and t[k] the 3x3 tensor
     integrals of a^k n_i n_j, where a = n_z, for k = 0, 1, 2. These
-    six arrays are all that pair integrals of the g2 weight need, which
-    collapses the naive N^2 double sum to O(N) work. Each t[k] is
-    symmetric: its six distinct entries are sums over the nodes in node
-    order, and the mirrored entries are copies.
+    six arrays are all that pair integrals of the g2 weight need, so a
+    pair integral over two regions is a product of one-region moments
+    (_region_moments). Each t[k] is symmetric: its six distinct entries
+    are computed, and the mirrored entries are copies.
     """
 
     s: np.ndarray   # shape (3,)
@@ -301,29 +259,6 @@ class AngularMoments:
 
 # The six distinct index pairs (i, j), i <= j, of the symmetric n_i n_j.
 _PAIR_I, _PAIR_J = np.triu_indices(3)
-
-
-def angular_moments(points: np.ndarray, weights: np.ndarray) -> AngularMoments:
-    """AngularMoments of the nodes (points (N,3), weights (N,)).
-
-    Only the six distinct products n_i n_j are formed, as the columns of
-    one C-ordered (N, 6) array, and each moment is one einsum over it.
-    That reduction adds the products in node order, but its rounding
-    depends on the memory layout of its operand, so the layout is part of
-    the result: a transposed copy or a BLAS product changes the last bits.
-    """
-    a = points[:, 2]
-    prods = np.empty((points.shape[0], 6))
-    for c, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J)):
-        np.multiply(points[:, i], points[:, j], out=prods[:, c])
-    s = np.empty(3)
-    t = np.empty((3, 3, 3))
-    for k in range(3):
-        wk = weights * a**k
-        s[k] = np.sum(wk)
-        t[k][_PAIR_I, _PAIR_J] = t[k][_PAIR_J, _PAIR_I] = np.einsum(
-            "n,nc->c", wk, prods)
-    return AngularMoments(s=s, t=t)
 
 
 # For each entry of the 4^4 tensor of q = (x, y, z, 1): how many of its

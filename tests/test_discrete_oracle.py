@@ -535,6 +535,16 @@ def test_planck_spectral_nodes_reproduce_zeta_moments():
                                   rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, True, 1], ids=repr)
+def test_planck_spectral_nodes_name_a_bad_node_count(n):
+    # 2.5 used to reach numpy's "deg must be an integer", and nan got past
+    # the n < 2 check.
+    with pytest.raises(ValueError) as info:
+        planck_spectral_nodes(n)
+    assert str(info.value) == (
+        f"spectral node count n must be an integer >= 2, got {n!r}")
+
+
 class TestExactGeneralMi:
     def test_two_branch_reduction(self):
         gamma = math.exp(-8.0)

@@ -83,6 +83,20 @@ def test_h_power_series_needs_a_term():
         h_power_series(0.5, 0)
 
 
+@pytest.mark.parametrize("terms", [2.5, True, 0], ids=repr)
+def test_h_power_series_names_a_bad_term_count(terms):
+    # 2.5 used to fail inside range() with a bare TypeError, and True was
+    # taken as one term.
+    with pytest.raises(ValueError) as info:
+        h_power_series(0.1, terms)
+    assert str(info.value) == f"terms must be an integer >= 1, got {terms!r}"
+
+
+def test_h_power_series_takes_a_numpy_integer_term_count():
+    # 2 * np.int8(100) + 1 would wrap around in the tail bound.
+    assert h_power_series(0.5, np.int8(100)) == h_power_series(0.5, 100)
+
+
 def test_series_coefficients_sum_to_ln2():
     # The coefficient sum sets h(1) = ln 2, which is what pins the
     # mutual-information plateau at one bit.

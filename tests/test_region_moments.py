@@ -8,15 +8,15 @@ Four checks:
 * the disk tables equal the node sums they replace: within 1e-14 absolute
   of math.fsum over the same nodes at every order, and within N eps 4 pi,
   the worst-case rounding of a one-pass sum of N = 2 order^2 terms, of
-  angular_moments, whose einsum drifts as the order grows (2.9e-13 at
-  order 128);
+  the reference angular_moments (sky_nodes_reference), whose einsum
+  drifts as the order grows (2.9e-13 at order 128);
 * a custom grid's moments, on both sides of its mask, lie within
   1e-14 x 4 pi of math.fsum over its cell centers, up to 200 x 400 cells;
 * alpha_numeric and the rate ratio of seeded caps land within 1e-14 of
   the 40-digit alpha_disk and disk_rate at every order from 3, where the
   rule is exact on these degree-4 integrands, to the CLI's largest, 1024;
 * disk, isotropic and custom alpha, rate and pip reports build no node
-  array and take no node moments.
+  array.
 """
 
 import contextlib
@@ -31,14 +31,8 @@ from photon_darwinism import sky
 from photon_darwinism.cli import main
 from photon_darwinism.radiometry import Scenario, decoherence_rate
 from photon_darwinism.receptivity import alpha_numeric
-from photon_darwinism.sky import (
-    FULL_SPHERE,
-    SkyRegion,
-    _region_moments,
-    angular_moments,
-    complement_nodes,
-    region_nodes,
-)
+from photon_darwinism.sky import FULL_SPHERE, SkyRegion, _region_moments
+from sky_nodes_reference import angular_moments, complement_nodes, region_nodes
 
 FSUM_TOL = 1e-14       # absolute, against math.fsum over the same nodes
 GRID_TOL = 1e-14 * FULL_SPHERE  # the same, for a grid's cell centers
@@ -175,13 +169,12 @@ def _write_grid(path, region):
                                     "cap-wedge"])
 def test_reports_build_no_nodes(argv, region, tmp_path, monkeypatch):
     def no_nodes(*args):
-        raise AssertionError("a report built a node array or node moments")
+        raise AssertionError("a report built a node array")
 
     if region == "cap-wedge":
         grid = _write_grid(tmp_path / "grid.txt", _grid_regions()[region])
         region = f"custom:{grid}"
     monkeypatch.setattr(sky, "_product_points", no_nodes)
-    monkeypatch.setattr(sky, "angular_moments", no_nodes)
     cfg = tmp_path / "scn.cfg"
     cfg.write_text("radius_m = 1e-6\npermittivity = 4\ndx_m = 1e-6\n"
                    f"temperature_K = 2.725\nregion = {region}\n")

