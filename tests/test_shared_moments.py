@@ -31,6 +31,7 @@ from photon_darwinism.receptivity import (alpha_closed_form, alpha_numeric,
                                           redundancy_rate)
 from photon_darwinism.sky import (SkyRegion, integrate_sphere,
                                   load_indicator_grid)
+from sky_nodes_reference import complement_nodes, region_nodes
 
 BASE_CFG = ("radius_m = 1e-6\npermittivity = 4.0\ndx_m = 1e-6\n"
             "temperature_K = 300\n")
@@ -246,6 +247,11 @@ def _entry_points():
         "alpha_numeric-custom": lambda o: alpha_numeric(grid, o),
         "decoherence_rate-disk": lambda o: decoherence_rate(scenario, o),
         "decoherence_rate-custom": lambda o: decoherence_rate(grid_scenario, o),
+        # The node references (sky_nodes_reference) reach the library's
+        # _check_order, and the disk one its _panel on a part of the u range.
+        "region_nodes-disk": lambda o: region_nodes(disk, o),
+        "region_nodes-custom": lambda o: region_nodes(grid, o),
+        "complement_nodes-point": lambda o: complement_nodes(SkyRegion.point(), o),
         "integrate_sphere": lambda o: integrate_sphere(lambda p: p[:, 2] ** 2, o),
         "region_moment_pair-disk": lambda o: sky._region_moment_pair(disk, o),
         "region_moment_pair-custom": lambda o: sky._region_moment_pair(grid, o),
