@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -331,13 +332,25 @@ def _region_moment_pair(region: SkyRegion, order: int):
     return [_region_moments(region, order, inside) for inside in (True, False)]
 
 
+_GRID_HEADER = re.compile(rb"# ([1-9][0-9]*) ([1-9][0-9]*)\n")
+_NOT_A_NUMBER = re.compile(r"[^!-~]|_")  # whitespace, non-ASCII or '_'
+
+
+def _grid_number(text: str) -> float:
+    """A grid file's number as np.loadtxt reads it: float's syntax in
+    printable ASCII, without float's '_' digit separators."""
+    if _NOT_A_NUMBER.search(text):
+        raise ValueError(text)
+    return float(text)
+
+
 def _bad_line(path) -> str | None:
     """Error naming the first grid line that is not 3 numbers, or None."""
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             fields = line.partition("#")[0].split()
             try:
-                if n == 1 or not fields or len(list(map(float, fields))) == 3:
+                if n == 1 or not fields or len(list(map(_grid_number, fields))) == 3:
                     continue
             except ValueError:
                 pass
@@ -345,13 +358,50 @@ def _bad_line(path) -> str | None:
                     f"'cos_theta phi value', got '{line.strip()}'")
 
 
+def _row_major_grid(raw: bytearray):
+    """(u, phi, mask) of a file in README's layout, else None: after the
+    header, rows*cols lines "U P F" and a newline, single-spaced, F a bare 0
+    or 1, each line of row i starting with its U text and each row repeating
+    row 0's P texts. Only those rows + cols texts are parsed, once raw, its
+    flags zeroed in place, equals byte for byte the text they rebuild."""
+    head = _GRID_HEADER.match(raw)
+    text = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(text == 10)  # counted before the header sizes anything
+    if not (head and ends.size == 1 + int(head[1]) * int(head[2])):
+        return None
+    cols, flags = int(head[2]), ends[1:] - 1
+    mask = text[flags] - 48
+    if mask.max() > 1:
+        return None
+    text[flags] = 48
+    try:
+        cells = [ln.split(b" ") for ln in raw[ends[0] + 1:ends[cols]].split(b"\n")]
+        tails = [b" %s 0\n" % p for _, p, _ in cells]
+        heads = [bytes(raw[at:raw.index(b" ", at)]) for at in ends[:-1:cols] + 1]
+        if raw != bytearray().join([head[0], *(h + h.join(tails) for h in heads)]):
+            return None
+        u, phi = ([_grid_number(t.decode("ascii")) for t in texts]
+                  for texts in (heads, [c[1] for c in cells]))
+    except ValueError:
+        return None
+    return np.array(u), np.array(phi), mask.reshape(-1, cols)
+
+
 def load_indicator_grid(path) -> SkyRegion:
     """Read a custom region from a plain-text indicator file.
 
     Expected layout: a header line "# rows cols" followed by rows*cols
     lines "cos_theta phi value" with value 0 or 1, sampled at the cell
-    centers of a rectangular grid in row-major order.
+    centers of a rectangular grid in row-major order. A file in README's
+    exact spelling of it skips np.loadtxt, to the same region or error.
     """
+    with open(path, "rb") as fh:
+        grid = _row_major_grid(bytearray(fh.read()))
+    if grid is not None:
+        try:
+            return SkyRegion.custom(*grid)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "#":

@@ -640,6 +640,21 @@ class TestIndicatorFiles:
             f"config error: {cfg}: region: {grid}: line {line}: expected "
             f"three numbers 'cos_theta phi value', got '{got}'\n")
 
+    @pytest.mark.parametrize("number", ["-0_0.75", "-\u0660.75"],
+                             ids=["underscore", "arabic-indic-digit"])
+    def test_a_number_loadtxt_refuses_names_its_line(self, tmp_path, number):
+        # Python float reads both as -0.75; np.loadtxt refuses them.
+        path = tmp_path / "under.txt"
+        self._write(path, 4, 8, np.ones((4, 8)))
+        text = path.read_text()
+        assert text.startswith("# 4 8\n-0.75 0.39269908169872414 1\n")
+        path.write_text(text.replace("-0.75", number, 1))
+        with pytest.raises(ValueError) as info:
+            load_indicator_grid(path)
+        assert str(info.value) == (
+            f"{path}: line 2: expected three numbers 'cos_theta phi value', "
+            f"got '{number} 0.39269908169872414 1'")
+
     def test_non_binary_values(self, tmp_path):
         path = tmp_path / "frac.txt"
         lines = ["# 1 2", "0.0 1.0 0.5", "0.0 2.0 1"]
