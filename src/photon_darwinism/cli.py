@@ -391,6 +391,8 @@ def cmd_oracle(args) -> int:
         print(f"{verdict} {check['name']}", file=sys.stderr)
     lines = itertools.chain(["check,passed"], (
         f"{c['name']},{int(c['passed'])}" for c in report["checks"]))
+    if "model" in report:
+        lines = itertools.chain(lines, [""], _report_lines(report["model"]))
     _emit(args, report, lines)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK
 

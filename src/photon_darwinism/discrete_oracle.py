@@ -11,6 +11,7 @@ cross-examination into one seeded, JSON-serializable report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations_with_replacement
@@ -61,6 +62,10 @@ DEFAULT_CAP = 10_000_000
 _SERIES_TOL = 1e-17          # the moment series stops at a term below this
 _SERIES_MAX_TERMS = 1 << 21  # and gives up after this many terms
 _HALVING_GAP_ROUNDINGS = 100  # so that a ratio holds <= ~2% of rounding
+# Multiset tables of at most this many groups are kept for reuse; the
+# battery's largest, (D_B, fN) = (8, 6), has 1,716 and holds 96 KB.
+_CACHED_GROUPS = 4096
+_CACHED_MODELS = 8  # the battery's five models plus a few of the caller's
 
 
 class OracleCapError(RuntimeError):
@@ -104,7 +109,14 @@ def _largest_multiplicity(D: int, fN: int) -> int:
 def _multisets(D: int, fN: int):
     """The b-independent half of the spectrum: the distinct runs (j, c) of
     c copies of index j, after (0, 0); per run rank, each multiset's slot
-    among them (0 for no run); and the exact int64 multiplicities."""
+    among them (0 for no run); and the exact int64 multiplicities. Tables
+    up to _CACHED_GROUPS groups are built once and shared read-only."""
+    if math.comb(D + fN - 1, fN) <= _CACHED_GROUPS:
+        return _cached_multisets(D, fN)
+    return _enumerate_multisets(D, fN)
+
+
+def _enumerate_multisets(D: int, fN: int):
     groups = math.comb(D + fN - 1, fN)
     combos = np.fromiter(
         chain.from_iterable(combinations_with_replacement(range(D), fN)),
@@ -138,8 +150,15 @@ def _multisets(D: int, fN: int):
         np.add.accumulate(above, out=below)
     binomials = np.ones(slots.shape, dtype=np.int64)
     binomials[rank, row] = pascal[col, counts]
-    runs = [divmod(k, fN + 1) for k in used.tolist()]
+    runs = tuple(divmod(k, fN + 1) for k in used.tolist())
     return runs, slots, binomials.prod(axis=0)
+
+
+@functools.lru_cache(maxsize=_CACHED_MODELS)
+def _cached_multisets(D: int, fN: int):
+    runs, slots, mult = _enumerate_multisets(D, fN)
+    slots.flags.writeable = mult.flags.writeable = False
+    return runs, slots, mult
 
 
 def fragment_eigenvalues(b, fN, cap: int = DEFAULT_CAP):
@@ -469,6 +488,13 @@ def planck_spectral_nodes(n: int = 32):
     if n is True or not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError(f"spectral node count n must be an integer >= 2, "
                          f"got {n!r}")
+    kappa, weights = _planck_rule(int(n))
+    return kappa.copy(), weights.copy()
+
+
+@functools.lru_cache(maxsize=8)  # the battery asks for n = 32 only
+def _planck_rule(n: int):
+    """planck_spectral_nodes' arrays, computed once per n and read-only."""
     x, w = leggauss(n)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
@@ -476,6 +502,7 @@ def planck_spectral_nodes(n: int = 32):
     jacobian = 5.0 / (1.0 - x) ** 2
     density = kappa ** 2 * np.exp(-kappa) / (-np.expm1(-kappa))
     weights = w * jacobian * density / (2.0 * ZETA_3)
+    kappa.flags.writeable = weights.flags.writeable = False
     return kappa, weights
 
 

@@ -346,7 +346,7 @@ def _grid_number(text: str) -> float:
 
 def _bad_line(path) -> str | None:
     """Error naming the first grid line that is not 3 numbers, or None."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             fields = line.partition("#")[0].split()
             try:
@@ -396,13 +396,23 @@ def load_indicator_grid(path) -> SkyRegion:
     exact spelling of it skips np.loadtxt, to the same region or error.
     """
     with open(path, "rb") as fh:
-        grid = _row_major_grid(bytearray(fh.read()))
+        raw = bytearray(fh.read())
+    grid = _row_major_grid(raw)
     if grid is not None:
         try:
             return SkyRegion.custom(*grid)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    with open(path) as fh:
+    # The layout check may have zeroed '1' flags in raw: ASCII either way,
+    # so the bytes that are not UTF-8 and their lines stay as read.
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end as text mode ends them: at \n, \r\n or a lone \r.
+        line = len(re.split(rb"\r\n?|\n", raw[:exc.start]))
+        raise ValueError(f"{path}: line {line}: expected UTF-8 text, got the "
+                         f"byte {raw[exc.start]:#04x}") from None
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "#":
             raise ValueError(f"{path}: expected header '# rows cols'")

@@ -192,18 +192,19 @@ def _branch_matrix_mi(probs: np.ndarray, gamma: np.ndarray, f) -> Nats:
     (..., M, M) and an f broadcast against their leading axes."""
     amp, M = np.sqrt(probs), probs.size
     lead = np.broadcast_shapes(gamma.shape[:-2], np.shape(f))
-    gammas = np.broadcast_to(gamma, lead + (M, M)).reshape(-1, M, M)
-    ws = [(fi, 1.0, 1.0 - fi)
-          for fi in np.broadcast_to(f, lead).ravel().tolist()]
-    # E(w) at w = f, 1 and 1 - f, diagonalized in one stacked call; each
-    # power keeps the Python-float exponent of a single-matrix call.
-    rho = np.outer(amp, amp) * np.array(
-        [[g ** (0.5 * w) for w in row] for g, row in zip(gammas, ws)])
+    g = np.broadcast_to(gamma, lead + (M, M)).reshape(-1, 1, M, M)
+    f = np.broadcast_to(np.asarray(f, dtype=float), lead).ravel()
+    ws = np.stack((f, np.ones_like(f), 1.0 - f), axis=-1)
+    # E(w) at w = f, 1 and 1 - f, powered and diagonalized in one stacked
+    # call each. numpy takes a Python-float exponent 0.5 as sqrt, which
+    # an array of exponents does not reproduce bit for bit.
+    e = 0.5 * ws[..., None, None]
+    rho = np.outer(amp, amp) * np.where(e == 0.5, np.sqrt(g), g ** e)
     eigs = np.linalg.eigvalsh(rho)
     lowest = eigs.min(axis=-1)
     for i, k in np.argwhere(lowest < -1e-9)[:1]:
         raise ArithmeticError(
-            f"branch matrix at w = {ws[i][k]} is not positive semidefinite "
+            f"branch matrix at w = {ws[i, k]} is not positive semidefinite "
             f"(min eigenvalue {lowest[i, k]:.3e}); the factor matrix is "
             "not realizable by photon overlaps"
         )

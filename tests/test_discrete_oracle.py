@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from photon_darwinism import discrete_oracle
 from photon_darwinism.discrete_oracle import (
     DEFAULT_CAP,
     DirectionalGrid,
@@ -543,6 +544,80 @@ def test_planck_spectral_nodes_name_a_bad_node_count(n):
         planck_spectral_nodes(n)
     assert str(info.value) == (
         f"spectral node count n must be an integer >= 2, got {n!r}")
+
+
+class TestBatteryTables:
+    """The Planck rule and the multiset tables depend on neither the seed
+    nor b, so a process builds each once and later batteries reuse it."""
+
+    # The battery's five finite models as (D_B, fN): the spectrum check,
+    # the zero-b model, the single photon, the series identity (enumerated
+    # twice per battery before the cache) and the halving levels.
+    MODELS = {(5, 3), (4, 3), (1, 1), (3, 2), (8, 6)}
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Patch discrete_oracle's name to record each call's arguments."""
+        calls, real = [], getattr(discrete_oracle, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(discrete_oracle, name, counted)
+        return calls
+
+    def _count_both(self, monkeypatch):
+        return (self._count(monkeypatch, "leggauss"),
+                self._count(monkeypatch, "combinations_with_replacement"))
+
+    def test_a_second_battery_builds_no_table(self, monkeypatch):
+        first = oracle_battery(3)
+        rules, multisets = self._count_both(monkeypatch)
+        assert oracle_battery(4)["all_passed"]
+        assert oracle_battery(3) == first
+        assert (rules, multisets) == ([], [])
+
+    def test_a_cold_battery_builds_each_table_once(self, monkeypatch):
+        discrete_oracle._planck_rule.cache_clear()
+        discrete_oracle._cached_multisets.cache_clear()
+        rules, multisets = self._count_both(monkeypatch)
+        oracle_battery(0)
+        assert rules == [(32,)]
+        models = [(len(indices), fN) for indices, fN in multisets]
+        assert sorted(models) == sorted(self.MODELS)
+
+    def test_cached_arrays_refuse_writes(self):
+        oracle_battery(0)
+        kappa, weights = discrete_oracle._planck_rule(32)
+        runs, slots, mult = discrete_oracle._multisets(8, 6)
+        assert isinstance(runs, tuple)
+        for array in (kappa, weights, slots, mult):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_written_planck_nodes_leave_the_next_call_alone(self,
+                                                            monkeypatch):
+        kappa, weights = planck_spectral_nodes()
+        before = kappa.copy(), weights.copy()
+        kappa[:] = weights[:] = np.nan
+        rules = self._count(monkeypatch, "leggauss")
+        after = planck_spectral_nodes()
+        assert rules == []
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    def test_a_model_above_the_group_bound_is_not_kept(self, monkeypatch):
+        # D_B = 100, fN = 2 has 5,050 groups, above the 4,096 kept.
+        assert math.comb(101, 2) > discrete_oracle._CACHED_GROUPS
+        oracle_battery(0)
+        kept = discrete_oracle._cached_multisets.cache_info().currsize
+        _, multisets = self._count_both(monkeypatch)
+        b = np.full(100, -0.01)
+        first = fragment_eigenvalues(b, 2)
+        second = fragment_eigenvalues(b, 2)
+        assert len(multisets) == 2
+        assert discrete_oracle._cached_multisets.cache_info().currsize == kept
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
 class TestExactGeneralMi:

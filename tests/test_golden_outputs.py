@@ -4,14 +4,15 @@ Quadrature-backed reports (rate, alpha, pip --config for every region
 kind, alpha on a point without an irradiance, rate and alpha on a point
 as CSV), the information tables (pip --alpha, redundancy and the mi,
 mi_unbalanced, mi_mway and redundancy sweeps), the two closed-form disk
-sweeps and the oracle report (CSV, the full JSON report, and JSON with
-finite models up to the enumeration cap) are pinned byte for byte, as are
-two edges of JSON number text (a 300 K photon density that JSON prints
-positionally and a subnormal fragment fraction), so a refactor or
-speed-up of the sky quadrature, of the information layer, of the
-discrete oracle or of the output path cannot move a printed digit
-unnoticed. The expected bytes live in golden/cli_outputs.json. After a
-deliberate change of output, rewrite that file with
+sweeps and the oracle report (CSV, the full JSON report, JSON with
+finite models up to the enumeration cap, and CSV with one model) are
+pinned byte for byte, as are two edges of JSON number text (a 300 K
+photon density that JSON prints positionally and a subnormal fragment
+fraction), so a refactor or speed-up of the sky quadrature, of the
+information layer, of the discrete oracle or of the output path cannot
+move a printed digit unnoticed. The expected bytes live in
+golden/cli_outputs.json. After a deliberate change of output, rewrite
+that file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -125,6 +126,9 @@ def _cases() -> dict:
     cases["oracle-csv"] = ["oracle", "--seed", "0", "--format", "csv"]
     cases["oracle-model-json"] = ["oracle", "--seed", "0", "--db", "3",
                                   "--fn", "2", "--format", "json"]
+    # CSV prints the model's quantity,value block after the checks.
+    cases["oracle-model-csv"] = ["oracle", "--seed", "0", "--db", "3",
+                                 "--fn", "2", "--format", "csv"]
     cases["oracle-seed1-json"] = ["oracle", "--seed", "1", "--format", "json"]
     # 2^23 = 8.4M sits just under the enumeration cap, and 23! overflows
     # int64, so the multiplicities must be counted without forming fN!.

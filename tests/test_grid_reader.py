@@ -12,7 +12,9 @@ Four checks:
 * every variant outside the layout, and every bad number or flag in it,
   loads to the same region or fails with the same message (the numbers
   np.loadtxt refuses and Python float takes, which the library's line
-  check now refuses too, are in test_sky's TestIndicatorFiles);
+  check now refuses too, are in test_sky's TestIndicatorFiles), except
+  that a byte that is not UTF-8 is named by its line, where the reference
+  lets the codec's error out;
 * a file in the layout loads without np.loadtxt, and a header is not used
   to size anything before the lines are counted;
 * sky._grid_number takes exactly the texts np.loadtxt takes, to the bit.
@@ -166,13 +168,21 @@ VARIANTS = {
 }
 
 
+# Where the library names the line and the reference lets the text
+# codec's UnicodeDecodeError out with a byte offset.
+NAMED_LINES = {"not-utf-8": "line 13: expected UTF-8 text, got the byte 0xff"}
+
+
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_other_files_load_as_loadtxt_reads_them(tmp_path, name):
     text = VARIANTS[name]
     path = tmp_path / "grid.txt"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    _assert_same(_outcome(load_indicator_grid, path),
-                 _outcome(ref.load_indicator_grid, path))
+    want = _outcome(ref.load_indicator_grid, path)
+    if name in NAMED_LINES:
+        assert want.startswith("UnicodeDecodeError: ")
+        want = f"ValueError: {path}: {NAMED_LINES[name]}"
+    _assert_same(_outcome(load_indicator_grid, path), want)
 
 
 @pytest.mark.parametrize("name", ["flag-1.0", "tabs", "crlf", "u-respelled",

@@ -655,6 +655,30 @@ class TestIndicatorFiles:
             f"{path}: line 2: expected three numbers 'cos_theta phi value', "
             f"got '{number} 0.39269908169872414 1'")
 
+    @pytest.mark.parametrize("text, line", [
+        (b"# 1 2\n0.0 1.0 1\n0.0 2.0 \xff\n", 3),
+        (b"# 1 2\xff\n0.0 1.0 1\n0.0 2.0 1\n", 1),
+        (b"# 1 2\r\n0.0 1.0 1\r0.0 2.0 \xff\r", 3),
+        # In README's layout but for the byte, so the layout reader has
+        # zeroed the flags before it refuses the file.
+        (b"# 1 2\n0.0 1.0 1\n0.0 2.\xff 1\n", 3),
+    ], ids=["flag", "header", "cr-line-ends", "number-in-layout"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys,
+                                                    text, line):
+        grid = tmp_path / "bytes.txt"
+        grid.write_bytes(text)
+        with pytest.raises(ValueError) as info:
+            load_indicator_grid(grid)
+        assert str(info.value) == (
+            f"{grid}: line {line}: expected UTF-8 text, got the byte 0xff")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("radius_m = 1e-6\npermittivity = 4.0\ndx_m = 1e-6\n"
+                       f"temperature_K = 2.725\nregion = custom:{grid}\n")
+        assert main(["rate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {cfg}: region: {info.value}\n"
+
     def test_non_binary_values(self, tmp_path):
         path = tmp_path / "frac.txt"
         lines = ["# 1 2", "0.0 1.0 0.5", "0.0 2.0 1"]
