@@ -17,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import math
+import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
@@ -531,11 +532,17 @@ def _order_argument(sub) -> None:
                      help=f"quadrature order, 2 to {MAX_ORDER} (default 64)")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+# As in newer CPython's argparse, "-", optional ".", digit starts a negative
+# number, so -1e-3 is a value; 3.11's takes only forms like -1 and -0.5.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
-    Parsing leaves the parser unchanged, so main() reuses it across calls.
+
+@functools.cache
+def _build_parser():
+    """(the argument parser, its {command: subparser} table), built once
+    per process.
+
+    Parsing leaves both unchanged, so main() reuses them across calls.
     """
     parser = argparse.ArgumentParser(
         prog="photon-darwinism",
@@ -543,20 +550,25 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for a sphere illuminated by a blackbody sky patch.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    rate = sub.add_parser("rate", help="decoherence rates for a scenario")
+    def command(name, func, help):
+        commands[name] = subparser = sub.add_parser(name, help=help)
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
+        subparser.set_defaults(func=func)
+        return subparser
+
+    rate = command("rate", cmd_rate, "decoherence rates for a scenario")
     rate.add_argument("--config", required=True, help="scenario file")
     _order_argument(rate)
     _io_arguments(rate, "json")
-    rate.set_defaults(func=cmd_rate)
 
-    alpha = sub.add_parser("alpha", help="receptivity for a scenario")
+    alpha = command("alpha", cmd_alpha, "receptivity for a scenario")
     alpha.add_argument("--config", required=True, help="scenario file")
     _order_argument(alpha)
     _io_arguments(alpha, "json")
-    alpha.set_defaults(func=cmd_alpha)
 
-    pip = sub.add_parser("pip", help="partial information plot data")
+    pip = command("pip", cmd_pip, "partial information plot data")
     pip.add_argument("--times", type=_comma_floats, required=True,
                      help="comma-separated t/tau_D values, one block each")
     pip.add_argument("--alpha", type=float,
@@ -567,9 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pip.add_argument("--f-max", type=float, default=1.0)
     _order_argument(pip)
     _io_arguments(pip, "csv")
-    pip.set_defaults(func=cmd_pip)
 
-    red = sub.add_parser("redundancy", help="redundancy growth over time")
+    red = command("redundancy", cmd_redundancy, "redundancy growth over time")
     red.add_argument("--alpha", type=float, default=1.0)
     red.add_argument("--delta", type=float, default=0.01,
                      help="information deficit (default 0.01)")
@@ -578,9 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--t-count", type=_positive_int, default=61)
     red.add_argument("--spacing", choices=("linear", "log"), default="log")
     _io_arguments(red, "csv")
-    red.set_defaults(func=cmd_redundancy)
 
-    oracle = sub.add_parser("oracle", help="run the cross-check battery")
+    oracle = command("oracle", cmd_oracle, "run the cross-check battery")
     oracle.add_argument("--seed", type=int, default=0,
                         help="seed for the random trials (recorded in output)")
     oracle.add_argument("--db", type=_positive_int,
@@ -592,9 +602,8 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="enumeration cap on D_B^fN")
     _io_arguments(oracle, "json")
-    oracle.set_defaults(func=cmd_oracle)
 
-    sweep = sub.add_parser("sweep", help="tabulate one quantity along one axis")
+    sweep = command("sweep", cmd_sweep, "tabulate one quantity along one axis")
     sweep.add_argument("--quantity", required=True,
                        choices=sorted(_SWEEP_TABLE))
     sweep.add_argument("--axis", required=True,
@@ -608,9 +617,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--fix", action="append", metavar="KEY=VALUE",
                        help="override a fixed parameter (repeatable)")
     _io_arguments(sweep, "csv")
-    sweep.set_defaults(func=cmd_sweep)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv):
+    """The Namespace that the full parser makes of argv, parsed once.
+
+    An argv that starts with a command goes to that command's parser
+    alone, and its leftovers are refused by the top-level parser, as
+    argparse's own two-stage parse does; any other argv goes through the
+    full parser. Usage, error text and exit status are the full parser's.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def _show_warning(message, *_) -> None:
@@ -618,8 +645,11 @@ def _show_warning(message, *_) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line, argv or else sys.argv[1:]; returns the exit code.
+
+    The argv is parsed once, by its command's own parser (see _parse).
+    """
+    args = _parse(argv)
     # A library warning that the filters let through is shown as one line.
     # The filters stay as they are, but catch_warnings resets which warnings
     # count as already shown, so each call prints its own.

@@ -156,7 +156,11 @@ def h(x):
     x gives a float. Each element equals the scalar evaluation bit for
     bit, because log1p goes through ``math`` per element.
     """
-    x = _check_unit("h argument", x)
+    return _result(_h(_check_unit("h argument", x)))
+
+
+def _h(x) -> np.ndarray:
+    """h of a float array already known to lie in [0, 1], as an array."""
     # Terms shrink by at least a factor x < 1e-3, so a handful suffice for
     # full double precision; x = 0 sums to exactly 0. The series is cheap
     # next to a logarithm, so it runs on every lane and the closed form
@@ -168,7 +172,7 @@ def h(x):
         out[closed] = 0.5 * ((1.0 + u) * _libm(math.log1p, u)
                              + (1.0 - u) * _libm(math.log1p, -u))
     # Removable singularity: arctanh diverges but the limit is ln 2.
-    return _result(np.where(x == 1.0, LN2, out))
+    return np.where(x == 1.0, LN2, out)
 
 
 def binary_entropy_from_gap(x: float) -> Nats:

@@ -26,6 +26,7 @@ from .entropy_kernels import (
     LN2,
     Nats,
     _check_unit,
+    _h,
     _libm,
     _require,
     _result,
@@ -113,7 +114,7 @@ def mutual_information(gamma, alpha, f) -> Nats:
 def _mi_exponent_form(t, alpha, f, h_gamma):
     """I(f) at time t from checked arrays, with h(exp(-t)) given."""
     exponents = _stacked((-t * (1.0 - f), (-t * alpha) * f))
-    h_rest, h_fragment = h(_libm(math.exp, exponents))
+    h_rest, h_fragment = _h(_libm(math.exp, exponents))
     return _combine(alpha, h_rest, h_fragment, h_gamma)
 
 
@@ -191,18 +192,18 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None):
 
 def _bisect_redundancy(t, alpha, delta):
     """2 / (lo + hi) per lane of 1-d t > 0, or NaN where I(1/2) falls short."""
-    h_gamma = h(_libm(math.exp, -t))
+    h_gamma = _h(_libm(math.exp, -t))
     target = (1.0 - delta) * LN2
-
-    def shortfall(f):
-        return _mi_exponent_form(t, alpha, f, h_gamma) - target
-
     roots = np.full(t.shape, math.nan)
-    attained = ~(shortfall(0.5) < 0.0)
+    attained = ~(_mi_exponent_form(t, alpha, 0.5, h_gamma) - target < 0.0)
     if not attained.any():
         return roots
     t, alpha, h_gamma, target = (
         a[attained] for a in (t, alpha, h_gamma, target))
+    # The steps below are _mi_exponent_form's, with -t and -t alpha formed
+    # once and _combine's alpha > 0 branch (alpha = 0 is refused).
+    minus_t, minus_t_alpha = -t, -t * alpha
+    exponents = np.empty((2,) + t.shape)
     lo = np.zeros(t.shape)
     hi = np.full(t.shape, 0.5)
     # I(f) rises monotonically from I(0) = 0, so this bracket is safe.
@@ -211,7 +212,10 @@ def _bisect_redundancy(t, alpha, delta):
     width = 0.5
     while width > _F_TOL:
         mid = 0.5 * (lo + hi)
-        below = shortfall(mid) < 0.0
+        np.multiply(minus_t, 1.0 - mid, out=exponents[0])
+        np.multiply(minus_t_alpha, mid, out=exponents[1])
+        h_rest, h_fragment = _h(_libm(math.exp, exponents))
+        below = (((LN2 + h_rest) - h_fragment) - h_gamma) - target < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         width *= 0.5

@@ -4,6 +4,7 @@ Everything but the import check runs in-process through main(argv), so
 exit codes and output bytes are checked without shelling out.
 """
 
+import argparse
 import json
 import math
 import os
@@ -20,11 +21,14 @@ from photon_darwinism.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
+    _build_parser,
+    _parse,
     _quadrature_order,
     main,
 )
 from photon_darwinism.receptivity import alpha_disk
 from photon_darwinism.superpositions import mi_mway
+from test_golden_outputs import CASES as GOLDEN_CASES
 
 BASE_CFG = (
     "radius_m = 1e-6\n"
@@ -702,3 +706,98 @@ class TestParserReuse:
         assert json.loads(payload)["fixed"] == {
             "t_over_tauD": 10.0, "f": 0.2, "alpha": 1.0
         }
+
+
+# main() parses an argv that starts with a command by that command's parser
+# alone; these argvs probe where that could part from the full parser.
+RATE = ["rate", "--config", "scn.cfg"]
+SWEEP_MI = ["sweep", "--quantity", "mi", "--axis", "f", "--start", "0",
+            "--stop", "1", "--count", "3"]
+DISPATCH_ARGVS = {
+    "empty": [],
+    "short-help": ["-h"],
+    "long-help": ["--help"],
+    "unknown-command": ["nope"],
+    "option-before-command": ["-x", "rate"],
+    "missing-config": ["rate"],
+    "config-without-value": ["rate", "--config"],
+    "unknown-option": RATE + ["--bogus"],
+    "extra-positional": RATE + ["extra"],
+    "abbreviation": ["rate", "--conf", "scn.cfg"],
+    "repeated-option": RATE + ["--config", "other.cfg"],
+    "double-dash-value": ["rate", "--config", "--", "scn.cfg"],
+    "double-dash-after-command": ["rate", "--", "scn.cfg"],
+    "bare-fix": SWEEP_MI + ["--fix"],
+    "order-out-of-range": RATE + ["--order", "1"],
+    "command-help": ["rate", "-h"],
+    "command-help-abbreviated": ["rate", "--he"],
+    "version": ["--version"],
+    "bad-seed": ["oracle", "--seed", "x"],
+    "ambiguous-abbreviation": ["oracle", "--f", "csv"],
+    "explicit-value": ["rate", "--config=scn.cfg", "--format=csv"],
+    "negative-exponent": ["oracle", "--db", "2", "--fn", "1",
+                          "--b-scale", "-1e-3"],
+    "negative-exponent-start": ["sweep", "--quantity", "alpha", "--axis",
+                                "chi", "--start", "-1e-3", "--stop", "1",
+                                "--count", "2"],
+    "negative-infinity": ["oracle", "--b-scale", "-inf"],
+    "negative-before-command": ["-1", "oracle"],
+    "negative-after-command": ["oracle", "-1"],
+    "fix-repeated": SWEEP_MI + ["--fix", "f=0.3", "--fix", "alpha=0.5"],
+}
+# Every golden invocation too; its scenario placeholders such as {disk}
+# stay as written, since parsing opens no file.
+DISPATCH_ARGVS.update((f"golden-{case_id}", argv)
+                      for case_id, argv in GOLDEN_CASES.items())
+
+
+def _outcome(parse, argv, capsys):
+    """(Namespace or exit code, stdout, stderr) of one parse of argv."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(),
+                         ids=DISPATCH_ARGVS.keys())
+def test_main_parses_as_the_full_parser(argv, capsys):
+    full = _outcome(_build_parser()[0].parse_args, argv, capsys)
+    if isinstance(full[0], argparse.Namespace):
+        # command and func included: Namespaces compare all attributes.
+        assert _outcome(_parse, argv, capsys) == full
+        assert full[0].command == argv[0] and callable(full[0].func)
+    else:
+        assert _outcome(main, argv, capsys) == full
+
+
+class TestNegativeExponents:
+    """A negative number written with an exponent is a value, not a flag."""
+
+    def test_b_scale_prints_the_bytes_of_its_decimal_form(self, capsys):
+        model = ["oracle", "--db", "2", "--fn", "1", "--format", "csv"]
+        assert main(model + ["--b-scale", "-0.001"]) == EXIT_OK
+        decimal = capsys.readouterr()
+        assert main(model + ["--b-scale", "-1e-3"]) == EXIT_OK
+        assert capsys.readouterr() == decimal
+
+    def test_pip_alpha_reaches_the_programs_check(self, capsys):
+        assert main(["pip", "--times", "1", "--alpha", "-1e-3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be in [0, 1], got -0.001\n"
+
+    def test_sweep_start(self, capsys):
+        argv = ["sweep", "--quantity", "alpha", "--axis", "chi",
+                "--start", "-1e-3", "--stop", "1", "--count", "2"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("chi,alpha\n-0.001,")
+
+    def test_negative_infinity_is_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--b-scale", "-inf"])
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(
+            "error: argument --b-scale: expected one argument\n")
