@@ -21,6 +21,7 @@ import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,18 +63,6 @@ class CliError(Exception):
     """User-facing input problem; maps to the configuration exit code."""
 
 
-def _fmt(value) -> str:
-    """One number, 12 significant digits, empty string for missing."""
-    if value is None:
-        return ""
-    return "%.12g" % value
-
-
-def _none_for_nan(values) -> list:
-    """Array values as Python floats, with None where a value is NaN."""
-    return [None if math.isnan(v) else v for v in values.tolist()]
-
-
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Endings of %.12g text that JSON spells differently: exponents 12 to 15,
 # which JSON prints positionally, and the three-digit negative exponents,
@@ -96,15 +85,66 @@ def _json_float(value) -> str:
     return _JSON_SPECIAL.get(text) or repr(float(text))
 
 
+_BULK_MIN = 48  # below it, numpy's cost per call exceeds what one % pass saves
+
+
+def _json_texts(values) -> list[str]:
+    """_json_float of each value of a 1-d float array. From _BULK_MIN on, one
+    %.12g pass, redone where JSON may respell: NaN, inf, near-integers, tiny."""
+    floats = values.tolist()
+    if len(floats) < _BULK_MIN:
+        return [_json_float(v) for v in floats]
+    texts = ("\n".join(["%.12g"] * len(floats)) % tuple(floats)).split("\n")
+    with np.errstate(invalid="ignore"):  # NaN and the infinities are odd
+        odd = ~(np.abs(values - np.rint(values)) > 1e-11 * np.abs(values))
+    for i in np.flatnonzero(odd | (np.abs(values) < 1e-298)).tolist():
+        texts[i] = _json_float(floats[i])
+    return texts
+
+
+class _Table(NamedTuple):
+    """Rows of float cells (a 2-d array), written a CSV line or a JSON list
+    item each: an object keyed by names, else a list. missing flags each
+    column in which a NaN is no value, empty in CSV and null in JSON."""
+    cells: np.ndarray
+    names: tuple = None
+    missing: tuple = (False,)
+
+    def json(self, indent: str) -> str:
+        """JSON text of a table of at least one row; indent as for _json."""
+        inner, cell = indent + "  ", indent + "    "
+        texts = _json_texts(self.cells.ravel())
+        for i in np.flatnonzero(np.isnan(self.cells) & self.missing).tolist():
+            texts[i] = "null"
+        fields = ([encode_basestring_ascii(name) + ": %s" for name in self.names]
+                  if self.names else ["%s"] * self.cells.shape[1])
+        brackets = "{}" if self.names else "[]"
+        row = brackets[0] + cell + ("," + cell).join(fields) + inner + brackets[1]
+        rows = ("," + inner).join([row] * len(self.cells))
+        return "[" + inner + rows % tuple(texts) + indent + "]"
+
+    def csv_lines(self, header):
+        """CSV lines under header, all cells in one %.12g pass."""
+        yield header
+        if not any(self.missing):
+            template = [",".join(["%.12g"] * self.cells.shape[1])] * len(self.cells)
+            values = self.cells.ravel()
+        else:
+            blank = np.isnan(self.cells) & self.missing
+            template = map(",".join, np.where(blank, "", "%.12g").tolist())
+            values = self.cells[~blank]
+        yield "\n".join(template) % tuple(values.tolist())
+
+
 def _json(obj, indent: str, memo: dict) -> str:
     """JSON text of obj with its floats at 12 significant digits.
 
     The bytes are those of json.dumps(obj, indent=2) after rounding every
-    float through %.12g. Dict keys must be strings. indent is the newline
-    and indentation that precede obj's closing bracket. A list or tuple
-    that appears more than once at one depth, like the fragment grid
-    shared by pip blocks, is formatted once: memo maps (id, indent) to its
-    text and lives for one call.
+    float through %.12g; a 1-d float ndarray is a list, a _Table its rows.
+    Dict keys must be strings. indent is the newline and indentation that
+    precede obj's closing bracket. A list, tuple or array that appears more
+    than once at one depth, like the fragment grid shared by pip blocks, is
+    formatted once: memo maps (id, indent) to its text for one call.
     """
     if isinstance(obj, float):
         return _json_float(obj)
@@ -125,13 +165,16 @@ def _json(obj, indent: str, memo: dict) -> str:
         items = [encode_basestring_ascii(key) + ": " + _json(value, inner, memo)
                  for key, value in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, _Table):
+        return obj.json(indent)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             return "[]"
         key = (id(obj), indent)
         if key not in memo:
-            items = [_json_float(v) if type(v) is float else _json(v, inner, memo)
-                     for v in obj]
+            items = (_json_texts(obj) if isinstance(obj, np.ndarray) else
+                     [_json_float(v) if type(v) is float else _json(v, inner, memo)
+                      for v in obj])
             memo[key] = "[" + inner + ("," + inner).join(items) + indent + "]"
         return memo[key]
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
@@ -154,24 +197,19 @@ def _emit(args, payload, csv_lines) -> None:
         sys.stdout.write(text)
 
 
-def _pair_blocks(header, xs, blocks):
-    """CSV blocks of (title lines, ys) over one x column, separated by
-    blank lines; the x column's text is formatted once for all blocks.
-    """
-    x_text = ["%.12g," % x for x in xs]
-    for i, (titles, ys) in enumerate(blocks):
-        if i:
-            yield ""
-        yield from titles
-        yield header
-        yield from (x if y is None else x + "%.12g" % y
-                    for x, y in zip(x_text, ys))
+def _pip_lines(times, f_grid, mi):
+    """pip's CSV blocks, one per time: the f texts are formatted once, into
+    a row template that each block's values fill in one % pass."""
+    rows = "\n".join(["%.12g,%%.12g"] * len(f_grid)) % tuple(f_grid.tolist())
+    yield "\n\n".join("# t_over_tauD = %.12g\nf,mi_nats\n" % t + rows % tuple(row)
+                      for t, row in zip(times, mi.tolist()))
 
 
 def _report_lines(report: dict):
     """A flat quantity -> value report as two-column CSV lines."""
     yield "quantity,value"
-    yield from (f"{key},{_fmt(val)}" for key, val in report.items())
+    yield from (key + ("," if val is None else ",%.12g" % val)
+                for key, val in report.items())
 
 
 def _positive_int(text: str) -> int:
@@ -301,12 +339,9 @@ def cmd_pip(args) -> int:
 
     f_grid = np.linspace(0.0, args.f_max, args.f_count)
     mi = mutual_information_at_time(np.array(times)[:, None], alpha, f_grid)
-    fs, rows = f_grid.tolist(), mi.tolist()
-    blocks = [{"t_over_tauD": t, "f": fs, "mi_nats": row}
-              for t, row in zip(times, rows)]
-    lines = _pair_blocks("f,mi_nats", fs, (([f"# t_over_tauD = {_fmt(t)}"], row)
-                                           for t, row in zip(times, rows)))
-    _emit(args, {"alpha": alpha, "blocks": blocks}, lines)
+    blocks = [{"t_over_tauD": t, "f": f_grid, "mi_nats": row}
+              for t, row in zip(times, mi)]
+    _emit(args, {"alpha": alpha, "blocks": blocks}, _pip_lines(times, f_grid, mi))
     return EXIT_OK
 
 
@@ -336,25 +371,20 @@ def cmd_redundancy(args) -> int:
             raise CliError(f"--t-start must be nonnegative, got {args.t_start}")
         times = np.linspace(args.t_start, args.t_stop, args.t_count)
 
-    exact = _none_for_nan(
-        redundancy_exact(None, args.alpha, args.delta, t_over_tauD=times))
+    exact = redundancy_exact(None, args.alpha, args.delta, t_over_tauD=times)
     with warnings.catch_warnings():
         # The estimate's crossover warning is useful interactively but
         # noise inside a sweep that deliberately starts at t ~ 1.
         warnings.simplefilter("ignore")
-        estimate = redundancy_estimate(times, args.alpha, args.delta).tolist()
+        estimate = redundancy_estimate(times, args.alpha, args.delta)
     # The bound holds only after t = ln(2/delta); earlier rows print none.
     late = times > math.log(2.0 / args.delta)
     lower = np.full(times.shape, math.nan)
     lower[late] = redundancy_lower_bound(times[late], args.delta)
-    lower = _none_for_nan(lower)
-    times = times.tolist()
-    rows = list(zip(times, exact, estimate, lower))
-    payload = [{"t_over_tauD": t, "R_exact": ex, "R_estimate": est,
-                "R_lower": low} for t, ex, est, low in rows]
-    lines = itertools.chain(["t_over_tauD,R_exact,R_estimate,R_lower"],
-                            (",".join(map(_fmt, row)) for row in rows))
-    _emit(args, payload, lines)
+    table = _Table(np.column_stack((times, exact, estimate, lower)),
+                   ("t_over_tauD", "R_exact", "R_estimate", "R_lower"),
+                   (False, True, False, True))
+    _emit(args, table, table.csv_lines(",".join(table.names)))
     return EXIT_OK
 
 
@@ -459,8 +489,8 @@ def _sweep_fault(quantity, axis, values, fixed, exc) -> str:
         try:
             spec["evaluate"]({**defaults, key: fixed[key]})
         except ValueError as fix_exc:
-            return f"--fix {key}={_fmt(fixed[key])}: {fix_exc}"
-    return f"--axis {axis} at {_fmt(value)}: {exc}"
+            return f"--fix {key}={'%.12g' % fixed[key]}: {fix_exc}"
+    return f"--axis {axis} at {'%.12g' % value}: {exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -503,17 +533,11 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise CliError(_sweep_fault(args.quantity, args.axis, values,
                                     fixed, exc)) from exc
-    xs = values.tolist()
-    ys = (_none_for_nan(results) if args.quantity == "redundancy"
-          else results.tolist())
-    payload = {
-        "quantity": args.quantity,
-        "axis": args.axis,
-        "fixed": fixed,
-        "points": [[x, y] for x, y in zip(xs, ys)],
-    }
-    lines = _pair_blocks(f"{args.axis},{args.quantity}", xs, [((), ys)])
-    _emit(args, payload, lines)
+    points = _Table(np.column_stack((values, results)),
+                    missing=(False, args.quantity == "redundancy"))
+    payload = {"quantity": args.quantity, "axis": args.axis, "fixed": fixed,
+               "points": points}
+    _emit(args, payload, points.csv_lines(f"{args.axis},{args.quantity}"))
     return EXIT_OK
 
 
@@ -534,7 +558,10 @@ def _order_argument(sub) -> None:
 
 # As in newer CPython's argparse, "-", optional ".", digit starts a negative
 # number, so -1e-3 is a value; 3.11's takes only forms like -1 and -0.5.
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+# So do -inf, -infinity and -nan in any case, which float() reads.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+# Usage and help wrap at 78 columns, as in an 80-column terminal, always.
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 @functools.cache
@@ -546,6 +573,7 @@ def _build_parser():
     """
     parser = argparse.ArgumentParser(
         prog="photon-darwinism",
+        formatter_class=_FORMATTER,
         description="Decoherence, receptivity and information redundancy "
                     "for a sphere illuminated by a blackbody sky patch.",
     )
@@ -553,7 +581,8 @@ def _build_parser():
     commands = {}
 
     def command(name, func, help):
-        commands[name] = subparser = sub.add_parser(name, help=help)
+        commands[name] = subparser = sub.add_parser(
+            name, help=help, formatter_class=_FORMATTER)
         subparser._negative_number_matcher = _NEGATIVE_NUMBER
         subparser.set_defaults(func=func)
         return subparser

@@ -795,9 +795,50 @@ class TestNegativeExponents:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("chi,alpha\n-0.001,")
 
-    def test_negative_infinity_is_still_refused(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--b-scale", "-inf"],
+         "--b-scale must be finite and at most 1 in magnitude, got -inf"),
+        (["oracle", "--b-scale", "-NaN"],
+         "--b-scale must be finite and at most 1 in magnitude, got nan"),
+        (["sweep", "--quantity", "mi", "--axis", "f", "--start", "-inf",
+          "--stop", "1", "--count", "2"], "--start must be finite, got -inf"),
+        (["redundancy", "--t-stop", "-Infinity"],
+         "--t-stop must be finite, got -inf"),
+        (["redundancy", "--t-start", "-nan"],
+         "--t-start must be finite, got nan"),
+        (["pip", "--times", "1", "--alpha", "-INF"],
+         "alpha must be in [0, 1], got -inf"),
+        (["pip", "--times", "-inf,1"], "--times must be finite, got -inf"),
+    ])
+    def test_negative_infinity_and_nan_reach_the_programs_check(
+            self, argv, message, capsys):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_a_word_that_is_not_a_number_is_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["oracle", "--b-scale", "-inf"])
+            main(["oracle", "--b-scale", "-x"])
         assert exc.value.code == EXIT_CONFIG
         assert capsys.readouterr().err.endswith(
             "error: argument --b-scale: expected one argument\n")
+
+
+class TestUsageWidth:
+    """Usage and help text do not depend on the terminal's width."""
+
+    @pytest.mark.parametrize("argv", [SWEEP_MI + ["--fix"], ["rate", "-h"],
+                                      ["-h"], []])
+    def test_same_bytes_at_every_width(self, argv, monkeypatch, capsys):
+        outcomes = set()
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outcomes.add(_outcome(main, argv, capsys))
+        assert len(outcomes) == 1
+
+    def test_width_is_that_of_an_80_column_terminal(self, capsys):
+        code, out, err = _outcome(main, ["rate", "-h"], capsys)
+        assert code == EXIT_OK and err == ""
+        assert max(map(len, out.splitlines())) <= 78
+        assert "  --order ORDER" in out

@@ -15,10 +15,9 @@ after a change checks that the change kept every byte of every pool.
 Then each script under demos/ runs in this process, as tests/test_demos.py
 runs it, and one line `demo=<name> sha256=<hex>` gives the digest of its
 stdout; an error that escapes a demo is appended to that stdout. Last, the
-fixed malformed and edge invocations of ERROR_CALLS run in-process, with
-usage text wrapped at 80 columns, and one line `errors calls=<n>
-sha256=<hex>` digests each one's argv, exit status, stdout and stderr,
-the temporary path replaced by the same token. The pool lines come first
+fixed malformed and edge invocations of ERROR_CALLS run in-process, and
+one line `errors calls=<n> sha256=<hex>` digests each one's argv, exit
+status, stdout and stderr, the temporary path replaced by the same token. The pool lines come first
 and keep their format, so digests recorded before the demo and error
 lines existed stay comparable.
 
@@ -38,12 +37,10 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import runpy
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave perfbench/ as checked out
@@ -144,8 +141,7 @@ def errors_digest() -> tuple[int, str, str]:
     holds each call's argv, status, stdout and stderr."""
     digest = hashlib.sha256()
     records = []
-    with tempfile.TemporaryDirectory() as tmpdir, \
-            mock.patch.dict(os.environ, COLUMNS="80"):
+    with tempfile.TemporaryDirectory() as tmpdir:
         for name, text in ERROR_FILES.items():
             Path(tmpdir, name).write_text(text.format(tmp=tmpdir))
         for template in ERROR_CALLS:
