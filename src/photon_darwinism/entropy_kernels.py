@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "InputError",
     "LN2",
     "h",
     "h_power_series",
@@ -76,11 +77,15 @@ def _result(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+class InputError(ValueError):
+    """An argument outside its function's domain, named in the message."""
+
+
 def _require(ok, values, message: str) -> None:
-    """Raise ValueError naming the first of values where ok is False."""
+    """Raise InputError naming the first of values where ok is False."""
     if not ok.all():
         bad = values[np.logical_not(ok)]
-        raise ValueError(message.format(bad.flat[0].item()))
+        raise InputError(message.format(bad.flat[0].item()))
 
 
 def _check_unit(name: str, value) -> np.ndarray:

@@ -135,8 +135,9 @@ class Scenario:
             if not floor < value < math.inf:
                 raise ScenarioError(
                     f"{key} must be finite and above {floor:g}, got {value}")
-        lam = 2.0 * math.pi * HBAR * SPEED_OF_LIGHT / (
-            BOLTZMANN * self.temperature_K)
+        # Divided by T last: k_B T underflows to 0 below about 1e-301 K.
+        lam = 2.0 * math.pi * HBAR * SPEED_OF_LIGHT / BOLTZMANN \
+            / self.temperature_K
         # Outside the dipole regime the cross section model is wrong, but
         # the numbers still evaluate; warn instead of refusing.
         if lam < 10.0 * self.radius_m or lam < 10.0 * self.dx_m:
@@ -162,6 +163,12 @@ class RateResult:
     ratio: float          # tau_D_inv / T_D_inv
 
 
+def _named(scenario: Scenario, *inputs: str) -> str:
+    """The scenario's inputs, then its sphere, as a message names them."""
+    named = " and ".join(f"{k} = {getattr(scenario, k)}" for k in inputs)
+    return f"{named} (radius_m = {scenario.radius_m}, dx_m = {scenario.dx_m})"
+
+
 def _finite_rate(rate, scenario: Scenario, *inputs: str) -> float:
     """rate(), or a ValueError naming inputs when it is no finite double."""
     try:
@@ -169,10 +176,8 @@ def _finite_rate(rate, scenario: Scenario, *inputs: str) -> float:
     except OverflowError:  # a float ** int past the largest double
         value = math.inf
     if not value < math.inf:
-        named = " and ".join(f"{k} = {getattr(scenario, k)}" for k in inputs)
-        raise ValueError(f"decoherence rate is not a finite double at {named} "
-                         f"(radius_m = {scenario.radius_m}, dx_m = "
-                         f"{scenario.dx_m})")
+        raise ValueError("decoherence rate is not a finite double at "
+                         + _named(scenario, *inputs))
     return value
 
 
@@ -204,6 +209,10 @@ def decoherence_rate(scenario: Scenario, order: int = 64, moments=None) -> RateR
     region = scenario.region
     if region.kind == "point":
         tau = point_source_rate(scenario, math.acos(region.cos_theta))
+        if big_rate == 0.0:
+            raise ValueError("full-sky decoherence rate underflows to 0 at "
+                             + _named(scenario, "temperature_K")
+                             + ", so a point beam has no ratio to it")
         return RateResult(tau_D_inv=tau, T_D_inv=big_rate, ratio=tau / big_rate)
     omega = region.solid_angle_sr
     if omega == 0.0:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entropy_kernels import InputError
+
 __all__ = [
     "FULL_SPHERE",
     "SkyRegion",
@@ -122,9 +124,9 @@ class SkyRegion:
 def _check_cap(theta0: float, chi: float) -> None:
     """Reject a cap half-angle outside [0, pi] and a non-finite tilt."""
     if not 0.0 <= theta0 <= math.pi:
-        raise ValueError(f"theta0 must be in [0, pi], got {theta0}")
+        raise InputError(f"theta0 must be in [0, pi], got {theta0}")
     if not math.isfinite(chi):
-        raise ValueError(f"chi must be finite, got {chi}")
+        raise InputError(f"chi must be finite, got {chi}")
 
 
 def _check_grid_axes(u, phi) -> None:

@@ -345,42 +345,49 @@ class TestSweep:
                      "--spacing", "log"]) == EXIT_CONFIG
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv,culprit", [
-        (["--quantity", "mi", "--axis", "t_over_tauD",
-          "--start", "-5", "--stop", "5"], "--axis t_over_tauD at -5:"),
+    # A domain error is the library's, printed as it was raised: it names
+    # the parameter and its first bad value, an angle in radians.
+    @pytest.mark.parametrize("argv,message", [
+        (["--quantity", "mi", "--axis", "t_over_tauD", "--start", "-5",
+          "--stop", "5"], "t_over_tauD must be finite and nonnegative, got -5.0"),
         (["--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "2"],
-         "--axis f at 2:"),
+         "f must be in [0, 1], got 2.0"),
         (["--quantity", "redundancy", "--axis", "delta",
-          "--start", "0.5", "--stop", "2"], "--axis delta at 1.25:"),
+          "--start", "0.5", "--stop", "2"], "delta must be in (0, 1), got 1.25"),
         (["--quantity", "mi_unbalanced", "--axis", "t_over_tauD",
-          "--start", "-1000", "--stop", "1"], "--axis t_over_tauD at -1000:"),
+          "--start", "-1000", "--stop", "1"],
+         "t_over_tauD must be finite and nonnegative, got -1000.0"),
         (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
-          "--stop", "1", "--fix", "M=1"], "--fix M=1:"),
+          "--stop", "1", "--fix", "M=1"],
+         "branch count must be an integer >= 2, got 1.0"),
         (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
           "--stop", "1", "--fix", "M=2.5"],
-         "--fix M=2.5: branch count must be an integer >= 2, got 2.5"),
+         "branch count must be an integer >= 2, got 2.5"),
         # The two cat sweeps checked no time before exp(-t), so a negative
         # one blamed gamma = exp(1) or raised "math range error".
         (["--quantity", "mi_unbalanced", "--axis", "t_over_tauD",
-          "--start", "-1", "--stop", "1"], "--axis t_over_tauD at -1: "
-         "t_over_tauD must be finite and nonnegative, got -1.0\n"),
+          "--start", "-1", "--stop", "1"],
+         "t_over_tauD must be finite and nonnegative, got -1.0"),
         (["--quantity", "mi_mway", "--axis", "t_over_tauD",
-          "--start", "-1000", "--stop", "1"], "--axis t_over_tauD at -1000: "
-         "t_over_tauD must be finite and nonnegative, got -1000.0\n"),
+          "--start", "-1000", "--stop", "1"],
+         "t_over_tauD must be finite and nonnegative, got -1000.0"),
         (["--quantity", "mi_unbalanced", "--axis", "f", "--start", "0",
-          "--stop", "1", "--fix", "t_over_tauD=-2"], "--fix t_over_tauD=-2: "
-         "t_over_tauD must be finite and nonnegative, got -2.0\n"),
+          "--stop", "1", "--fix", "t_over_tauD=-2"],
+         "t_over_tauD must be finite and nonnegative, got -2.0"),
         (["--quantity", "mi_mway", "--axis", "f", "--start", "0",
-          "--stop", "1", "--fix", "t_over_tauD=-2"], "--fix t_over_tauD=-2: "
-         "t_over_tauD must be finite and nonnegative, got -2.0\n"),
+          "--stop", "1", "--fix", "t_over_tauD=-2"],
+         "t_over_tauD must be finite and nonnegative, got -2.0"),
         (["--quantity", "mi", "--axis", "f", "--start", "0", "--stop", "1",
-          "--fix", "t_over_tauD=5", "--fix", "alpha=2"], "--fix alpha=2:"),
+          "--fix", "t_over_tauD=5", "--fix", "alpha=2"],
+         "alpha must be in [0, 1], got 2.0"),
+        (["--quantity", "alpha", "--axis", "theta0", "--start", "0",
+          "--stop", "270"], "theta0 must be in [0, pi], got 4.71238898038469"),
     ])
-    def test_domain_errors_name_the_input(self, argv, culprit, capsys):
+    def test_domain_errors_name_the_input(self, argv, message, capsys):
         assert main(["sweep", "--count", "3"] + argv) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {culprit}")
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,9 +445,11 @@ def test_argparse_rejections_use_the_config_exit_code(capsys):
     assert "invalid choice: 'nonsense'" in captured.err
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["pip", "--times", "1,nan"], "--times"),
-    (["pip", "--times", "inf"], "--times"),
+# The CLI checks the grid endpoints it spaces itself; a time or a --fix
+# value goes to the library as typed, and the library names it.
+@pytest.mark.parametrize("argv,name", [
+    (["pip", "--times", "1,nan"], "t_over_tauD"),
+    (["pip", "--times", "inf"], "t_over_tauD"),
     (["redundancy", "--t-start", "nan"], "--t-start"),
     (["redundancy", "--t-stop", "nan"], "--t-stop"),
     (["redundancy", "--t-stop", "inf"], "--t-stop"),
@@ -450,13 +459,13 @@ def test_argparse_rejections_use_the_config_exit_code(capsys):
       "--start", "0", "--stop", "inf", "--count", "3"], "--stop"),
     (["sweep", "--quantity", "mi", "--axis", "f", "--start", "0",
       "--stop", "0.5", "--count", "3", "--fix", "t_over_tauD=nan"],
-     "--fix t_over_tauD"),
+     "t_over_tauD"),
 ])
-def test_non_finite_numbers_are_config_errors(argv, flag, capsys):
+def test_non_finite_numbers_are_config_errors(argv, name, capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{flag} must be finite" in captured.err
+    assert captured.err.startswith(f"error: {name} must be finite")
 
 
 @pytest.mark.parametrize("command,extra,key", [
@@ -519,6 +528,54 @@ def test_overflowing_point_rate_names_its_inputs(command, tmp_path, capsys):
         f"config error: {path}: decoherence rate is not a finite double at "
         "irradiance_W_m2 = 1e+300 and temperature_K = 1e+30 (radius_m = "
         "1e-06, dx_m = 1e-06)\n")
+
+
+# Below about 1e-301 K, k_B T underflows to 0, and the thermal wavelength
+# divided by it: rate, alpha and pip --config ended in a ZeroDivisionError
+# traceback. The rates underflow to 0 too, which a disk prints.
+@pytest.mark.parametrize("temperature", ["1e-305", "5e-324"])
+@pytest.mark.parametrize("command", ["rate", "alpha", "pip"])
+def test_cold_disk_prints_zero_rates(command, temperature, tmp_path, capsys):
+    path = tmp_path / "cold.cfg"
+    path.write_text(BASE_CFG.replace("2.725", temperature)
+                    + "region = disk:60:0\n")
+    argv = [command, "--config", str(path), "--format", "json"]
+    if command == "pip":
+        argv += ["--times", "1", "--f-count", "3"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    if command == "rate":
+        assert report["tau_D_inv_per_s"] == report["T_D_inv_per_s"] == 0.0
+        assert report["ratio_to_isotropic"] == pytest.approx(0.353125)
+    elif command == "alpha":
+        assert report["tau_R_inv_per_s"] == 0.0
+        assert math.isfinite(report["tau_R_inv_over_T_D_inv"])
+    else:
+        assert report["alpha"] == pytest.approx(alpha_disk(math.radians(60), 0))
+
+
+# A point beam's rate ratio divides by the full-sky rate, which underflows
+# to 0 at 1e-40 K; the message named no input ("float division by zero").
+# pip --config takes only alpha from the scenario, and needs no rate.
+@pytest.mark.parametrize("command", ["rate", "alpha", "pip"])
+def test_cold_point_beam_names_the_temperature(command, tmp_path, capsys):
+    path = tmp_path / "cold-beam.cfg"
+    path.write_text(BASE_CFG.replace("2.725", "1e-40")
+                    + "region = point:45\nirradiance_W_m2 = 1e-5\n")
+    argv = [command, "--config", str(path)]
+    if command == "pip":
+        assert main(argv + ["--times", "1"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        return
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {path}: full-sky decoherence rate underflows to 0 at "
+        "temperature_K = 1e-40 (radius_m = 1e-06, dx_m = 1e-06), so a point "
+        "beam has no ratio to it\n")
 
 
 @pytest.mark.parametrize("command", ["alpha", "pip"])
@@ -667,7 +724,8 @@ def test_negative_start_time_is_a_config_error(capsys):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --t-start must be nonnegative, got -5.0\n"
+    assert captured.err == (
+        "error: t_over_tauD must be finite and nonnegative, got -5.0\n")
 
 
 class TestParserReuse:
@@ -808,7 +866,8 @@ class TestNegativeExponents:
          "--t-start must be finite, got nan"),
         (["pip", "--times", "1", "--alpha", "-INF"],
          "alpha must be in [0, 1], got -inf"),
-        (["pip", "--times", "-inf,1"], "--times must be finite, got -inf"),
+        (["pip", "--times", "-inf,1"],
+         "t_over_tauD must be finite and nonnegative, got -inf"),
     ])
     def test_negative_infinity_and_nan_reach_the_programs_check(
             self, argv, message, capsys):

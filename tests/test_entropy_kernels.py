@@ -6,6 +6,7 @@ keep reproducing them.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,16 @@ from hypothesis import given, strategies as st
 
 from photon_darwinism.entropy_kernels import (
     LN2,
+    InputError,
     binary_entropy_from_gap,
     h,
     h_power_series,
     m_spectrum_entropy,
     xlogx,
 )
+from photon_darwinism.information import mutual_information_at_time
+from photon_darwinism.radiometry import disk_rate
+from photon_darwinism.receptivity import alpha_disk
 
 
 def test_h_endpoints_are_exact():
@@ -205,3 +210,20 @@ def test_xlogx_zero_and_nan():
     assert not np.signbit(xlogx(-0.0))
     assert np.isnan(xlogx(np.nan))
     assert xlogx(np.array([])).shape == (0,)
+
+
+# The domain checks that the command line prints as "error:" lines raise
+# InputError, which is still a ValueError for every library caller.
+@pytest.mark.parametrize("call, message", [
+    (lambda: mutual_information_at_time(10.0, 2.0, 0.3),
+     "alpha must be in [0, 1], got 2.0"),
+    (lambda: h(np.array([0.5, np.nan])), "h argument must be in [0, 1], got nan"),
+    (lambda: m_spectrum_entropy(0.5, 2.5),
+     "branch count must be an integer >= 2, got 2.5"),
+    (lambda: alpha_disk(4.0, 0.0), "theta0 must be in [0, pi], got 4.0"),
+    (lambda: disk_rate(1.0, math.inf), "chi must be finite, got inf"),
+], ids=["require-alpha", "require-h", "require-M", "cap-theta0", "cap-chi"])
+def test_domain_refusals_are_input_errors(call, message):
+    with pytest.raises(InputError, match=re.escape(message)) as info:
+        call()
+    assert isinstance(info.value, ValueError)

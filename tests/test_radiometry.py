@@ -351,6 +351,26 @@ def test_scalar_functions_reject_out_of_range_inputs_by_name(call, message):
     assert str(info.value) == message
 
 
+# k_B T underflows to 0 below about 1e-301 K; the thermal wavelength is
+# divided by T alone, so a scenario that cold still builds, with rates 0.
+@pytest.mark.parametrize("temperature", [1e-305, 5e-324])
+def test_cold_scenario_builds_with_zero_rates(temperature):
+    result = decoherence_rate(_scenario(SkyRegion.disk(math.radians(60.0)),
+                                        temperature_K=temperature))
+    assert result.tau_D_inv == result.T_D_inv == 0.0
+    assert result.ratio == pytest.approx(0.353125)
+
+
+def test_point_beam_ratio_to_an_underflowed_full_sky_rate_is_refused():
+    cold = _scenario(SkyRegion.point(math.sqrt(0.5)), temperature_K=1e-40,
+                     irradiance_W_m2=1e-5)
+    with pytest.raises(ValueError) as info:
+        decoherence_rate(cold)
+    assert str(info.value) == (
+        "full-sky decoherence rate underflows to 0 at temperature_K = 1e-40 "
+        "(radius_m = 1e-06, dx_m = 1e-06), so a point beam has no ratio to it")
+
+
 class TestParseScenario:
     BASE = (
         "# desk-scale benchmark\n"

@@ -66,6 +66,12 @@ ERROR_FILES = {
     "half-grid.txt": "# 2 2\n-0.5 1.5707963267948966 0\n"
     "-0.5 4.71238898038469 0\n0.5 1.5707963267948966 0\n"
     "0.5 4.71238898038469 0.5\n",
+    # k_B T underflows to 0 below about 1e-301 K, and the full-sky rate
+    # below about 1e-35 K.
+    "cold-disk.cfg": _SCENARIO.replace("2.725", "1e-305")
+    + "region = disk:60:0\n",
+    "cold-point.cfg": _SCENARIO.replace("2.725", "1e-40")
+    + "region = point:45\nirradiance_W_m2 = 1e-5\n",
 }
 _RATE = ["rate", "--config", "{tmp}/disk.cfg"]
 _SWEEP = ["sweep", "--quantity", "mi", "--axis", "f", "--start", "0",
@@ -104,6 +110,10 @@ ERROR_CALLS = [
     ["alpha", "--config", "{tmp}/unknown-key.cfg"],
     ["rate", "--config", "{tmp}/nan-radius.cfg"],
     ["pip", "--times", "1", "--config", "{tmp}/half-grid.cfg"],
+    *([command, "--config", "{tmp}/" + name] + extra
+      for name in ("cold-disk.cfg", "cold-point.cfg")
+      for command, extra in (("rate", []), ("alpha", []),
+                             ("pip", ["--times", "1", "--f-count", "3"]))),
 ]
 
 
