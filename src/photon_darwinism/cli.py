@@ -130,7 +130,12 @@ class _Table(NamedTuple):
             values = self.cells.ravel()
         else:
             blank = np.isnan(self.cells) & self.missing
-            template = map(",".join, np.where(blank, "", "%.12g").tolist())
+            # One template per blank pattern, keyed by bit j = column j blank.
+            cols = range(blank.shape[1])
+            codes = (blank @ (1 << np.arange(len(cols)))).tolist()
+            texts = {c: ",".join(["" if c >> j & 1 else "%.12g" for j in cols])
+                     for c in set(codes)}
+            template = map(texts.__getitem__, codes)
             values = self.cells[~blank]
         yield "\n".join(template) % tuple(values.tolist())
 

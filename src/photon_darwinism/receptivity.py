@@ -73,9 +73,7 @@ def alpha_numeric(region: SkyRegion, order: int = 64, moments=None) -> float:
     mom_b, mom_c = moments or _region_moment_pair(region, order)
     denominator = _pair_integral(
         mom_b, AngularMoments(s=mom_b.s + mom_c.s, t=mom_b.t + mom_c.t))
-    # The complement pairing is recovered by subtraction, an exact algebraic
-    # identity, which pins alpha inside [0, 1] up to rounding.
-    numerator = denominator - _pair_integral(mom_b, mom_b)
+    numerator = _pair_integral(mom_b, mom_c)
     if denominator > 0.0 and region.kind == "custom":
         # The rest of the sky is only the grid's own cells outside the mask.
         spans = np.multiply(region.grid_mask.shape, _custom_cell_size(region))

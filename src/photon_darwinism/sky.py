@@ -3,20 +3,20 @@
 A region is the patch of sky occupied by the source, seen from the object.
 The separation axis of the superposition defines the global z axis; a
 tilted disk region is priced in its own polar frame and its moments are
-rotated into place, which keeps the disk boundary a coordinate line of the
-quadrature grid.
+rotated into place, which keeps the disk boundary a coordinate line of its
+cos(theta) table.
 
-Quadrature is a product rule: Gauss-Legendre in cos(theta), uniform
-(trapezoid on a periodic interval) in phi. Integrands met here are smooth
-once the cos(theta) domain is split at region boundaries, so the rule
-converges spectrally. A report needs only the angular moments of a
-region's rule, which are summed from a row table in cos(theta) and a
-column table in phi; integrate_sphere's is the one node set built here.
+A report needs only a region's angular moments, summed from a row table
+in cos(theta) and a column table in phi: exact integrals for a disk, and
+cell-center sums for a custom grid. integrate_sphere's product rule,
+Gauss-Legendre in cos(theta) times a uniform rule in phi, builds the one
+node set here.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import warnings
@@ -154,7 +154,7 @@ def solid_angle(region: SkyRegion) -> float:
     if region.kind == "point":
         return 0.0
     if region.kind == "disk":
-        return 2.0 * math.pi * (1.0 - math.cos(region.theta0))
+        return FULL_SPHERE * math.sin(region.theta0 / 2.0) ** 2
     # Custom: Riemann sum of the indicator over its own grid cells.
     du, dphi = _custom_cell_size(region)
     return float(region.grid_mask.sum()) * du * dphi
@@ -198,21 +198,15 @@ def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _panel_axes(ulo: float, uhi: float, order: int):
-    """(u, u weights, phi, phi weight) of a cos(theta) panel's product rule:
+def _panel(ulo: float, uhi: float, order: int):
+    """Product nodes on a cos(theta) panel, (points (N,3), weights (N,)):
     Gauss-Legendre in u from a per-process cache, 2*order uniform phi."""
     x, w = _gauss_legendre(order)
     nphi = 2 * int(order)  # no wrap-around for a small numpy integer
-    u = 0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo)
-    wu = 0.5 * (uhi - ulo) * w
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
-    return u, wu, phi, 2.0 * math.pi / nphi
-
-
-def _panel(ulo: float, uhi: float, order: int):
-    """Product nodes on a cos(theta) panel: (points (N,3), weights (N,))."""
-    u, wu, phi, wphi = _panel_axes(ulo, uhi, order)
-    return _product_points(u, phi).reshape(-1, 3), np.repeat(wu, phi.size) * wphi
+    pts = _product_points(0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo), phi)
+    wu = 0.5 * (uhi - ulo) * w
+    return pts.reshape(-1, 3), np.repeat(wu, nphi) * (2.0 * math.pi / nphi)
 
 
 def integrate_sphere(f, order: int = 64) -> float:
@@ -278,37 +272,54 @@ def _powers(w, x: np.ndarray, y: np.ndarray):
     return w * np.vander(x, 5, True), np.vander(y, 5, True)
 
 
-@functools.lru_cache(maxsize=32)
-def _phi_table(order: int) -> np.ndarray:
-    """_region_moments' Phi table for this order, computed once, read-only."""
-    _, _, phi, wphi = _panel_axes(-1.0, 1.0, order)
-    table = wphi * np.einsum("ia,ib->ab", *_powers(1.0, np.cos(phi), np.sin(phi)))
-    table.flags.writeable = False
-    return table
+def _cap_rows():
+    """Coefficients of W^1..W^9, times 2520 = lcm(1..9), of U[2m, q](W), the
+    integral over [0, W] of w^m (2 - w)^m (1 - w)^q dw, from integer
+    binomials, for the cap and with the complement's sign (-1)^q (odd p
+    rows are 0); and the whole sphere's U (W = 2), rounded once."""
+    c = np.zeros((5, 5, 9), dtype=np.int64)
+    for m, q, i, j in itertools.product(range(3), range(5), range(3), range(5)):
+        n = m + i + j  # w^m (2 - w)^m (1 - w)^q as a sum of w^n terms
+        term = math.comb(m, i) * 2 ** max(m - i, 0) * math.comb(q, j)
+        c[2 * m, q, n] += (-1) ** (i + j) * term * 2520 // (n + 1)
+    signs = (-1) ** np.arange(5)[:, None]
+    return np.array([c, signs * c], float), (c @ 2 ** np.arange(1, 10)) / 2520.0
+
+
+_CAP_ROWS, _SPHERE_ROWS = _cap_rows()
+# Phi[a, b] = integral of cos^a(phi) sin^b(phi) over the full circle.
+_PHI_TABLE = np.pi * np.array([[2, 0, 1, 0, 0.75], [0] * 5, [1, 0, 0.25, 0, 0],
+                               [0] * 5, [0.75, 0, 0, 0, 0]])
+
+
+def _disk_rows(theta0: float, inside: bool) -> np.ndarray:
+    """U[p, q] = integral of sin^p(theta) u^q du over the cap theta <= theta0
+    (inside) or its complement: exact over the distance w from the pole of
+    the smaller side, up to W = 2 sin^2(theta0/2) (cap) or 2 cos^2(theta0/2);
+    the larger side is the sphere minus the smaller. The double pi is the
+    isotropic sky, whose complement is empty."""
+    half = theta0 / 2.0
+    widths = (2.0 * math.sin(half) ** 2,
+              0.0 if theta0 == math.pi else 2.0 * math.cos(half) ** 2)
+    small = int(widths[1] < widths[0])  # 0: the cap, 1: the complement
+    rows = _CAP_ROWS[small] @ widths[small] ** np.arange(1, 10) / 2520.0
+    return rows if small == (not inside) else _SPHERE_ROWS - rows
 
 
 def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMoments:
-    """AngularMoments of the region's rule (inside) or its complement's.
+    """AngularMoments of the region (inside) or its complement.
 
-    Every rule here is a (u, phi) product grid under a 0/1 mask, and the
-    moments have degree <= 4, so x^a y^b z^c has moment
+    The moments have degree <= 4, so x^a y^b z^c has moment
     sum_ij mask_ij Phi_j[a, b] U_i[a + b, c] over a row table
     U_i[p, q] = w_i sin^p(theta_i) u_i^q and a column table
-    Phi_j[a, b] = w_phi cos^a(phi_j) sin^b(phi_j). A disk panel is
-    unmasked, so its rows and columns are summed first (on the rule's own
-    phi points, so that order 2, where that rule is not exact, keeps its
-    value; _phi_table keeps the column sum per order); a custom grid's
-    rows and columns are its cell centers.
+    Phi_j[a, b] = w_phi cos^a(phi_j) sin^b(phi_j) of a custom grid's cell
+    centers under its 0/1 mask. A disk's rows and columns are summed
+    exactly: its one row is _disk_rows, its one column _PHI_TABLE, and
+    order is checked but changes nothing.
     """
     _check_order(order)
     if region.kind == "disk":
-        u0 = math.cos(region.theta0)
-        ulo, uhi = (u0, 1.0) if inside else (-1.0, u0)
-        if ulo == uhi:  # zero width: the full sky's complement, or a 0-degree cap
-            return AngularMoments(s=np.zeros(3), t=np.zeros((3, 3, 3)))
-        u, wu, _, _ = _panel_axes(ulo, uhi, order)
-        rows = _powers(wu[:, None], np.sqrt(np.clip(1.0 - u**2, 0.0, None)), u)
-        table = np.multiply.outer(np.einsum("ip,iq->pq", *rows), _phi_table(order))
+        table = np.multiply.outer(_disk_rows(region.theta0, inside), _PHI_TABLE)
     else:
         u, phi = region.grid_u, region.grid_phi
         du, dphi = _custom_cell_size(region)

@@ -70,6 +70,18 @@ class TestRate:
         assert float(table["ratio_to_isotropic"]) == pytest.approx(0.353125,
                                                                    rel=1e-9)
 
+    def test_a_tiny_cap_has_its_rate(self, tmp_path, capsys):
+        # A cap of 1e-8 rad, where 1 - cos(theta0) rounds to 0: its rate
+        # printed 0 with a false "region has zero solid angle" warning.
+        path = tmp_path / "tiny.cfg"
+        path.write_text(BASE_CFG + "region = disk:5.7e-7:30\n")
+        assert main(["rate", "--config", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # disk_rate's closed form at 40 digits: 4.17530529936710e-17.
+        assert json.loads(captured.out)["ratio_to_isotropic"] == pytest.approx(
+            4.17530529936710e-17, rel=1e-11)
+
     def test_point_source(self, point_config, capsys):
         assert main(["rate", "--config", point_config]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

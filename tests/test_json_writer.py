@@ -238,3 +238,18 @@ def test_csv_edge_values():
                    missing=(False, True, False))
     want = ["h"] + [",".join(map(_fmt, row)) for row in _rows(table)]
     assert "\n".join(table.csv_lines("h")) == "\n".join(want)
+
+
+def test_csv_rows_mix_blank_patterns_in_one_column_pair():
+    # Every pattern of blanks in the pair of missing columns, interleaved,
+    # so each row's template is the one for its own pattern.
+    nan = math.nan
+    cells = np.array([[1.5, nan, 2.0, nan], [2.5, 3.0, 4.0, nan],
+                      [3.5, nan, 5.0, 6.0], [4.5, 7.0, 8.0, 9.0],
+                      [5.5, nan, 6.0, nan], [6.5, nan, nan, 1.0],
+                      [7.5, 2.0, 3.0, nan]])
+    table = _Table(cells, missing=(False, True, False, True))
+    want = ["h"] + [",".join(map(_fmt, row)) for row in _rows(table)]
+    assert "\n".join(table.csv_lines("h")) == "\n".join(want)
+    assert want[1:4] == ["1.5,,2,", "2.5,3,4,", "3.5,,5,6"]
+    assert want[6] == "6.5,,nan,1"

@@ -2,16 +2,15 @@
 
 cli.cmd_alpha builds the region's and the complement's AngularMoments once
 (sky._region_moment_pair) and hands them to alpha_numeric and to
-decoherence_rate; the phi table of the disk moments is kept per order.
+decoherence_rate.
 Three groups of checks:
 
 * the report's alpha and rate fields equal separate library calls, which
   build their own moments, bit for bit, at orders 2 to 1024, on caps from
   zero to the full sky, tilted and not, and on two custom grids;
-* the work is done once: a disk report takes two panel moments, not three,
-  and the phi table is computed once per order; a custom report builds no
-  cell centers, since its moments come from the grid's row and column
-  tables;
+* the work is done once: a disk report takes two panel moments, not three;
+  a custom report builds no cell centers, since its moments come from the
+  grid's row and column tables;
 * a quadrature order that is not an integer of at least 2, and an indicator
   value that is not 0 or 1, are refused by name.
 """
@@ -178,28 +177,6 @@ def test_disk_alpha_report_takes_two_panel_moments(region, tmp_path,
     _run("alpha", _config(tmp_path, region), 64)
     assert len(calls) == 2
     assert [kw.get("inside", args[-1]) for args, kw in calls] == [True, False]
-
-
-def test_phi_table_is_computed_once_per_order(tmp_path, monkeypatch):
-    order = 24
-    table = getattr(sky, "_phi_table", None)
-    if table is not None:
-        table.cache_clear()
-    vander = np.vander
-    phi_tables = []
-
-    def counted(x, *args, **kwargs):
-        if len(x) == 2 * order:  # a phi axis; the u axis has order points
-            phi_tables.append(len(x))
-        return vander(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "vander", counted)
-    path = _config(tmp_path, "disk:50:20")
-    _run("alpha", path, order)
-    _run("alpha", path, order)
-    _run("rate", path, order)
-    # One table: the cos and sin columns of the phi points, once.
-    assert len(phi_tables) == 2
 
 
 @pytest.mark.parametrize("command", ["alpha", "rate"])

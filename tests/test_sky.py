@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 import photon_darwinism
@@ -64,6 +65,16 @@ class TestSolidAngle:
         region = SkyRegion.disk(theta0, chi=0.4)
         expected = 2.0 * math.pi * (1.0 - math.cos(theta0))
         assert region.solid_angle_sr == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("theta0", [1e-150, 1e-8, 1e-6, 1e-3,
+                                        math.pi - 1e-6])
+    def test_small_caps_and_complements_keep_their_digits(self, theta0):
+        # 2 pi (1 - cos(theta0)) read 0 at 1e-8 rad; 4 pi sin^2(theta0/2)
+        # has no cancellation.
+        with mp.workdps(40):
+            want = 4 * mp.pi * mp.sin(mp.mpf(theta0) / 2) ** 2
+        got = solid_angle(SkyRegion.disk(theta0, 0.4))
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
     def test_custom_half_sphere(self):
         rows, cols = 40, 80
@@ -270,7 +281,11 @@ class TestPanel:
         assert x.tobytes() == ref_x.tobytes()
         assert w.tobytes() == ref_w.tobytes()
 
-    def test_one_alpha_report_computes_one_rule(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [["alpha"], ["rate"]], ids=["alpha", "rate"])
+    @pytest.mark.parametrize("order", ["2", "64"])
+    def test_a_disk_report_computes_no_rule(self, argv, order, tmp_path,
+                                            monkeypatch):
+        # A disk's tables are exact integrals, so --order computes no rule.
         calls = []
         leggauss = np.polynomial.legendre.leggauss
 
@@ -285,11 +300,11 @@ class TestPanel:
                        "temperature_K = 2.725\nregion = disk:30:20\n")
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["alpha", "--config", str(cfg),
-                             "--order", "64"]) == 0
+                assert main([*argv, "--config", str(cfg),
+                             "--order", order]) == 0
         finally:
             _gauss_legendre.cache_clear()
-        assert calls == [64]
+        assert calls == []
 
 
 class TestG2Weight:
