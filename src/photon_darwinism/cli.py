@@ -223,10 +223,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Report integrands have degree <= 4, so a disk's rule is exact from order
-# 3 and higher orders add only rounding, while computing the Gauss-Legendre
-# rule takes about the cube of the order; the one-node rule of order 1 is
-# not a quadrature at all.
+# No report reads --order: a disk is priced from exact tables and a custom
+# grid from its cell centres. The flag keeps its range so that existing
+# command lines get the same refusals.
 MAX_ORDER = 1024
 
 
@@ -267,7 +266,7 @@ def _region_errors(config):
 def cmd_rate(args) -> int:
     scenario = parse_scenario(args.config)
     with _region_errors(args.config):
-        result = decoherence_rate(scenario, order=args.order)
+        result = decoherence_rate(scenario)
     report = {
         "tau_D_inv_per_s": result.tau_D_inv,
         "ratio_to_isotropic": result.ratio,
@@ -288,13 +287,13 @@ def cmd_alpha(args) -> int:
     point = region.kind == "point"
     with _region_errors(args.config):
         closed = alpha_closed_form(region)
-        moments = None if point else _region_moment_pair(region, args.order)
-        quad = None if point else alpha_numeric(region, args.order, moments=moments)
+        moments = None if point else _region_moment_pair(region)
+        quad = None if point else alpha_numeric(region, moments=moments)
         alpha = closed if closed is not None else quad
 
         tau_r_inv = tau_r_over_big = None
         if not point or scenario.irradiance_W_m2 is not None:
-            result = decoherence_rate(scenario, args.order, moments=moments)
+            result = decoherence_rate(scenario, moments=moments)
             tau_r_inv = redundancy_rate(alpha, result.tau_D_inv)
             if not point:
                 tau_r_over_big = alpha * result.ratio
@@ -332,7 +331,7 @@ def cmd_pip(args) -> int:
         with _region_errors(args.config):
             alpha = alpha_closed_form(region)
             if alpha is None:
-                alpha = alpha_numeric(region, order=args.order)
+                alpha = alpha_numeric(region)
     else:
         alpha = 1.0
 
@@ -510,8 +509,8 @@ def _io_arguments(sub, default: str) -> None:
 
 
 def _order_argument(sub) -> None:
-    sub.add_argument("--order", type=_quadrature_order, default=64,
-                     help=f"quadrature order, 2 to {MAX_ORDER} (default 64)")
+    sub.add_argument("--order", type=_quadrature_order,
+                     help=f"accepted, 2 to {MAX_ORDER}, and changes no report")
 
 
 # As in newer CPython's argparse, "-", optional ".", digit starts a negative

@@ -22,8 +22,8 @@ import numpy as np
 
 from .entropy_kernels import _check_unit
 from .radiometry import _check_rate
-from .sky import (FULL_SPHERE, AngularMoments, SkyRegion, _check_cap,
-                  _custom_cell_size, _region_moment_pair, solid_angle)
+from .sky import (AngularMoments, SkyRegion, _check_cap, _custom_cell_size,
+                  _region_moment_pair, solid_angle)
 
 __all__ = [
     "alpha_closed_form",
@@ -49,28 +49,18 @@ def _pair_integral(a: AngularMoments, b: AngularMoments) -> float:
     return float(scalar + tensor)
 
 
-def _alpha_limit(region: SkyRegion) -> float | None:
-    """alpha where the ratio is undefined: 1 at zero measure, 0 at the full sky."""
-    omega = solid_angle(region)
-    if omega == 0.0:
-        return 1.0
-    if region.kind == "disk" and omega >= FULL_SPHERE - 1e-12:
-        return 0.0
-    return None
+def alpha_numeric(region: SkyRegion, *, moments=None) -> float:
+    """Receptivity of a sky region, from its angular moments.
 
-
-def alpha_numeric(region: SkyRegion, order: int = 64, moments=None) -> float:
-    """Receptivity of a sky region, by product quadrature.
-
-    In order: the zero-measure and full-sky limits (1 and 0), the integrals,
-    the tiling rule, the degenerate region and the ratio, clamped to [0, 1]
-    against rounding. A custom grid reaches 0 only through its integrals.
-    moments, if given, is the report's sky._region_moment_pair(region, order).
+    In order: the zero-measure limit 1, the integrals, the tiling rule,
+    the degenerate region and the ratio, clamped to [0, 1] against
+    rounding. The full sky's complement is empty, so its numerator is
+    exactly 0. moments, if given, is the report's
+    sky._region_moment_pair(region).
     """
-    limit = _alpha_limit(region)
-    if limit is not None:
-        return limit
-    mom_b, mom_c = moments or _region_moment_pair(region, order)
+    if solid_angle(region) == 0.0:
+        return 1.0
+    mom_b, mom_c = moments or _region_moment_pair(region)
     denominator = _pair_integral(
         mom_b, AngularMoments(s=mom_b.s + mom_c.s, t=mom_b.t + mom_c.t))
     numerator = _pair_integral(mom_b, mom_c)
@@ -91,9 +81,7 @@ def alpha_closed_form(region: SkyRegion) -> float | None:
     sky), 1 for a point, and None for a custom grid (see alpha_numeric)."""
     if region.kind == "disk":
         return alpha_disk(region.theta0, region.chi)
-    if region.kind == "custom":
-        return None
-    return _alpha_limit(region)
+    return None if region.kind == "custom" else 1.0
 
 
 def alpha_disk(theta0: float, chi: float) -> float:

@@ -179,36 +179,6 @@ def _gauss_legendre(order: int):
     return x, w
 
 
-def _check_order(order: int) -> None:
-    if not (isinstance(order, (int, np.integer)) and order >= 2):
-        raise ValueError(f"quadrature order must be >= 2 and an int, got {order!r}")
-
-
-def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Unit vectors on the (u, phi) product grid, shape (u.size, phi.size, 3).
-
-    The trig runs on the 1-d factors only; the grid is filled by
-    broadcasting them.
-    """
-    s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))[:, None]
-    pts = np.empty((u.size, phi.size, 3))
-    pts[:, :, 0] = s * np.cos(phi)
-    pts[:, :, 1] = s * np.sin(phi)
-    pts[:, :, 2] = u[:, None]
-    return pts
-
-
-def _panel(ulo: float, uhi: float, order: int):
-    """Product nodes on a cos(theta) panel, (points (N,3), weights (N,)):
-    Gauss-Legendre in u from a per-process cache, 2*order uniform phi."""
-    x, w = _gauss_legendre(order)
-    nphi = 2 * int(order)  # no wrap-around for a small numpy integer
-    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
-    pts = _product_points(0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo), phi)
-    wu = 0.5 * (uhi - ulo) * w
-    return pts.reshape(-1, 3), np.repeat(wu, nphi) * (2.0 * math.pi / nphi)
-
-
 def integrate_sphere(f, order: int = 64) -> float:
     """Integrate f over the sphere.
 
@@ -218,9 +188,21 @@ def integrate_sphere(f, order: int = 64) -> float:
     uniform points in phi, exact for trigonometric polynomials up to that
     degree. A zero integral comes back as +0.0.
     """
-    _check_order(order)
-    pts, ww = _panel(-1.0, 1.0, order)
-    return 0.0 + float(np.sum(ww * f(pts)))
+    if not (isinstance(order, (int, np.integer)) and order >= 2):
+        raise ValueError(f"quadrature order must be >= 2 and an int, got {order!r}")
+    u, wu = _gauss_legendre(order)
+    nphi = 2 * int(order)  # no wrap-around for a small numpy integer
+    dphi = 2.0 * math.pi / nphi
+    phi = (np.arange(nphi) + 0.5) * dphi
+    # The trig runs on the 1-d factors only; the grid is filled by
+    # broadcasting them.
+    s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))[:, None]
+    pts = np.empty((u.size, nphi, 3))
+    pts[:, :, 0] = s * np.cos(phi)
+    pts[:, :, 1] = s * np.sin(phi)
+    pts[:, :, 2] = u[:, None]
+    ww = np.repeat(wu, nphi) * dphi
+    return 0.0 + float(np.sum(ww * f(pts.reshape(-1, 3))))
 
 
 def g2_weight(n_hat, m_hat, dx_hat) -> float:
@@ -240,7 +222,7 @@ def g2_weight(n_hat, m_hat, dx_hat) -> float:
 
 @dataclass(frozen=True)
 class AngularMoments:
-    """Moments of a region's quadrature rule against the separation axis z.
+    """Moments of a sky region against the separation axis z.
 
     s[k] holds the scalar integrals of a^k and t[k] the 3x3 tensor
     integrals of a^k n_i n_j, where a = n_z, for k = 0, 1, 2. These
@@ -306,7 +288,7 @@ def _disk_rows(theta0: float, inside: bool) -> np.ndarray:
     return rows if small == (not inside) else _SPHERE_ROWS - rows
 
 
-def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMoments:
+def _region_moments(region: SkyRegion, inside: bool) -> AngularMoments:
     """AngularMoments of the region (inside) or its complement.
 
     The moments have degree <= 4, so x^a y^b z^c has moment
@@ -314,10 +296,8 @@ def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMomen
     U_i[p, q] = w_i sin^p(theta_i) u_i^q and a column table
     Phi_j[a, b] = w_phi cos^a(phi_j) sin^b(phi_j) of a custom grid's cell
     centers under its 0/1 mask. A disk's rows and columns are summed
-    exactly: its one row is _disk_rows, its one column _PHI_TABLE, and
-    order is checked but changes nothing.
+    exactly: its one row is _disk_rows, its one column _PHI_TABLE.
     """
-    _check_order(order)
     if region.kind == "disk":
         table = np.multiply.outer(_disk_rows(region.theta0, inside), _PHI_TABLE)
     else:
@@ -339,10 +319,10 @@ def _region_moments(region: SkyRegion, order: int, inside: bool) -> AngularMomen
     return AngularMoments(s=m[:, 3, 3], t=t)
 
 
-def _region_moment_pair(region: SkyRegion, order: int):
+def _region_moment_pair(region: SkyRegion):
     """(region, complement) moments that one report shares between alpha and
     the rate."""
-    return [_region_moments(region, order, inside) for inside in (True, False)]
+    return [_region_moments(region, inside) for inside in (True, False)]
 
 
 _GRID_HEADER = re.compile(rb"# ([1-9][0-9]*) ([1-9][0-9]*)\n")

@@ -5,8 +5,9 @@ The library prices every region from its one-region moment tables
 nodes those tables stand for, a cap panel rotated into place or a custom
 grid's cell centers under its mask, and sum their moments node by node,
 so the tests can hold the tables to the sums they replace. They reuse the
-library's own panel, product-grid, rotation and cell-size helpers, so
-their nodes are those of the library's rule, bit for bit.
+library's rotation and cell-size helpers and its cached Gauss-Legendre
+rule; the panel here, on the whole u range, is sky.integrate_sphere's
+rule, bit for bit.
 """
 
 import math
@@ -18,12 +19,41 @@ from photon_darwinism.sky import (
     _PAIR_J,
     AngularMoments,
     SkyRegion,
-    _check_order,
     _custom_cell_size,
-    _panel,
-    _product_points,
+    _gauss_legendre,
     _rotation_about_y,
 )
+
+
+def _check_order(order: int) -> None:
+    if not (isinstance(order, (int, np.integer)) and order >= 2):
+        raise ValueError(f"quadrature order must be >= 2 and an int, got {order!r}")
+
+
+def _product_points(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors on the (u, phi) product grid, shape (u.size, phi.size, 3).
+
+    The trig runs on the 1-d factors only; the grid is filled by
+    broadcasting them.
+    """
+    s = np.sqrt(np.clip(1.0 - u**2, 0.0, None))[:, None]
+    pts = np.empty((u.size, phi.size, 3))
+    pts[:, :, 0] = s * np.cos(phi)
+    pts[:, :, 1] = s * np.sin(phi)
+    pts[:, :, 2] = u[:, None]
+    return pts
+
+
+def _panel(ulo: float, uhi: float, order: int):
+    """Product nodes on a cos(theta) panel, (points (N,3), weights (N,)):
+    Gauss-Legendre in u from the library's per-process cache, 2*order
+    uniform phi."""
+    x, w = _gauss_legendre(order)
+    nphi = 2 * int(order)  # no wrap-around for a small numpy integer
+    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
+    pts = _product_points(0.5 * (uhi - ulo) * x + 0.5 * (uhi + ulo), phi)
+    wu = 0.5 * (uhi - ulo) * w
+    return pts.reshape(-1, 3), np.repeat(wu, nphi) * (2.0 * math.pi / nphi)
 
 
 def _disk_nodes(theta0: float, chi: float, order: int, cap: bool):

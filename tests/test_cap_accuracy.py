@@ -6,7 +6,8 @@ and against mpmath at 40 digits:
 
 * the rate ratio of decoherence_rate and alpha_numeric lie within 1e-13
   relative of disk_rate's and alpha_disk's closed forms, for theta0 drawn
-  on a log scale in [1e-8, pi - 1e-6] and chi in [0, pi];
+  on a log scale in [1e-8, pi - 1e-8] and chi in [0, pi], and alpha does
+  so on caps next to the full sky;
 * each entry of the row table U[p, q], the integral of sin^p(theta) u^q du
   over the cap or its complement, lies within 2e-13 relative of mpmath's
   integral of the same.
@@ -31,7 +32,7 @@ TOL = 1e-13
 # At the hemisphere the polynomial in W of U[4, 4] has terms about 300
 # times its value, and the entry is 1.05e-13 off.
 ROW_TOL = 2e-13
-SMALLEST, LARGEST = 1e-8, math.pi - 1e-6
+SMALLEST, LARGEST = 1e-8, math.pi - 1e-8
 
 
 def _closed(theta0, chi):
@@ -50,10 +51,6 @@ def _relative(got, want):
     return float(abs(mp.mpf(got) - want) / abs(want))
 
 
-# theta0 stops at pi - 1e-6: from about pi - 5.6e-7 the cap's solid angle
-# is within 1e-12 of 4 pi, and alpha_numeric returns the full-sky limit 0
-# by rule (receptivity._alpha_limit) instead of the ratio of its integrals,
-# while the true alpha there is about 1e-13 and nonzero.
 caps = st.floats(math.log(SMALLEST), math.log(LARGEST)).map(
     lambda x: min(max(math.exp(x), SMALLEST), LARGEST))
 
@@ -73,6 +70,19 @@ def test_rate_ratio_and_alpha_keep_their_digits(theta0, chi):
         warnings.simplefilter("error")  # no zero-solid-angle warning
         assert _relative(decoherence_rate(scenario).ratio, rate) <= TOL
     assert _relative(alpha_numeric(region), alpha) <= TOL
+
+
+# Caps whose solid angle is within 1e-12 of 4 pi (from about pi - 5.6e-7)
+# were once given the full-sky alpha 0 by rule; their alpha is the ratio
+# of their integrals, down to 1.67e-17 at pi - 1e-8 and chi = 1.2.
+@pytest.mark.parametrize("chi", [0.0, 0.6, 1.2, math.pi])
+@pytest.mark.parametrize("theta0", [math.pi - 5.6e-7, math.pi - 5e-7,
+                                    math.pi - 1e-7, LARGEST],
+                         ids=["pi-5.6e-7", "pi-5e-7", "pi-1e-7", "pi-1e-8"])
+def test_caps_next_to_the_full_sky_keep_their_alpha(theta0, chi):
+    alpha = _closed(theta0, chi)[1]
+    got = alpha_numeric(SkyRegion.disk(theta0, chi))
+    assert got > 0.0 and _relative(got, alpha) <= TOL
 
 
 def _row_integral(theta0, inside, p, q):

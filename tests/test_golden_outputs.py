@@ -1,8 +1,8 @@
 """Golden CLI outputs: exact stdout bytes for a fixed set of invocations.
 
-Quadrature-backed reports (rate, alpha, pip --config for every region
-kind, alpha on a point without an irradiance, rate and alpha on a point
-as CSV), the information tables (pip --alpha, redundancy and the mi,
+Region reports (rate, alpha, pip --config for every region kind, alpha
+on a point without an irradiance, rate and alpha on a point as CSV), the
+information tables (pip --alpha, redundancy and the mi,
 mi_unbalanced, mi_mway and redundancy sweeps), the two closed-form disk
 sweeps and the oracle report (CSV, the full JSON report, JSON with
 finite models up to the enumeration cap, and CSV with one model) are
@@ -10,7 +10,8 @@ pinned byte for byte, as are two edges of JSON number text (a 300 K
 photon density that JSON prints positionally and a subnormal fragment
 fraction), so a refactor or speed-up of the sky quadrature, of the
 information layer, of the discrete oracle or of the output path cannot
-move a printed digit unnoticed. The expected bytes live in
+move a printed digit unnoticed. A region report prints the same bytes
+at every --order and without one. The expected bytes live in
 golden/cli_outputs.json. After a deliberate change of output, rewrite
 that file with
 
@@ -228,6 +229,24 @@ def test_out_file_receives_the_golden_bytes(case_id, golden, inputs, tmp_path,
     assert main(_argv(case_id, inputs) + ["--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert out.read_text() == golden[case_id]
+
+
+# Both ends of --order's range, 3 (the first order whose Gauss-Legendre
+# rule was exact on the report integrands) and the orders that the
+# goldens and the benchmark's traffic pass.
+@pytest.mark.parametrize("order", ["2", "3", "16", "32", "64", "128", "1024"])
+@pytest.mark.parametrize("name", list(SCENARIOS))
+@pytest.mark.parametrize("argv", [
+    ["rate"], ["alpha"], ["pip", "--times", "1,10", "--f-count", "6"],
+], ids=["rate", "alpha", "pip"])
+def test_the_order_changes_no_report(argv, name, order, inputs, capsys):
+    # --order is parsed and range-checked, but no report reads it.
+    printed = []
+    for extra in ([], ["--order", order]):
+        assert main([*argv, "--config", inputs[name], *extra]) == EXIT_OK
+        printed.append(capsys.readouterr())
+    assert printed[0].out != "" and printed[0].err == ""
+    assert printed[1] == printed[0]
 
 
 def _regenerate() -> None:

@@ -20,7 +20,6 @@ from photon_darwinism.sky import (
     FULL_SPHERE,
     SkyRegion,
     _gauss_legendre,
-    _panel,
     g2_weight,
     integrate_sphere,
     load_indicator_grid,
@@ -28,6 +27,7 @@ from photon_darwinism.sky import (
 )
 from sky_nodes_reference import (
     _custom_nodes,
+    _panel,
     angular_moments,
     complement_nodes,
     region_nodes,
@@ -224,6 +224,20 @@ class TestIntegrateSphere:
         got = integrate_sphere(lambda p: 3.0 + 11.0 * p[:, 2] ** 2, order=order)
         ref = _direction_loop_integrate(lambda v: 3.0 + 11.0 * v[2] ** 2, order)
         assert got == ref
+
+    @pytest.mark.parametrize("order", [2, 3, 16, 17, 64, 201])
+    def test_nodes_are_the_reference_panel(self, order):
+        # The rule's nodes, bit for bit, and the weights through a sum whose
+        # terms differ at every node.
+        nodes = []
+
+        def f(p):
+            nodes.append(p)
+            return np.exp(p[:, 0]) + p[:, 1] ** 3 + p[:, 2]
+        got = integrate_sphere(f, order=order)
+        pts, ww = _panel(-1.0, 1.0, order)
+        assert nodes[0].tobytes() == pts.tobytes()
+        assert got.hex() == (0.0 + float(np.sum(ww * f(pts)))).hex()
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
