@@ -32,7 +32,7 @@ from .discrete_oracle import (
     fragment_entropy_change_exact,
     oracle_battery,
 )
-from .entropy_kernels import InputError, _libm
+from .entropy_kernels import InputError
 from .information import (
     _check_time,
     mutual_information_at_time,
@@ -50,7 +50,7 @@ from .radiometry import (
 from .receptivity import (alpha_closed_form, alpha_disk, alpha_numeric,
                           redundancy_rate)
 from .sky import FULL_SPHERE, _region_moment_pair
-from .superpositions import mi_mway, mi_unbalanced
+from .superpositions import _mi_mway, _mi_unbalanced
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -441,14 +441,12 @@ _SWEEP_TABLE = {
                p["t_over_tauD"], p["alpha"], p["f"])},
     "mi_unbalanced": {"axes": ("t_over_tauD", "f", "mu"),
                       "fixed": {"t_over_tauD": 10.0, "f": 0.2, "mu": 0.5},
-                      "evaluate": lambda p: mi_unbalanced(
-                          _libm(math.exp, -_check_time(p["t_over_tauD"])),
-                          p["f"], p["mu"])},
+                      "evaluate": lambda p: _mi_unbalanced(
+                          _check_time(p["t_over_tauD"]), p["f"], p["mu"])},
     "mi_mway": {"axes": ("t_over_tauD", "f", "M"),
                 "fixed": {"t_over_tauD": 10.0, "f": 0.2, "M": 3.0},
-                "evaluate": lambda p: mi_mway(
-                    _libm(math.exp, -_check_time(p["t_over_tauD"])),
-                    p["f"], p["M"])},
+                "evaluate": lambda p: _mi_mway(
+                    _check_time(p["t_over_tauD"]), p["f"], p["M"])},
     "redundancy": {"axes": ("t_over_tauD", "delta"),
                    "fixed": {"t_over_tauD": 100.0, "delta": 0.01, "alpha": 1.0},
                    "evaluate": lambda p: redundancy_exact(

@@ -42,9 +42,9 @@ _SERIES_CUTOVER = 1e-3
 def _libm(fn, *args) -> np.ndarray:
     """A ``math`` function applied element by element, with broadcasting.
 
-    numpy's exp, log, log1p and power differ from the C library's in the
-    last bit on a few percent of inputs, so the information kernels (h,
-    the mutual informations, redundancy) send them through here: an array
+    numpy's exp, log and log1p differ from the C library's in the last
+    bit on a few percent of inputs, so the information kernels (h, the
+    mutual informations, redundancy) send them through here: an array
     result then equals a loop of scalar calls bit for bit, on every host.
     Arithmetic stays in numpy, whose + - * / and sqrt are correctly
     rounded. The grid trig, the Planck nodes, the moment series and the
@@ -94,6 +94,23 @@ def _check_unit(name: str, value) -> np.ndarray:
     _require((0.0 <= value) & (value <= 1.0), value,
              name + " must be in [0, 1], got {}")
     return value
+
+
+def _exponent(gamma) -> np.ndarray:
+    """t = -ln Gamma of a checked gamma, with t = inf at Gamma = 0."""
+    return _libm(lambda g: -math.log(g) if g > 0.0 else math.inf,
+                 _check_unit("gamma", gamma))
+
+
+def _decay(t, *factors) -> np.ndarray:
+    """Gamma^w = e^(-t w) at Gamma = e^-t, the one source of every power of
+    a decoherence factor; -t w is -t times each factor in turn. At t = inf
+    a zero factor gives -inf * 0 = NaN, where Gamma^0 = 1: those lanes take
+    exp(0), in a pass that finite t never pays."""
+    if np.isfinite(t).all():
+        return _libm(math.exp, math.prod(factors, start=-t))
+    with np.errstate(invalid="ignore"):
+        return _libm(math.exp, np.fmin(math.prod(factors, start=-t), 0.0))
 
 
 def xlogx(x):

@@ -8,7 +8,8 @@ system and a fragment holding a fraction f of the photons is
     I(f) = ln 2 + h(Gamma^(1-f)) - h(Gamma^(alpha f)) - h(Gamma),
 
 evaluated through the closed-form kernel h, which sums the underlying
-power series exactly.
+power series exactly. A Gamma enters as t = -ln Gamma, and each power
+Gamma^w is e^(-t w), so a time past Gamma's underflow keeps its digits.
 
 The mutual information and redundancy functions broadcast over numpy
 arrays and return arrays; scalar arguments give Python floats. Each array
@@ -26,6 +27,8 @@ from .entropy_kernels import (
     LN2,
     Nats,
     _check_unit,
+    _decay,
+    _exponent,
     _h,
     _libm,
     _require,
@@ -85,55 +88,43 @@ def fragment_entropy_change(gamma, alpha, f) -> Nats:
     At alpha = 0 the exponent collapses to 0 and the gain vanishes for
     every Gamma: a fully angle-mixed environment records nothing.
     """
-    gamma = _check_unit("gamma", gamma)
-    alpha = _check_unit("alpha", alpha)
-    f = _check_unit("f", f)
-    return _result(LN2 - h(_libm(math.pow, gamma, alpha * f)))
+    t = _exponent(gamma)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
+    return _result(LN2 - _h(_decay(t, alpha, f)))
 
 
-def _combine(alpha, h_rest, h_fragment, h_gamma):
-    """I = ln 2 + h(rest) - h(fragment) - h(Gamma), summed left to right.
-
-    At alpha = 0 the ln 2 contributions cancel exactly, so those lanes
-    take h(rest) - h(Gamma) instead.
+def _mi_pair(t, alpha, f) -> Nats:
+    """I(f) at Gamma = e^-t from a checked t (inf allowed), alpha and f:
+    ln 2 + h(Gamma^(1 (1 - f))) - h(Gamma^(alpha f)) - h(Gamma), summed
+    left to right, the first two powers in one stack, h(Gamma) once per
+    time. Where the fragment's argument is 1 (alpha f t = 0, or below
+    rounding) its h = ln 2 cancels the leading ln 2, so those lanes take
+    h(rest) - h(Gamma): I(0) = 0.
     """
-    return np.where(alpha == 0.0, h_rest - h_gamma,
-                    ((LN2 + h_rest) - h_fragment) - h_gamma)
+    alpha, f = _check_unit("alpha", alpha), _check_unit("f", f)
+    powers = _decay(t, _stacked((1.0, alpha), t, f),
+                    _stacked((1.0 - f, f), t, alpha))
+    h_rest, h_fragment = _h(powers)
+    h_gamma = _h(_decay(t))
+    return _result(np.where(powers[1] == 1.0, h_rest - h_gamma,
+                            ((LN2 + h_rest) - h_fragment) - h_gamma))
 
 
 def mutual_information(gamma, alpha, f) -> Nats:
     """Mutual information between the system and a fragment of fraction f."""
-    gamma = _check_unit("gamma", gamma)
-    alpha = _check_unit("alpha", alpha)
-    f = _check_unit("f", f)
-    exponents = _stacked((1.0 - f, alpha * f), gamma)
-    h_rest, h_fragment = h(_libm(math.pow, gamma, exponents))
-    return _result(_combine(alpha, h_rest, h_fragment, h(gamma)))
-
-
-def _mi_exponent_form(t, alpha, f, h_gamma):
-    """I(f) at time t from checked arrays, with h(exp(-t)) given."""
-    exponents = _stacked((-t * (1.0 - f), (-t * alpha) * f))
-    h_rest, h_fragment = _h(_libm(math.exp, exponents))
-    return _combine(alpha, h_rest, h_fragment, h_gamma)
+    return _mi_pair(_exponent(gamma), alpha, f)
 
 
 def mutual_information_at_time(t_over_tauD, alpha, f) -> Nats:
-    """Mutual information with Gamma = exp(-t/tau_D) formed inside.
-
-    Preferred for large times: each h argument is exponentiated from the
-    combined exponent, so t = 1000 underflows gracefully to the plateau
-    instead of losing the exponent structure in Gamma itself.
+    """Mutual information at Gamma = exp(-t/tau_D), the form that every
+    Gamma takes inside: each h argument is exponentiated from its combined
+    exponent, so t = 1000 underflows gracefully to the plateau.
 
     Broadcasts over arrays of t, alpha and f (a times x fractions grid is
     one call with t of shape (T, 1)); h(exp(-t)) is evaluated once per
     time. Scalar arguments give a float.
     """
-    t = _check_time(t_over_tauD)
-    alpha = _check_unit("alpha", alpha)
-    f = _check_unit("f", f)
-    h_gamma = h(_libm(math.exp, -t))
-    return _result(_mi_exponent_form(t, alpha, f, h_gamma))
+    return _mi_pair(_check_time(t_over_tauD), alpha, f)
 
 
 def mutual_information_approx(gamma: float, alpha: float, f: float) -> Nats:
@@ -159,9 +150,8 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None):
     a solution there reports None rather than a redundancy below 2.
     Perfect decoherence (gamma = 0) gives inf.
 
-    Passing t_over_tauD instead of gamma switches to the exponent form of
-    the mutual information, which stays accurate long after Gamma itself
-    has underflowed.
+    A gamma is taken as t = -ln Gamma; passing t_over_tauD instead stays
+    accurate long after Gamma itself would underflow.
 
     Broadcasts over arrays of gamma (or t_over_tauD), alpha and delta and
     then returns an array in which NaN marks "not redundant". Every lane
@@ -170,16 +160,10 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None):
     """
     delta = _check_delta(delta)
     alpha = _check_alpha(alpha)
-    if t_over_tauD is not None:
-        if gamma is not None:
-            raise ValueError("provide either gamma or t_over_tauD, not both")
-        t = _check_time(t_over_tauD)
-    elif gamma is not None:
-        # Gamma = exp(-t); perfect decoherence (Gamma = 0) is t = inf.
-        t = _libm(lambda g: -math.log(g) if g > 0.0 else math.inf,
-                  _check_unit("gamma", gamma))
-    else:
-        raise ValueError("provide either gamma or t_over_tauD")
+    if (gamma is None) == (t_over_tauD is None):
+        raise ValueError("provide either gamma or t_over_tauD"
+                         + (", not both" if gamma is not None else ""))
+    t = _check_time(t_over_tauD) if gamma is None else _exponent(gamma)
     t, alpha, delta = np.broadcast_arrays(t, alpha, delta)
     roots = np.where(t == math.inf, math.inf, math.nan)
     live = (0.0 < t) & (t < math.inf)
@@ -192,16 +176,16 @@ def redundancy_exact(gamma, alpha, delta, t_over_tauD=None):
 
 def _bisect_redundancy(t, alpha, delta):
     """2 / (lo + hi) per lane of 1-d t > 0, or NaN where I(1/2) falls short."""
-    h_gamma = _h(_libm(math.exp, -t))
     target = (1.0 - delta) * LN2
     roots = np.full(t.shape, math.nan)
-    attained = ~(_mi_exponent_form(t, alpha, 0.5, h_gamma) - target < 0.0)
+    attained = ~(_mi_pair(t, alpha, 0.5) - target < 0.0)
     if not attained.any():
         return roots
-    t, alpha, h_gamma, target = (
-        a[attained] for a in (t, alpha, h_gamma, target))
-    # The steps below are _mi_exponent_form's, with -t and -t alpha formed
-    # once and _combine's alpha > 0 branch (alpha = 0 is refused).
+    t, alpha, target = (a[attained] for a in (t, alpha, target))
+    h_gamma = _h(_decay(t))
+    # The steps below are _mi_pair's, with -t and -t alpha formed once and
+    # no lane rule: alpha = 0 is refused, and where the fragment's argument
+    # rounds to 1 the rule moves I by no more than the rounding of ln 2.
     minus_t, minus_t_alpha = -t, -t * alpha
     exponents = np.empty((2,) + t.shape)
     lo = np.zeros(t.shape)
@@ -261,6 +245,5 @@ def redundancy_lower_bound(t_over_tauD, delta):
             f"bound needs t/tau_D > ln(2/delta) = {edge[early].flat[0]:.4f}, "
             f"got {t[early].flat[0].item()}"
         )
-    gamma = _libm(math.exp, -t)
-    return _result(t / _libm(math.log, 1.0 / (delta - gamma)))
+    return _result(t / _libm(math.log, 1.0 / (delta - _decay(t))))
 

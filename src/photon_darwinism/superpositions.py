@@ -9,7 +9,7 @@ computable surrogates that bracket the exact answer.
 
 All functions here assume the point-source geometry (receptivity one);
 the fragment fraction enters only through powers of the decoherence
-factors.
+factors, which the closed forms take as e^(-t w) at t = -ln Gamma.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .entropy_kernels import (
     LN2,
     Nats,
     _check_unit,
-    _libm,
+    _decay,
+    _exponent,
     _result,
     _stacked,
     h,
@@ -128,16 +129,15 @@ def mi_unbalanced(gamma, f, mu) -> Nats:
     mu = 0 and a lone classical branch at mu = 1. Broadcasts over arrays
     of gamma, f and mu; scalar arguments give a float.
     """
-    gamma = _check_unit("gamma", gamma)
-    f = _check_unit("f", f)
-    mu = _check_unit("mu", mu)
+    return _mi_unbalanced(_exponent(gamma), f, mu)
 
-    def shifted(x):
-        return h(mu + (1.0 - mu) * x)
 
-    exponents = _stacked((1.0 - f, f), gamma, mu)
-    h_rest, h_fragment = shifted(_libm(math.pow, gamma, exponents))
-    return _result(((LN2 + h_rest) - h_fragment) - shifted(gamma))
+def _mi_unbalanced(t, f, mu) -> Nats:
+    """mi_unbalanced at Gamma = e^-t, from t >= 0 (inf allowed)."""
+    f, mu = _check_unit("f", f), _check_unit("mu", mu)
+    powers = _decay(t, _stacked((1.0 - f, f, 1.0), t, mu))
+    h_rest, h_fragment, h_gamma = h(mu + (1.0 - mu) * powers)
+    return _result(((LN2 + h_rest) - h_fragment) - h_gamma)
 
 
 def mi_unbalanced_limit(gamma: float, f: float) -> float:
@@ -160,13 +160,15 @@ def mi_mway(gamma, f, M) -> Nats:
     the amplitude-level overlap of a single branch pair. Broadcasts over
     arrays of gamma, f and integer-valued M; scalar arguments give a float.
     """
-    gamma = _check_unit("gamma", gamma)
-    f = _check_unit("f", f)
+    return _mi_mway(_exponent(gamma), f, M)
 
+
+def _mi_mway(t, f, M) -> Nats:
+    """mi_mway at Gamma = e^-t, from t >= 0 (inf allowed)."""
+    f = _check_unit("f", f)
     # The reduced states at w = f, 1 and 1 - f, evaluated in one call.
-    exponents = _stacked((0.5 * f, 0.5 * 1.0, 0.5 * (1.0 - f)), gamma, M)
-    e_fragment, e_whole, e_rest = m_spectrum_entropy(
-        _libm(math.pow, gamma, exponents), M)
+    halves = _stacked((0.5 * f, 0.5 * 1.0, 0.5 * (1.0 - f)), t, M)
+    e_fragment, e_whole, e_rest = m_spectrum_entropy(_decay(t, halves), M)
     return _result((e_fragment + e_whole) - e_rest)
 
 

@@ -1,8 +1,10 @@
 """Array calls of the information layer against the scalar formulas.
 
 The reference functions below are the scalar implementations that the
-array code replaced, kept verbatim in operation order: one Python float
-at a time through ``math``. Every array call must equal a per-point loop
+array code replaced, kept in operation order: one Python float at a time
+through ``math``. A Gamma enters them as t = -ln Gamma (t = inf at
+Gamma = 0) and each power Gamma^w as exp(-t w), with Gamma^0 = 1 at
+Gamma = 0, as in the library. Every array call must equal a per-point loop
 over them bit for bit, including the sign of zero, on the domain edges
 (x at 0 and 1 and either side of the series cutover, alpha at 0 and 1,
 f at 0 and 1, t from 1e-3 to 1e4) and on every redundancy outcome. The
@@ -60,22 +62,33 @@ def ref_h(x):
     return 0.5 * ((1.0 + u) * math.log1p(u) + (1.0 - u) * math.log1p(-u))
 
 
-def ref_mi(gamma, alpha, f):
-    if alpha == 0.0:
-        return ref_h(gamma ** (1.0 - f)) - ref_h(gamma)
-    return (LN2 + ref_h(gamma ** (1.0 - f)) - ref_h(gamma ** (alpha * f))
-            - ref_h(gamma))
+def ref_t(gamma):
+    return -math.log(gamma) if gamma > 0.0 else math.inf
+
+
+def ref_decay(t, *factors):
+    """exp(-t w) with -t multiplied by each factor in turn; Gamma^0 = 1."""
+    x = -t
+    for factor in factors:
+        x *= factor
+    return 1.0 if math.isnan(x) else math.exp(x)
 
 
 def ref_mi_at_time(t, alpha, f):
-    if alpha == 0.0:
-        return ref_h(math.exp(-t * (1.0 - f))) - ref_h(math.exp(-t))
+    fragment = ref_decay(t, alpha, f)
+    if fragment == 1.0:
+        # h(1) = ln 2 cancels the leading ln 2 exactly: I(0) = 0.
+        return ref_h(ref_decay(t, 1.0 - f)) - ref_h(ref_decay(t))
     return (
         LN2
-        + ref_h(math.exp(-t * (1.0 - f)))
-        - ref_h(math.exp(-t * alpha * f))
-        - ref_h(math.exp(-t))
+        + ref_h(ref_decay(t, 1.0 - f))
+        - ref_h(fragment)
+        - ref_h(ref_decay(t))
     )
+
+
+def ref_mi(gamma, alpha, f):
+    return ref_mi_at_time(ref_t(gamma), alpha, f)
 
 
 def ref_xlogx(v):
@@ -89,16 +102,19 @@ def ref_m_spectrum_entropy(x, M):
 
 
 def ref_mi_unbalanced(gamma, f, mu):
-    def shifted(x):
-        return ref_h(mu + (1.0 - mu) * x)
+    t = ref_t(gamma)
 
-    return (LN2 + shifted(gamma ** (1.0 - f)) - shifted(gamma ** f)
-            - shifted(gamma))
+    def shifted(w):
+        return ref_h(mu + (1.0 - mu) * ref_decay(t, w))
+
+    return LN2 + shifted(1.0 - f) - shifted(f) - shifted(1.0)
 
 
 def ref_mi_mway(gamma, f, M):
+    t = ref_t(gamma)
+
     def E(w):
-        return ref_m_spectrum_entropy(gamma ** (0.5 * w), M)
+        return ref_m_spectrum_entropy(ref_decay(t, 0.5 * w), M)
 
     return E(f) + E(1.0) - E(1.0 - f)
 
@@ -228,8 +244,8 @@ def test_entropy_helpers_match_scalar_reference():
     assert_bitwise(system_entropy(gamma), loop(lambda g: LN2 - ref_h(g), gamma))
     assert_bitwise(
         fragment_entropy_change(gamma[:, None], 0.37, FRACTIONS),
-        loop(lambda g, f: LN2 - ref_h(g ** (0.37 * f)), gamma[:, None],
-             FRACTIONS))
+        loop(lambda g, f: LN2 - ref_h(ref_decay(ref_t(g), 0.37, f)),
+             gamma[:, None], FRACTIONS))
 
 
 def test_mi_unbalanced_matches_scalar_reference():
@@ -238,6 +254,31 @@ def test_mi_unbalanced_matches_scalar_reference():
     mu = np.array([0.0, 1e-9, 0.2, 0.5, 0.999, 1.0])[None, None, :]
     assert_bitwise(mi_unbalanced(gamma, f, mu),
                    loop(ref_mi_unbalanced, gamma, f, mu))
+
+
+# Perfect decoherence, Gamma = 0, is t = inf, where -t w is NaN at w = 0;
+# Gamma^0 = 1 keeps the values that the powers of Gamma gave, pinned here
+# over f = 0, 0.3 and 1.
+PERFECT_F = np.array([0.0, 0.3, 1.0])
+TWO_LN2 = 1.3862943611198906
+
+
+def test_perfect_decoherence_keeps_its_values():
+    alpha = np.array([0.0, 0.37, 1.0])[:, None]
+    assert_bitwise(mutual_information(0.0, alpha, PERFECT_F),
+                   [[0.0, 0.0, LN2], [0.0, LN2, TWO_LN2], [0.0, LN2, TWO_LN2]])
+    assert_bitwise(fragment_entropy_change(0.0, alpha, PERFECT_F),
+                   [[0.0, 0.0, 0.0], [0.0, LN2, LN2], [0.0, LN2, LN2]])
+    mu = np.array([0.0, 0.5, 1.0])[:, None]
+    assert_bitwise(mi_unbalanced(0.0, PERFECT_F, mu),
+                   [[0.0, LN2, TWO_LN2],
+                    [0.0, 0.41649553069968737, 0.8329910613993746],
+                    [0.0, 0.0, 0.0]])
+    M = np.array([2, 3, 9])[:, None]
+    assert_bitwise(mi_mway(0.0, PERFECT_F, M),
+                   [[0.0, LN2, TWO_LN2],
+                    [0.0, 1.0986122886681096, 2.197224577336219],
+                    [0.0, 2.1972245773362196, 4.394449154672439]])
 
 
 def test_mi_mway_matches_scalar_reference():

@@ -328,6 +328,25 @@ class TestSweep:
             M = int(float(m_val))
             assert value == "%.12g" % mi_mway(math.exp(-10.0), 0.2, M)
 
+    # Past t = 745, exp(-t) underflows to 0. The sweep passes t itself, so
+    # the fragment's e^(-t f) keeps its value; forming Gamma first printed
+    # the t = inf value (ln 3 and 0.4164955307) at t = 750 and 800. The
+    # 60-digit values are 0.6564305921171..., 0.6789822681363...,
+    # 0.2562035463728... and 0.2647833703467...
+    @pytest.mark.parametrize("quantity, want", [
+        ("mi_mway", ["0.632502141778", "0.656430592117", "0.678982268136"]),
+        ("mi_unbalanced", ["0.24707234046", "0.256203546373",
+                           "0.264783370347"]),
+    ])
+    def test_times_past_gamma_underflow_keep_their_values(
+            self, quantity, want, capsys):
+        rc = main(["sweep", "--quantity", quantity, "--axis", "t_over_tauD",
+                   "--start", "700", "--stop", "800", "--count", "3",
+                   "--fix", "f=0.001"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"{t},{v}" for t, v in zip((700, 750, 800), want)]
+
     def test_json_output(self, capsys):
         rc = main(["sweep", "--quantity", "redundancy", "--axis", "t_over_tauD",
                    "--start", "10", "--stop", "1000", "--count", "3",

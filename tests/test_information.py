@@ -113,6 +113,14 @@ class TestMutualInformationAtTime:
     def test_zero_time(self):
         assert mutual_information_at_time(0.0, 1.0, 0.3) == 0.0
 
+    @pytest.mark.parametrize("t", [1.0, 10.0, 30.0, 1e3])
+    @pytest.mark.parametrize("alpha", [1e-8, 0.37, 1.0])
+    def test_no_fragment_holds_exactly_nothing(self, t, alpha):
+        # The fragment's h(1) = ln 2 once cancelled the leading ln 2 only
+        # to rounding: I(0) read 5.55e-17 at t = 1 and -4.77e-17 at t = 30.
+        assert mutual_information_at_time(t, alpha, 0.0) == 0.0
+        assert mutual_information(math.exp(-t), alpha, 0.0) == 0.0
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     def test_bad_time_is_named(self, t):
         with pytest.raises(ValueError, match="t_over_tauD"):

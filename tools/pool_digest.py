@@ -104,6 +104,11 @@ ERROR_CALLS = [
      "0.5", "--stop", "2", "--count", "3"],
     ["sweep", "--quantity", "mi_mway", "--axis", "f", "--start", "0",
      "--stop", "1", "--count", "3", "--fix", "M=2.5"],
+    # times past t = 745, where exp(-t) underflows to 0
+    ["sweep", "--quantity", "mi_mway", "--axis", "t_over_tauD", "--start",
+     "700", "--stop", "800", "--count", "3", "--fix", "f=0.001"],
+    ["sweep", "--quantity", "mi_unbalanced", "--axis", "t_over_tauD",
+     "--start", "700", "--stop", "1000", "--count", "3", "--fix", "f=0.001"],
     # scenario files
     ["rate", "--config", "{tmp}/missing.cfg"],
     ["rate", "--config", "{tmp}/dark-point.cfg"],
